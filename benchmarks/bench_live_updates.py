@@ -17,16 +17,20 @@ dynamic-graph mode the serving stack opens up:
 
 Smoke mode (``REPRO_SMOKE=1``) shrinks the dataset and stream and skips
 the timing assertion, so CI exercises the full update pipeline on every
-push without timing flakiness.
+push without timing flakiness.  Smoke tables are written apart
+(``results/*_smoke.txt``) so they never overwrite the full-scale
+recording, and every table names the environment that produced it.
 """
 
 import os
+import platform
 import time
 
 import numpy as np
+import scipy
 
 from repro import datasets
-from repro.bench import ExperimentTable, zipf_stream
+from repro.bench import ExperimentTable, kernel_backend_info, zipf_stream
 from repro.core import EdgeUpdate, build_gpa_index
 from repro.serving import PPVService, SimulatedClock, as_mutable_backend
 from repro.sharding import ShardRouter, owner_map_from_partition
@@ -41,6 +45,14 @@ REPLICAS = 2
 WINDOW_S = 0.005
 ARRIVAL_SPACING = 1e-4
 UPDATE_SECONDS = 0.01
+SUFFIX = " Smoke" if SMOKE else ""
+ENVIRONMENT = (
+    f"environment: {'smoke' if SMOKE else 'full'} scale, "
+    f"nproc={os.cpu_count()}, "
+    f"kernels={kernel_backend_info()['kernel_backend']}, "
+    f"Python {platform.python_version()}, numpy {np.__version__}, "
+    f"scipy {scipy.__version__}"
+)
 
 
 def _random_updates(graph, count, seed=17):
@@ -82,7 +94,7 @@ def test_incremental_update_vs_full_rebuild():
     backend = as_mutable_backend(index)
 
     table = ExperimentTable(
-        "Live Update Latency",
+        "Live Update Latency" + SUFFIX,
         f"GPA on {DATASET}: incremental edge updates vs full rebuild "
         f"({rebuild_s * 1e3:.0f} ms)",
         ["update", "latency (ms)", "rebuild_fraction", "affected", "speedup"],
@@ -111,6 +123,7 @@ def test_incremental_update_vs_full_rebuild():
         f"median update {np.median(latencies) * 1e3:.2f} ms vs "
         f"{rebuild_s * 1e3:.0f} ms rebuild"
     )
+    table.note(ENVIRONMENT)
     table.emit()
 
     assert np.mean(fractions) < 1.0
@@ -151,7 +164,7 @@ def test_staggered_rollout_serving_dip():
         )
 
     table = ExperimentTable(
-        "Staggered Rollout Serving",
+        "Staggered Rollout Serving" + SUFFIX,
         f"PPVService over {NUM_SHARDS}x{REPLICAS} ShardRouter on {DATASET}: "
         "Zipf stream served across a one-replica-per-shard-at-a-time rollout",
         ["phase", "requests", "answered", "busy (s)", "modeled qps", "epoch"],
@@ -181,6 +194,7 @@ def test_staggered_rollout_serving_dip():
         f"every request answered ({answered_total}/{stream.size}); a "
         f"rebuild-and-restart would drop traffic for ~{rebuild_s * 1e3:.0f} ms"
     )
+    table.note(ENVIRONMENT)
     table.emit()
 
     assert rollout.done and router.epoch == 1

@@ -99,16 +99,15 @@ def partial_vectors(
     n = view.num_nodes
     sources = np.asarray(source_local, dtype=np.int64)
     num_src = sources.size
-    d = np.zeros((n, num_src))
     if n == 0 or num_src == 0:
-        return d, np.zeros((n, num_src))
+        return np.zeros((n, num_src)), np.zeros((n, num_src))
     wt = view.transition_T()
     expandable = np.ones(n, dtype=bool)
     expandable[np.asarray(hub_local, dtype=np.int64)] = False
     if per_column:
         # Per-column mode is column-independent by contract, so the
         # kernel backend may solve each source on its own — replaying the
-        # batched numpy branch bitwise per column (see pykernels).
+        # numpy loop below bitwise per column (see pykernels).
         kern = resolve_kernels(kernels).percol_solve
         if kern is not None and sp.issparse(wt) and wt.format == "csr":
             d, e, ok = kern(
@@ -126,55 +125,50 @@ def partial_vectors(
                     f"partial_vectors: no convergence in {max_iter} iterations"
                 )
             return d, e
-    # Step 0: expand every source unconditionally (hub sources included) —
-    # the zero-length tour deposits α at the source itself.
-    d[sources, np.arange(num_src)] = alpha
+    d = np.zeros((n, num_src))
     e = np.zeros((n, num_src))
-    start = np.zeros((n, num_src))
-    start[sources, np.arange(num_src)] = 1.0
-    e[:] = (1.0 - alpha) * (wt @ start)
-    # Regular selective-expansion rounds.
-    mask = expandable[:, None]
-    if per_column:
-        active = np.ones(num_src, dtype=bool)
-        for _ in range(max_iter):
-            cols = np.nonzero(active)[0]
-            expand = np.where(mask, e[:, cols], 0.0)
-            done = (
-                expand.max(axis=0) <= tol
-                if expand.size
-                else np.ones(cols.size, dtype=bool)
-            )
-            if done.any():
-                active[cols[done]] = False
-                cols = cols[~done]
-                expand = expand[:, ~done]
-            if cols.size == 0:
+    frozen = np.nonzero(~expandable)[0]
+    omalpha = 1.0 - alpha
+    live = np.arange(num_src)  # output columns still iterating
+    # Step 0: expand every source unconditionally (hub sources
+    # included) — the zero-length tour deposits α at the source itself
+    # and forwards (1-α) of its out-row, i.e. a column of Wᵀ.
+    acc = np.zeros((n, num_src))
+    acc[sources, live] = alpha
+    res = wt[:, sources].toarray()
+    res *= omalpha
+    buf = np.empty_like(res)
+    # Regular selective-expansion rounds on the still-live columns:
+    # ``res`` is the residual E, ``buf`` its expandable (non-hub) part.
+    for _ in range(max_iter):
+        np.copyto(buf, res)
+        buf[frozen] = 0.0
+        done = buf.max(axis=0) <= tol
+        if not per_column:
+            done[:] = done.all()  # nobody retires before the worst column
+        if done.any():
+            # Retire: deposit (a) the frozen hub mass — tours stopping
+            # at a hub belong to the partial vector — and (b) the
+            # remaining sub-tolerance expandable mass, so the result
+            # is a lower approximation within tol of the true limit
+            # (Appendix E.1).
+            e[:, live[done]] = res[:, done]
+            d[:, live[done]] = acc[:, done] + alpha * res[:, done]
+            keep = np.nonzero(~done)[0]
+            if keep.size == 0:
                 break
-            d[:, cols] += alpha * expand
-            e[:, cols] = np.where(mask, 0.0, e[:, cols]) + (1.0 - alpha) * (
-                wt @ expand
-            )
-        else:
-            raise ConvergenceError(
-                f"partial_vectors: no convergence in {max_iter} iterations"
-            )
+            live = live[keep]
+            acc, res, buf = (np.take(a, keep, axis=1) for a in (acc, res, buf))
+        nxt = wt @ buf
+        nxt *= omalpha
+        nxt[frozen] += res[frozen]
+        buf *= alpha
+        acc += buf
+        res, buf = nxt, res
     else:
-        for _ in range(max_iter):
-            expand = np.where(mask, e, 0.0)
-            if not expand.size or expand.max() <= tol:
-                break
-            d += alpha * expand
-            e = np.where(mask, 0.0, e) + (1.0 - alpha) * (wt @ expand)
-        else:
-            raise ConvergenceError(
-                f"partial_vectors: no convergence in {max_iter} iterations"
-            )
-    # Deposit (a) the frozen hub mass — tours stopping at a hub belong to
-    # the partial vector — and (b) the remaining sub-tolerance expandable
-    # mass, so the result is a lower approximation within tol of the true
-    # limit (Appendix E.1).
-    d += alpha * e
+        raise ConvergenceError(
+            f"partial_vectors: no convergence in {max_iter} iterations"
+        )
     return d, e
 
 
@@ -206,32 +200,32 @@ def skeleton_columns(
     if n == 0 or hubs.size == 0:
         return f
     w = view.transition()
-    cols = np.arange(hubs.size)
-    if per_column:
-        active = np.ones(hubs.size, dtype=bool)
-        for _ in range(max_iter):
-            live = np.nonzero(active)[0]
-            cur = f[:, live]
-            nxt = (1.0 - alpha) * (w @ cur)
-            nxt[hubs[live], np.arange(live.size)] += alpha
-            deltas = np.abs(nxt - cur).max(axis=0)
-            f[:, live] = nxt
-            done = deltas <= tol * alpha
-            if done.any():
-                active[live[done]] = False
-            if not active.any():
-                return f
+    omalpha = 1.0 - alpha
+    live = np.arange(hubs.size)  # output columns still iterating
+    cur = np.zeros((n, hubs.size))
+    for _ in range(max_iter):
+        nxt = w @ cur
+        nxt *= omalpha
+        nxt[hubs[live], np.arange(live.size)] += alpha
+        # cur is dead once nxt exists: reuse it for |nxt - cur|.
+        np.subtract(nxt, cur, out=cur)
+        np.abs(cur, out=cur)
+        done = cur.max(axis=0) <= tol * alpha
+        cur = nxt
+        if not per_column:
+            done[:] = done.all()  # nobody retires before the worst column
+        if done.any():
+            f[:, live[done]] = cur[:, done]
+            keep = np.nonzero(~done)[0]
+            if keep.size == 0:
+                break
+            live = live[keep]
+            cur = np.take(cur, keep, axis=1)
+    else:
         raise ConvergenceError(
             f"skeleton_columns: no convergence in {max_iter} iterations"
         )
-    for _ in range(max_iter):
-        nxt = (1.0 - alpha) * (w @ f)
-        nxt[hubs, cols] += alpha
-        delta = np.abs(nxt - f).max()
-        f = nxt
-        if delta <= tol * alpha:
-            return f
-    raise ConvergenceError(f"skeleton_columns: no convergence in {max_iter} iterations")
+    return f
 
 
 def skeleton_single_hub(

@@ -48,6 +48,7 @@ __all__ = [
     "QueryStats",
     "FlatPPVIndex",
     "DEFAULT_BATCH",
+    "BUILD_BATCH",
     "stack_columns",
     "csr_row_dense",
     "find_sorted",
@@ -57,9 +58,15 @@ __all__ = [
     "topk_rows",
     "topk_rows_reference",
     "topk_in_batches",
+    "build_vectors",
 ]
 
 DEFAULT_BATCH = 256
+
+BUILD_BATCH = 128
+"""Columns one precompute solve iterates at once.  Per-column results do
+not depend on how columns are grouped, so the width only bounds memory: a
+solve keeps a handful of dense ``(n, batch)`` blocks alive."""
 
 
 @dataclass
@@ -639,85 +646,52 @@ class FlatPPVIndex:
         stores = (self.hub_partials, self.skeleton_cols, self.node_partials)
         return sum(v.nnz for store in stores for v in store.values())
 
-    # ------------------------------------------------------------------
-    # Build helpers shared with JW/GPA constructors and the incremental
-    # update path.  All solvers run in per-column convergence mode, so the
-    # vectors produced are independent of how sources are grouped into
-    # batches — recomputing any subset reproduces a full rebuild exactly.
-    # ------------------------------------------------------------------
-    def _build_hub_side(self, view: VirtualSubgraph, batch: int) -> None:
-        """Hub partial vectors and skeleton columns on ``view``."""
-        self._build_hub_partials(view, self.hubs, batch)
-        self._build_hub_skeletons(view, self.hubs, batch)
 
-    def _build_hub_partials(
-        self, view: VirtualSubgraph, which: np.ndarray, batch: int
-    ) -> None:
-        """Adjusted partial vectors ``P_h`` of the hubs in ``which``."""
-        if which.size == 0:
-            return
-        hub_local = np.asarray(view.to_local(self.hubs), dtype=np.int64)
-        which_local = np.asarray(view.to_local(which), dtype=np.int64)
-        for lo in range(0, which.size, batch):
-            chunk = slice(lo, min(lo + batch, which.size))
-            hubs_chunk = which[chunk]
-            t0 = time.perf_counter()
-            d, _ = partial_vectors(
-                view, hub_local, which_local[chunk],
-                alpha=self.alpha, tol=self.tol, per_column=True,
-                kernels=self.kernels,
+def build_vectors(
+    index: Any,
+    kind: str,
+    store: dict[int, SparseVec],
+    view: VirtualSubgraph,
+    sources: np.ndarray,
+    hub_local: np.ndarray | None = None,
+    *,
+    adjust: bool = False,
+    batch: int = BUILD_BATCH,
+) -> None:
+    """Solve, sparsify and store one vector per node of ``sources`` on ``view``.
+
+    The one precompute loop of every index family (an object with
+    ``alpha``/``tol``/``prune``/``kernels``/``build_cost``), full builds
+    and incremental updates alike.  Without ``hub_local`` the vectors are
+    skeleton columns ``s_·(h)``; with it, partial vectors blocked by those
+    local hub ids (empty = full local PPVs), stored as ``P_h = p_h − α·x_h``
+    when ``adjust``.  Each goes to ``store[u]`` with its share of the solve
+    time under ``index.build_cost[(kind, u)]``.  Solvers run in per-column
+    convergence mode, so the vectors are independent of ``batch`` —
+    recomputing any subset reproduces a full rebuild exactly.
+    """
+    local = np.asarray(view.to_local(sources), dtype=np.int64)
+    for lo in range(0, sources.size, batch):
+        chunk = local[lo : lo + batch]
+        t0 = time.perf_counter()
+        if hub_local is None:
+            cols = skeleton_columns(
+                view, chunk, alpha=index.alpha, tol=index.tol, per_column=True
             )
-            per_col = (time.perf_counter() - t0) / max(1, hubs_chunk.size)
-            for j, h in enumerate(hubs_chunk.tolist()):
-                col = d[:, j]
-                col[int(which_local[chunk][j])] -= self.alpha  # adjusted P_h
-                self.hub_partials[h] = _sparsify(col, view, self.prune)
-                self.build_cost[("hub", h)] = per_col
-
-    def _build_hub_skeletons(
-        self, view: VirtualSubgraph, which: np.ndarray, batch: int
-    ) -> None:
-        """Skeleton columns ``s_·(h)`` of the hubs in ``which``."""
-        if which.size == 0:
-            return
-        which_local = np.asarray(view.to_local(which), dtype=np.int64)
-        for lo in range(0, which.size, batch):
-            chunk = slice(lo, min(lo + batch, which.size))
-            hubs_chunk = which[chunk]
-            t0 = time.perf_counter()
-            f = skeleton_columns(
-                view, which_local[chunk],
-                alpha=self.alpha, tol=self.tol, per_column=True,
+        else:
+            cols, _ = partial_vectors(
+                view, hub_local, chunk,
+                alpha=index.alpha, tol=index.tol, per_column=True,
+                kernels=index.kernels,
             )
-            per_col = (time.perf_counter() - t0) / max(1, hubs_chunk.size)
-            for j, h in enumerate(hubs_chunk.tolist()):
-                self.skeleton_cols[h] = _sparsify(f[:, j], view, self.prune)
-                self.build_cost[("skel", h)] = per_col
-
-    def _build_node_partials(
-        self, view: VirtualSubgraph, sources: np.ndarray, hub_local: np.ndarray, batch: int
-    ) -> None:
-        """Partial vectors of (non-hub) ``sources``, confined to ``view``."""
-        src_local = np.asarray(view.to_local(sources), dtype=np.int64)
-        for lo in range(0, sources.size, batch):
-            chunk = slice(lo, min(lo + batch, sources.size))
-            t0 = time.perf_counter()
-            d, _ = partial_vectors(
-                view, hub_local, src_local[chunk],
-                alpha=self.alpha, tol=self.tol, per_column=True,
-                kernels=self.kernels,
-            )
-            per_col = (time.perf_counter() - t0) / max(1, sources[chunk].size)
-            for j, u in enumerate(sources[chunk].tolist()):
-                self.node_partials[u] = _sparsify(d[:, j], view, self.prune)
-                self.build_cost[("part", u)] = per_col
-
-
-def _sparsify(local_dense: np.ndarray, view: VirtualSubgraph, prune: float) -> SparseVec:
-    """Local dense column → global-coordinate :class:`SparseVec`."""
-    mask = np.abs(local_dense) > prune
-    local_idx = np.nonzero(mask)[0]
-    return SparseVec(view.nodes[local_idx], local_dense[local_idx], _trusted=True)
+        per_col = (time.perf_counter() - t0) / chunk.size
+        if adjust:
+            cols[chunk, np.arange(chunk.size)] -= index.alpha
+        for j, u in enumerate(sources[lo : lo + batch].tolist()):
+            col = cols[:, j]
+            keep = np.nonzero(np.abs(col) > index.prune)[0]
+            store[u] = SparseVec(view.nodes[keep], col[keep], _trusted=True)
+            index.build_cost[(kind, u)] = per_col
 
 
 def full_view(graph: DiGraph) -> VirtualSubgraph:

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flat_index import DEFAULT_BATCH, FlatPPVIndex, full_view
+from repro.core.flat_index import (
+    BUILD_BATCH,
+    FlatPPVIndex,
+    build_vectors,
+    full_view,
+)
 from repro.errors import IndexBuildError
 from repro.graph.digraph import DiGraph
 from repro.graph.subgraph import VirtualSubgraph
@@ -45,7 +50,7 @@ def build_gpa_index(
     balance: float = 0.1,
     seed: int = 0,
     cover_method: str = "auto",
-    batch: int = DEFAULT_BATCH,
+    batch: int = BUILD_BATCH,
     partition: FlatPartition | None = None,
     kernels: KernelsLike = None,
 ) -> GPAIndex:
@@ -72,7 +77,14 @@ def build_gpa_index(
     # Hub partial vectors and skeleton columns live on the whole graph: a
     # hub's neighbourhood spans the subgraphs it bridges, and skeleton
     # values s_u(h) are global PPV entries.
-    index._build_hub_side(full_view(graph), batch)
+    whole = full_view(graph)
+    build_vectors(
+        index, "hub", index.hub_partials, whole, index.hubs, index.hubs,
+        adjust=True, batch=batch,
+    )
+    build_vectors(
+        index, "skel", index.skeleton_cols, whole, index.hubs, batch=batch
+    )
     # Non-hub partial vectors are local PPVs of each part's virtual
     # subgraph (Theorem 2) plus first-passage deposits at the bridging
     # hubs, so each part's view is extended with the hub set (blocked):
@@ -84,5 +96,8 @@ def build_gpa_index(
             graph, np.concatenate([part_nodes, partition.hubs])
         )
         hub_local = np.asarray(view.to_local(partition.hubs), dtype=np.int64)
-        index._build_node_partials(view, part_nodes, hub_local, batch)
+        build_vectors(
+            index, "part", index.node_partials, view, part_nodes, hub_local,
+            batch=batch,
+        )
     return index

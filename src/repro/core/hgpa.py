@@ -21,7 +21,6 @@ hub's own (unadjusted) partial vector when ``u`` was selected as a hub.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -29,10 +28,11 @@ from typing import Any
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.decomposition import partial_vectors, skeleton_columns
 from repro.core.flat_index import (
+    BUILD_BATCH,
     DEFAULT_BATCH,
     QueryStats,
+    build_vectors,
     csr_row_dense,
     find_sorted,
     run_in_batches,
@@ -56,8 +56,11 @@ from repro.core.sparsevec import SparseVec
 from repro.kernels.dispatch import KernelsLike
 from repro.errors import IndexBuildError, QueryError
 from repro.graph.digraph import DiGraph
-from repro.graph.subgraph import VirtualSubgraph
-from repro.partition.hierarchy import PartitionHierarchy, build_hierarchy
+from repro.partition.hierarchy import (
+    PartitionHierarchy,
+    SubgraphNode,
+    build_hierarchy,
+)
 
 __all__ = ["HGPAIndex", "build_hgpa_index", "build_hgpa_ad_index"]
 
@@ -540,7 +543,7 @@ def build_hgpa_index(
     balance: float = 0.1,
     seed: int = 0,
     cover_method: str = "auto",
-    batch: int = DEFAULT_BATCH,
+    batch: int = BUILD_BATCH,
     kernels: KernelsLike = None,
 ) -> HGPAIndex:
     """Pre-compute the full HGPA index.
@@ -570,71 +573,33 @@ def build_hgpa_index(
         kernels=kernels,
     )
     for sg in hierarchy.subgraphs:
-        if sg.hubs.size:
-            view = hierarchy.view(sg.node_id)
-            _build_subgraph_hub_side(index, view, sg.hubs, batch)
-        if sg.is_leaf and sg.num_nodes:
-            view = hierarchy.view(sg.node_id)
-            _build_leaf_ppvs(index, view, sg.nodes, batch)
+        build_subgraph_vectors(index, sg, batch)
     return index
+
+
+def build_subgraph_vectors(
+    index: HGPAIndex, sg: SubgraphNode, batch: int = BUILD_BATCH
+) -> None:
+    """Every vector subgraph ``sg`` owns: hub side and, on a leaf, PPVs."""
+    if sg.hubs.size:
+        view = index.hierarchy.view(sg.node_id)
+        hub_local = np.asarray(view.to_local(sg.hubs), dtype=np.int64)
+        build_vectors(
+            index, "hub", index.hub_partials, view, sg.hubs, hub_local,
+            adjust=True, batch=batch,
+        )
+        build_vectors(
+            index, "skel", index.skeleton_cols, view, sg.hubs, batch=batch
+        )
+    if sg.is_leaf and sg.num_nodes:
+        view = index.hierarchy.view(sg.node_id)
+        build_vectors(
+            index, "leaf", index.leaf_ppv, view, sg.nodes,
+            np.empty(0, dtype=np.int64), batch=batch,
+        )
 
 
 def build_hgpa_ad_index(graph: DiGraph, **kwargs: Any) -> HGPAIndex:
     """HGPA_ad — HGPA with offline scores below ``1e-4`` discarded."""
     kwargs.setdefault("prune", 1e-4)
     return build_hgpa_index(graph, **kwargs)
-
-
-def _sparsify(col: np.ndarray, view: VirtualSubgraph, prune: float) -> SparseVec:
-    mask = np.abs(col) > prune
-    local_idx = np.nonzero(mask)[0]
-    return SparseVec(view.nodes[local_idx], col[local_idx], _trusted=True)
-
-
-def _build_subgraph_hub_side(
-    index: HGPAIndex, view: VirtualSubgraph, hubs: np.ndarray, batch: int
-) -> None:
-    hub_local = np.asarray(view.to_local(hubs), dtype=np.int64)
-    for lo in range(0, hubs.size, batch):
-        sl = slice(lo, min(lo + batch, hubs.size))
-        chunk = hubs[sl]
-        t0 = time.perf_counter()
-        d, _ = partial_vectors(
-            view, hub_local, hub_local[sl],
-            alpha=index.alpha, tol=index.tol, per_column=True,
-            kernels=index.kernels,
-        )
-        per_col = (time.perf_counter() - t0) / max(1, chunk.size)
-        for j, h in enumerate(chunk.tolist()):
-            col = d[:, j]
-            col[int(hub_local[sl][j])] -= index.alpha  # adjusted P_h
-            index.hub_partials[h] = _sparsify(col, view, index.prune)
-            index.build_cost[("hub", h)] = per_col
-        t0 = time.perf_counter()
-        f = skeleton_columns(
-            view, hub_local[sl],
-            alpha=index.alpha, tol=index.tol, per_column=True,
-        )
-        per_col = (time.perf_counter() - t0) / max(1, chunk.size)
-        for j, h in enumerate(chunk.tolist()):
-            index.skeleton_cols[h] = _sparsify(f[:, j], view, index.prune)
-            index.build_cost[("skel", h)] = per_col
-
-
-def _build_leaf_ppvs(
-    index: HGPAIndex, view: VirtualSubgraph, nodes: np.ndarray, batch: int
-) -> None:
-    empty = np.empty(0, dtype=np.int64)
-    src_local = np.asarray(view.to_local(nodes), dtype=np.int64)
-    for lo in range(0, nodes.size, batch):
-        sl = slice(lo, min(lo + batch, nodes.size))
-        t0 = time.perf_counter()
-        d, _ = partial_vectors(
-            view, empty, src_local[sl],
-            alpha=index.alpha, tol=index.tol, per_column=True,
-            kernels=index.kernels,
-        )
-        per_col = (time.perf_counter() - t0) / max(1, nodes[sl].size)
-        for j, u in enumerate(nodes[sl].tolist()):
-            index.leaf_ppv[u] = _sparsify(d[:, j], view, index.prune)
-            index.build_cost[("leaf", u)] = per_col

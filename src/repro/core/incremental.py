@@ -28,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.hgpa import (
-    HGPAIndex,
-    _build_leaf_ppvs,
-    _build_subgraph_hub_side,
-)
+from repro.core.hgpa import HGPAIndex, build_subgraph_vectors
 from repro.errors import GraphError
 from repro.graph.digraph import DiGraph
 from repro.partition.hierarchy import PartitionHierarchy, SubgraphNode
@@ -169,16 +165,12 @@ def _rebuild(
     rebuilt_keys: set[tuple[Any, ...]] = set()
     for sid in affected_ids:
         sg = subgraphs[sid]
-        if sg.hubs.size:
-            view = hierarchy.view(sid)
-            _build_subgraph_hub_side(index, view, sg.hubs, 256)
-            rebuilt_vectors += 2 * sg.hubs.size
-            for h in sg.hubs.tolist():
-                rebuilt_keys.add(("hub", h))
-                rebuilt_keys.add(("skel", h))
+        build_subgraph_vectors(index, sg)
+        rebuilt_vectors += 2 * sg.hubs.size
+        for h in sg.hubs.tolist():
+            rebuilt_keys.add(("hub", h))
+            rebuilt_keys.add(("skel", h))
         if sg.is_leaf and sg.num_nodes:
-            view = hierarchy.view(sid)
-            _build_leaf_ppvs(index, view, sg.nodes, 256)
             rebuilt_vectors += sg.num_nodes
             for node in sg.nodes.tolist():
                 rebuilt_keys.add(("leaf", node))

@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.flat_index import DEFAULT_BATCH, FlatPPVIndex, full_view
+from repro.core.flat_index import (
+    BUILD_BATCH,
+    FlatPPVIndex,
+    build_vectors,
+    full_view,
+)
 from repro.errors import IndexBuildError
 from repro.graph.analysis import top_pagerank_nodes
 from repro.graph.digraph import DiGraph
@@ -32,7 +37,7 @@ def build_jw_index(
     alpha: float = 0.15,
     tol: float = 1e-4,
     prune: float | None = None,
-    batch: int = DEFAULT_BATCH,
+    batch: int = BUILD_BATCH,
     kernels: KernelsLike = None,
 ) -> JWIndex:
     """Pre-compute the PPV-JW index.
@@ -55,8 +60,14 @@ def build_jw_index(
         kernels=kernels,
     )
     view = full_view(graph)
-    hub_local = hubs  # identity mapping on the full view
-    index._build_hub_side(view, batch)
+    # Hub ids are local ids: the full view's mapping is the identity.
+    build_vectors(
+        index, "hub", index.hub_partials, view, hubs, hubs,
+        adjust=True, batch=batch,
+    )
+    build_vectors(index, "skel", index.skeleton_cols, view, hubs, batch=batch)
     non_hubs = np.setdiff1d(np.arange(graph.num_nodes, dtype=np.int64), hubs)
-    index._build_node_partials(view, non_hubs, hub_local, batch)
+    build_vectors(
+        index, "part", index.node_partials, view, non_hubs, hubs, batch=batch
+    )
     return index

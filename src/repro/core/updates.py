@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flat_index import DEFAULT_BATCH, FlatPPVIndex, full_view
+from repro.core.flat_index import FlatPPVIndex, build_vectors, full_view
 from repro.core.hgpa import HGPAIndex
 from repro.core.incremental import (
     UpdateStats,
@@ -341,8 +341,11 @@ def _flat_update(
         stale_parts = stale_parts[stale_parts != u]
 
     view = full_view(new_graph)
-    new_index._build_hub_partials(view, stale_hub_partials, DEFAULT_BATCH)
-    new_index._build_hub_skeletons(view, stale_skels, DEFAULT_BATCH)
+    build_vectors(
+        new_index, "hub", new_index.hub_partials, view, stale_hub_partials,
+        new_hubs, adjust=True,
+    )
+    build_vectors(new_index, "skel", new_index.skeleton_cols, view, stale_skels)
     rebuilt: set[tuple[Any, ...]] = {("hub", int(h)) for h in stale_hub_partials.tolist()}
     rebuilt |= {("skel", int(h)) for h in stale_skels.tolist()}
 
@@ -360,12 +363,14 @@ def _flat_update(
                 hub_local = np.asarray(
                     pview.to_local(new_hubs), dtype=np.int64
                 )
-                new_index._build_node_partials(
-                    pview, mine, hub_local, DEFAULT_BATCH
+                build_vectors(
+                    new_index, "part", new_index.node_partials, pview, mine,
+                    hub_local,
                 )
         else:
-            new_index._build_node_partials(
-                view, stale_parts, new_hubs, DEFAULT_BATCH
+            build_vectors(
+                new_index, "part", new_index.node_partials, view, stale_parts,
+                new_hubs,
             )
         rebuilt |= {("part", int(w)) for w in stale_parts.tolist()}
 

@@ -31,8 +31,10 @@ import itertools
 import multiprocessing as mp
 import os
 import traceback
+import weakref
 from collections import deque
 from collections.abc import Callable, Hashable
+from multiprocessing import resource_tracker
 from typing import TYPE_CHECKING, Any, Self
 
 import numpy as np
@@ -78,7 +80,7 @@ class ExecutionBackend:
 
     def memo_arena(
         self,
-        memo_key: Hashable,
+        owner: object,
         arrays_fn: Callable[[], dict[str, np.ndarray]],
     ) -> ArenaDescriptor:
         raise NotImplementedError
@@ -297,7 +299,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     ``num_workers`` worker processes are started up front (fork where
     available, before any arena exists, so children inherit nothing they
-    should not).  Registered keys pin to workers round-robin in
+    should not — except the resource tracker, started first so that
+    every worker reports to the parent's).  Registered keys pin to workers round-robin in
     registration order; all arenas created through the backend are owned
     by it and unlinked at ``close``.  ``timeout`` bounds every wait on a
     worker reply — a hung worker is terminated and surfaces as
@@ -319,6 +322,10 @@ class ProcessPoolBackend(ExecutionBackend):
             methods = mp.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else methods[0]
         ctx = mp.get_context(mp_context)
+        # Workers share the parent's resource tracker only if it runs
+        # before they fork; a worker forked earlier starts its own on its
+        # first arena attach, and that one outlives close() unwaited.
+        resource_tracker.ensure_running()
         self.num_workers = int(num_workers)
         self._workers = [
             _Worker(ctx, i, timeout) for i in range(self.num_workers)
@@ -327,7 +334,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self._rr = 0
         self._tasks = itertools.count()
         self._arenas: dict[str, ShmArena] = {}
-        self._memo: dict[Any, Any] = {}
+        self._memo: dict[int, ArenaDescriptor] = {}
         self._closed = False
 
     # ----- state registry ----------------------------------------------
@@ -373,15 +380,25 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def memo_arena(
         self,
-        memo_key: Hashable,
+        owner: object,
         arrays_fn: Callable[[], dict[str, np.ndarray]],
     ) -> ArenaDescriptor:
-        """Publish once per ``memo_key`` (e.g. per shared engine object)."""
-        descriptor = self._memo.get(memo_key)
+        """Publish once per live ``owner`` (e.g. a shared engine object).
+
+        The arena lives as long as the owner: it is dropped when the
+        owner is collected — before ``id(owner)`` can name another
+        object, so a later owner at the same address publishes afresh.
+        """
+        descriptor = self._memo.get(id(owner))
         if descriptor is None:
-            descriptor = self.create_arena(arrays_fn())
-            self._memo[memo_key] = descriptor
+            descriptor = self._memo[id(owner)] = self.create_arena(arrays_fn())
+            weakref.finalize(owner, self._forget, id(owner)).atexit = False
         return descriptor
+
+    def _forget(self, owner_id: int) -> None:
+        descriptor = self._memo.pop(owner_id, None)  # None: closed since
+        if descriptor is not None:
+            self.drop_arena(descriptor)
 
     def drop_arena(self, descriptor: ArenaDescriptor) -> None:
         arena = self._arenas.pop(descriptor.shm_name, None)

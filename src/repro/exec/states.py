@@ -277,21 +277,18 @@ def engine_builder(query_backend: Any, exec_backend: Any) -> Any:
     ``None`` means the engine has no shared-memory layout the workers
     understand (a distributed runtime, an approximation, or a subclass
     that overrides the batch paths) and the shard must serve it inline.
-    The engine's arena is memoized on the execution backend by object
-    identity, so replicas sharing one engine publish it once.
+    The engine's arena is memoized on the execution backend for the
+    life of the engine object, so replicas sharing one engine publish it
+    once and an updated backend's new engine publishes afresh.
     """
     engine = query_backend.engine
-    # The epoch in the memo key guards against id() reuse: an updated
-    # backend swaps in a new engine object that could land at a freed
-    # engine's address.
-    epoch = int(getattr(query_backend, "epoch", 0))
     if (
         isinstance(engine, HGPAIndex)
         and type(engine).query_many is HGPAIndex.query_many
         and type(engine).query_many_sparse is HGPAIndex.query_many_sparse
     ):
         descriptor = exec_backend.memo_arena(
-            ("engine", id(engine), epoch), lambda: hgpa_engine_arrays(engine)
+            engine, lambda: hgpa_engine_arrays(engine)
         )
         sids = tuple(
             sg.node_id for sg in engine.hierarchy.subgraphs if sg.hubs.size
@@ -311,7 +308,7 @@ def engine_builder(query_backend: Any, exec_backend: Any) -> Any:
         and type(engine).query_many_sparse is FlatPPVIndex.query_many_sparse
     ):
         descriptor = exec_backend.memo_arena(
-            ("engine", id(engine), epoch), lambda: flat_engine_arrays(engine)
+            engine, lambda: flat_engine_arrays(engine)
         )
         return FlatEngineBuilder(
             descriptor,

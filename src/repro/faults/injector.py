@@ -101,7 +101,7 @@ class FaultInjector:
         self._replica_states: dict[tuple[int, int], _ReplicaFaultState] = {}
         self._crashes: list[FaultEvent] = []  # not yet fired, time-sorted
         self._link_faults: dict[int, list[list[Any]]] = {}
-        self._by_replica_id: dict[int, tuple[int, int]] = {}
+        self._by_replica_uid: dict[int, tuple[int, int]] = {}
 
     # ----- wiring -------------------------------------------------------
     def attach(self, router: "ShardRouter") -> "FaultInjector":
@@ -135,7 +135,7 @@ class FaultInjector:
             for rid, replica in enumerate(shard.replicas):
                 state = self._state_for(sid, rid)
                 replica.fault_hook = ReplicaProbe(self, state)
-                self._by_replica_id[id(replica)] = (sid, rid)
+                self._by_replica_uid[replica.uid] = (sid, rid)
         router.meter.on_record = self._on_record
         if router.exec_backend is not None:
             router.exec_backend.fault_hook = self._on_submit
@@ -221,13 +221,13 @@ class FaultInjector:
     def _on_submit(self, key: Any, method: str) -> None:
         """Execution-seam hook: scheduled worker deaths fire at submit.
 
-        Replica keys carry the replica object's id; anything else (a
+        Replica keys carry the replica's ``uid``; anything else (a
         distributed runtime's machine states) is left alone.
         """
         del method
         if not (isinstance(key, tuple) and key and key[0] == "replica"):
             return
-        target = self._by_replica_id.get(int(key[1]))
+        target = self._by_replica_uid.get(int(key[1]))
         if target is None:
             return
         assert self.router is not None

@@ -17,7 +17,9 @@ of the partition's precomputed vectors.
 
 from __future__ import annotations
 
+import itertools
 import time
+import weakref
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -33,6 +35,11 @@ if TYPE_CHECKING:
 
 __all__ = ["Replica"]
 
+# Replica uids name worker-side registrations, so they must be unique for
+# the life of the process, not of the replica: id() values recycle once a
+# dropped router's replicas are freed.
+_UIDS = itertools.count()
+
 
 class Replica:
     """A health-tracked query backend inside a shard's replica group."""
@@ -40,6 +47,7 @@ class Replica:
     def __init__(self, engine: Any, replica_id: int) -> None:
         self.backend = as_backend(engine)
         self.replica_id = int(replica_id)
+        self.uid = next(_UIDS)
         self.served_queries = 0
         self.served_batches = 0
         self.busy_seconds = 0.0
@@ -53,10 +61,13 @@ class Replica:
         # when the router runs with a resilience policy.
         self.breaker: CircuitBreaker | None = None
         # Worker-side execution state, per (execution backend, engine
-        # epoch): None = not probed, False = engine has no shared-memory
-        # layout (serve inline), a key = registered with that backend.
-        self._exec_key = None
-        self._exec_backend = None
+        # epoch).  ``_exec_release`` unregisters ``_exec_key`` — called by
+        # _drop_exec, or by the garbage collector when the replica is
+        # dropped without one; None = not registered.  ``_exec_inline``:
+        # probed, and the engine has no shared-memory layout.
+        self._exec_backend: ExecutionBackend | None = None
+        self._exec_release: weakref.finalize[..., Any] | None = None
+        self._exec_inline = False
 
     @property
     def num_nodes(self) -> int:
@@ -66,6 +77,10 @@ class Replica:
     def epoch(self) -> int:
         """Graph version this replica currently serves."""
         return int(getattr(self.backend, "epoch", 0))
+
+    @property
+    def _exec_key(self) -> tuple[str, int]:
+        return ("replica", self.uid)
 
     # ----- updates ------------------------------------------------------
     def apply_update(
@@ -116,22 +131,24 @@ class Replica:
         future resolving to ``(matrix, wall_seconds)``.  The engine's
         worker state registers lazily on first submit and is dropped by
         :meth:`apply_update` — a new epoch means a new engine object,
-        republished under a fresh key.
+        registered afresh on the next submit.
         """
         if backend is None:
             return None
         if self._exec_backend is not backend:
             self._drop_exec()
             self._exec_backend = backend
-        if self._exec_key is None:
+        if self._exec_release is None and not self._exec_inline:
             builder = engine_builder(self.backend, backend)
             if builder is None:
-                self._exec_key = False
+                self._exec_inline = True
             else:
-                key = ("replica", id(self), self.epoch, id(backend))
-                backend.register(key, builder)
-                self._exec_key = key
-        if self._exec_key is False:
+                backend.register(self._exec_key, builder)
+                self._exec_release = weakref.finalize(
+                    self, backend.unregister, self._exec_key
+                )
+                self._exec_release.atexit = False
+        if self._exec_inline:
             return None
         return backend.submit(
             self._exec_key, "sparse" if sparse else "dense", nodes
@@ -170,10 +187,11 @@ class Replica:
         self._drop_exec()
 
     def _drop_exec(self) -> None:
-        if self._exec_key not in (None, False) and self._exec_backend is not None:
-            self._exec_backend.unregister(self._exec_key)
-        self._exec_key = None
+        if self._exec_release is not None:
+            self._exec_release()
         self._exec_backend = None
+        self._exec_release = None
+        self._exec_inline = False
 
     # ----- serving ------------------------------------------------------
     def query_many(

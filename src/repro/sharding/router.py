@@ -188,6 +188,17 @@ class ShardRouter(QueryBackend):
         self.epoch = 0
         self._rollout: StaggeredRollout | None = None
 
+    def close(self) -> None:
+        """Drop every replica's worker-side registration.
+
+        The execution backend is the caller's and stays open, so one
+        pool can serve successive routers; a router dropped without
+        ``close`` releases its registrations when it is collected.
+        """
+        for shard in self.shards:
+            for replica in shard.replicas:
+                replica.reset_exec()
+
     # ----- live updates -------------------------------------------------
     @property
     def rollout_in_progress(self) -> bool:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     as_view,
@@ -138,3 +140,235 @@ class TestExpectedIterations:
 
     def test_tol_one(self):
         assert expected_iterations(0.15, 1.0) == 1
+
+
+# ----------------------------------------------------------------------
+# Exactness of the batched solvers: every stored vector is bitwise what
+# the one-column references produce, however the columns are grouped.
+
+PROP_SETTINGS = dict(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+NO_NODES = np.empty(0, dtype=np.int64)
+
+
+@st.composite
+def solver_cases(draw):
+    """(view, hub set, sources): a random graph — whole, or a virtual
+    subgraph of it — and a request from one column to wider than a build batch
+    (sources then repeat, which must not matter either)."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.integers(2, 30))
+    m = int(rng.integers(n, 4 * n))
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    keep = src != dst
+    graph = DiGraph.from_arrays(n, src[keep], dst[keep])
+    graph = graph.with_dangling_policy("self_loop")
+    if draw(st.booleans()):
+        members = np.unique(rng.integers(0, n, max(2, n // 2)))
+        view = VirtualSubgraph(graph, members)
+    else:
+        view = as_view(graph)
+    local_n = view.num_nodes
+    hubs = np.unique(rng.integers(0, local_n, draw(st.integers(0, 5))))
+    width = draw(st.sampled_from([1, 2, 5, 40, 129, 260]))
+    sources = rng.integers(0, local_n, width)
+    if hubs.size and draw(st.booleans()):
+        sources[0] = hubs[0]  # a hub as its own source
+    return view, hubs, sources
+
+
+def _cut(width, rng):
+    """A random split of ``range(width)`` into consecutive groups."""
+    inner = rng.integers(1, width, int(rng.integers(0, 4))) if width > 1 else []
+    edges = [0, *np.unique(inner).tolist(), width]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _reference_partial_vectors(view, hubs, sources, *, tol, max_iter=100_000):
+    """Eq. 9 as the textbook loop, stopping on the worst column."""
+    n = view.num_nodes
+    wt = view.transition_T()
+    mask = np.ones(n, dtype=bool)
+    mask[hubs] = False
+    mask = mask[:, None]
+    cols = np.arange(sources.size)
+    d = np.zeros((n, sources.size))
+    d[sources, cols] = ALPHA
+    start = np.zeros((n, sources.size))
+    start[sources, cols] = 1.0
+    e = (1.0 - ALPHA) * (wt @ start)
+    for _ in range(max_iter):
+        expand = np.where(mask, e, 0.0)
+        if expand.max() <= tol:
+            return d + ALPHA * e, e
+        d += ALPHA * expand
+        e = np.where(mask, 0.0, e) + (1.0 - ALPHA) * (wt @ expand)
+    raise ConvergenceError("reference: no convergence")
+
+
+def _reference_skeleton_columns(view, hubs, *, tol, max_iter=100_000):
+    """Eq. 8 as the textbook loop, stopping on the worst column."""
+    w = view.transition()
+    f = np.zeros((view.num_nodes, hubs.size))
+    for _ in range(max_iter):
+        nxt = (1.0 - ALPHA) * (w @ f)
+        nxt[hubs, np.arange(hubs.size)] += ALPHA
+        delta = np.abs(nxt - f).max()
+        f = nxt
+        if delta <= tol * ALPHA:
+            return f
+    raise ConvergenceError("reference: no convergence")
+
+
+class TestSolverExactness:
+    @settings(**PROP_SETTINGS)
+    @given(case=solver_cases(), tol=st.sampled_from([1e-3, 1e-6]))
+    def test_skeleton_columns_equal_single_hub_solves(self, case, tol):
+        view, _, hubs = case  # any node may be asked for its column
+        f = skeleton_columns(view, hubs, tol=tol, per_column=True)
+        solved = {}
+        for j, h in enumerate(hubs.tolist()):
+            if h not in solved:
+                solved[h] = skeleton_single_hub(view, h, tol=tol)
+            np.testing.assert_array_equal(f[:, j], solved[h])
+
+    @settings(**PROP_SETTINGS)
+    @given(case=solver_cases(), tol=st.sampled_from([1e-3, 1e-6]))
+    def test_partial_vectors_equal_single_source_solves(self, case, tol):
+        view, hubs, sources = case
+        d, e = partial_vectors(
+            view, hubs, sources, tol=tol, per_column=True, kernels="scipy"
+        )
+        # The pure-Python kernel is the loop-per-element reference; it is
+        # slow, so it checks a sample of a wide request.
+        some = np.unique(np.linspace(0, sources.size - 1, 12).astype(int))
+        ref_d, ref_e = partial_vectors(
+            view, hubs, sources[some], tol=tol, per_column=True,
+            kernels="python",
+        )
+        np.testing.assert_array_equal(d[:, some], ref_d)
+        np.testing.assert_array_equal(e[:, some], ref_e)
+        solved = {}
+        for j, u in enumerate(sources.tolist()):
+            if u not in solved:
+                solved[u] = partial_vectors(
+                    view, hubs, np.asarray([u]), tol=tol, per_column=True,
+                    kernels="scipy",
+                )
+            np.testing.assert_array_equal(d[:, j], solved[u][0][:, 0])
+            np.testing.assert_array_equal(e[:, j], solved[u][1][:, 0])
+
+    @settings(**PROP_SETTINGS)
+    @given(case=solver_cases(), seed=st.integers(0, 1000))
+    def test_any_grouping_of_columns_gives_identical_columns(self, case, seed):
+        view, hubs, sources = case
+        tol = 1e-5
+        d, e = partial_vectors(
+            view, hubs, sources, tol=tol, per_column=True, kernels="scipy"
+        )
+        f = skeleton_columns(view, sources, tol=tol, per_column=True)
+        for lo, hi in _cut(sources.size, np.random.default_rng(seed)):
+            gd, ge = partial_vectors(
+                view, hubs, sources[lo:hi], tol=tol, per_column=True,
+                kernels="scipy",
+            )
+            np.testing.assert_array_equal(gd, d[:, lo:hi])
+            np.testing.assert_array_equal(ge, e[:, lo:hi])
+            gf = skeleton_columns(view, sources[lo:hi], tol=tol, per_column=True)
+            np.testing.assert_array_equal(gf, f[:, lo:hi])
+
+    @settings(**PROP_SETTINGS)
+    @given(case=solver_cases(), tol=st.sampled_from([1e-3, 1e-6]))
+    def test_global_mode_equals_the_textbook_loops(self, case, tol):
+        """``per_column=False`` (FastPPV's build and single query, which
+        read ``E``; the ablation bench) stops on the worst column."""
+        view, hubs, sources = case
+        d, e = partial_vectors(view, hubs, sources, tol=tol)
+        ref_d, ref_e = _reference_partial_vectors(view, hubs, sources, tol=tol)
+        np.testing.assert_array_equal(d, ref_d)
+        np.testing.assert_array_equal(e, ref_e)
+        np.testing.assert_array_equal(
+            skeleton_columns(view, sources, tol=tol),
+            _reference_skeleton_columns(view, sources, tol=tol),
+        )
+
+    def test_global_mode_waits_for_a_far_column(self, small_graph):
+        """The worst column may be the last of a wide request: it still
+        decides when every other column stops."""
+        view = as_view(small_graph)
+        hubs = np.array([5, 10, 50])
+        tol = 1e-4
+        moved = 0
+        for x, y in [(0, 77), (77, 0), (3, 150), (150, 3)]:
+            sources = np.r_[np.full(200, x), y]
+            d, e = partial_vectors(view, hubs, sources, tol=tol)
+            ref_d, ref_e = _reference_partial_vectors(view, hubs, sources, tol=tol)
+            np.testing.assert_array_equal(d, ref_d)
+            np.testing.assert_array_equal(e, ref_e)
+            f = skeleton_columns(view, sources, tol=tol)
+            np.testing.assert_array_equal(
+                f, _reference_skeleton_columns(view, sources, tol=tol)
+            )
+            alone, _ = partial_vectors(view, hubs, sources[:1], tol=tol)
+            moved += not np.array_equal(d[:, 0], alone[:, 0])
+        assert moved  # some far column did hold the first one back
+
+    @pytest.mark.parametrize("per_column", [False, True])
+    def test_convergence_error_at_the_same_max_iter(self, small_graph, per_column):
+        """A column that needs k rounds passes at ``max_iter=k`` and
+        raises at ``k - 1`` — in a batch exactly as on its own."""
+        view = as_view(small_graph)
+        hubs = np.array([5, 10, 50])
+        sources = np.array([0, 5, 77])
+        tol = 1e-3
+
+        def raises(fn):
+            try:
+                fn()
+            except ConvergenceError:
+                return True
+            return False
+
+        for max_iter in range(1, 60):
+            single = [
+                raises(lambda: skeleton_single_hub(view, h, tol=tol, max_iter=max_iter))
+                for h in sources.tolist()
+            ]
+            batched = raises(lambda: skeleton_columns(
+                view, sources, tol=tol, max_iter=max_iter, per_column=per_column
+            ))
+            assert batched == any(single)
+            kernel = raises(lambda: partial_vectors(
+                view, hubs, sources, tol=tol, max_iter=max_iter,
+                per_column=True, kernels="python",
+            ))
+            numpy_path = raises(lambda: partial_vectors(
+                view, hubs, sources, tol=tol, max_iter=max_iter,
+                per_column=per_column, kernels="scipy",
+            ))
+            assert numpy_path == kernel
+            if not (batched or numpy_path):
+                break
+        else:
+            raise AssertionError("never converged")
+        assert max_iter > 2  # the loop saw both outcomes
+
+    @pytest.mark.parametrize("per_column", [False, True])
+    def test_degenerate_shapes(self, tiny_graph, per_column):
+        view = as_view(tiny_graph)
+        empty = VirtualSubgraph(tiny_graph, NO_NODES)
+        for v, n in ((view, 5), (empty, 0)):
+            d, e = partial_vectors(v, NO_NODES, NO_NODES, per_column=per_column)
+            assert d.shape == e.shape == (n, 0)
+            assert skeleton_columns(v, NO_NODES, per_column=per_column).shape == (n, 0)
+        # No hubs: the full local PPV; every node a hub: only step 0 moves.
+        d, e = partial_vectors(view, NO_NODES, np.arange(5), per_column=per_column)
+        assert d.shape == e.shape == (5, 5)
+        d, e = partial_vectors(
+            view, np.arange(5), np.array([2]), per_column=per_column
+        )
+        np.testing.assert_array_equal(e[:, 0], 0.85 * view.transition_T()[:, [2]].toarray()[:, 0])
+        np.testing.assert_array_equal(d[:, 0], ALPHA * e[:, 0] + ALPHA * (np.arange(5) == 2))

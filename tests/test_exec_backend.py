@@ -10,14 +10,21 @@ no child process and no ``/dev/shm`` segment behind (also asserted
 suite-wide by the ``no_exec_leaks`` fixture in ``conftest.py``).
 """
 
+import gc
 import glob
 import multiprocessing as mp
+import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import datasets
+from repro.core import build_gpa_index
 from repro.core.updates import EdgeUpdate
 from repro.distributed import DistributedGPA, DistributedHGPA
 from repro.errors import ExecutionError, ShardingError, WorkerDied
@@ -128,6 +135,120 @@ class TestBackendRegistry:
             assert _shm_segments()
         assert not _shm_segments()
         assert not mp.active_children()
+
+
+    def test_pool_started_before_any_arena_leaves_no_process(self):
+        # Workers forked before the parent had a resource tracker each
+        # started one of their own on their first arena attach; those
+        # outlived close(), re-parented, with nobody to wait for them.
+        # A fresh interpreter in its own session makes every process it
+        # starts, however re-parented, findable by session id.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", _POOL_FIRST_SCRIPT],
+            capture_output=True, text=True, timeout=120, env=env,
+            start_new_session=True,
+        )
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout.splitlines() == ["[28.0, 28.0]", "left: []"]
+
+    def test_one_pool_serves_successive_routers(self):
+        # Replica keys were built from id(): a later router's replicas at
+        # recycled addresses collided with registrations nobody dropped
+        # (the fifth router of this loop, on this dataset).
+        index = build_gpa_index(datasets.load("email"), 4)
+        nodes = _query_nodes(index.graph.num_nodes, size=16, seed=6)
+        d0, _ = index.query_many(nodes)
+        with ProcessPoolBackend(2) as pool:
+            for _ in range(30):
+                router = ShardRouter([[index, index]] * 2, backend=pool)
+                d1, _ = router.query_many(nodes)
+                router.query_many(nodes)  # second replica of each shard
+                assert np.array_equal(d0, d1)
+                assert len(pool._assignment) == 4  # collected routers let go
+            router.close()
+            assert not pool._assignment
+
+    def test_one_pool_serves_successive_engines(self):
+        # An engine's arena is memoized by object identity, so it must go
+        # with the engine: a later index at the freed one's address would
+        # otherwise be served the old index's vectors (and every dead
+        # engine's segment would stay until the pool closed).
+        graph = datasets.load("email")
+        nodes = _query_nodes(graph.num_nodes, size=16, seed=7)
+        with ProcessPoolBackend(2) as pool:
+            index = router = None
+            for i in range(12):
+                del index, router  # free the address before the next build
+                gc.collect()
+                index = build_gpa_index(graph, 4, alpha=0.1 + 0.02 * i)
+                router = ShardRouter([[index, index]] * 2, backend=pool)
+                d1, _ = router.query_many(nodes)
+                d0, _ = index.query_many(nodes)
+                assert np.array_equal(d0, d1), i
+                assert len(pool._arenas) == 1
+            # An update's successor engine publishes afresh; the retired
+            # one's arena goes once nothing serves it.
+            update = EdgeUpdate.insert(0, graph.num_nodes - 1)
+            assert router.apply_update(update).changed
+            d1, _ = router.query_many(nodes)
+            successor = router.shards[0].replicas[0].backend.engine
+            assert successor is not index
+            assert np.array_equal(successor.query_many(nodes)[0], d1)
+            assert len(pool._arenas) == 2  # `index` is still referenced here
+            del index
+            gc.collect()
+            assert len(pool._arenas) == 1
+            del router, successor
+            gc.collect()
+            assert not pool._arenas and not pool._memo
+            assert not _shm_segments()
+
+
+_POOL_FIRST_SCRIPT = """
+import os
+from multiprocessing import resource_tracker
+from pathlib import Path
+
+import numpy as np
+
+from repro.exec import ProcessPoolBackend
+
+
+class Attached:
+    def __init__(self, descriptor):
+        self.view = descriptor.attach()
+
+    def total(self):
+        return float(self.view.arrays["x"].sum())
+
+
+class Builder:
+    def __init__(self, descriptor):
+        self.descriptor = descriptor
+
+    def __call__(self):
+        return Attached(self.descriptor)
+
+
+pool = ProcessPoolBackend(2)  # before any arena, hence any tracker
+descriptor = pool.create_arena({"x": np.arange(8, dtype=np.float64)})
+for key in range(2):
+    pool.register(key, Builder(descriptor))
+print([pool.submit(key, "total").result() for key in range(2)])
+pool.close()
+mine = {os.getpid(), resource_tracker._resource_tracker._pid}
+left = []
+for pid in filter(str.isdigit, os.listdir("/proc")):
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        continue  # ended while we were listing
+    session = int(stat[stat.rindex(")") + 2 :].split()[3])
+    if session == os.getsid(0) and int(pid) not in mine:
+        left.append(int(pid))
+print("left:", left)
+"""
 
 
 class TestRuntimeBitwise:
