@@ -19,7 +19,7 @@ subgraph — the space win of Section 3.2.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,10 +46,16 @@ from repro.graph.subgraph import VirtualSubgraph
 
 __all__ = [
     "QueryStats",
+    "StackedOps",
+    "OwnLookup",
+    "HubShare",
+    "FlatShare",
     "FlatPPVIndex",
     "DEFAULT_BATCH",
     "BUILD_BATCH",
     "stack_columns",
+    "stack_ops",
+    "query_stats",
     "csr_row_dense",
     "find_sorted",
     "hub_weights",
@@ -325,6 +331,247 @@ def hub_weights(
     return weights
 
 
+StackedOps = tuple[np.ndarray, sp.csc_matrix, sp.csr_matrix, np.ndarray]
+"""``(owned hubs, stacked partial CSC, stacked skeleton CSR, nnz per hub)``:
+the hub partials of ``owned`` as the columns of one ``(n, |owned|)`` CSC and
+their skeleton columns as one CSR of the same shape, so a hub combination is
+a skeleton-row slice plus one ``CSC @ weights`` product."""
+
+OwnLookup = Callable[[bool, int], SparseVec | None]
+"""``own(is_hub, u)``: the query node's own vector (``P_u`` for a hub, the
+node partial / leaf PPV otherwise), or ``None`` where this share does not
+hold it."""
+
+
+def stack_ops(
+    hubs: np.ndarray,
+    hub_partials: dict[int, SparseVec],
+    skeleton_cols: dict[int, SparseVec],
+    n: int,
+) -> StackedOps:
+    """Stack the vectors of ``hubs`` (sorted) into one ops tuple."""
+    ids = hubs.tolist()
+    part_csc = stack_columns([hub_partials[h] for h in ids], n)
+    skel_csr = stack_columns([skeleton_cols[h] for h in ids], n).tocsr()
+    return hubs, part_csc, skel_csr, np.diff(part_csc.indptr)
+
+
+def query_stats(counters: np.ndarray | None) -> list[QueryStats]:
+    """Per-query :class:`QueryStats` from a share's ``(3, batch)`` counter
+    block (rows in field order); ``None`` — stats not collected — is ``[]``."""
+    if counters is None:
+        return []
+    return [QueryStats(*column) for column in counters.T.tolist()]
+
+
+class HubShare:
+    """One share of an index family's hub sum: the read side of Eq. 4 / Eq. 6.
+
+    The distributed query (Eq. 5, Theorem 4) is the centralized one with
+    the hub sum split across machines, so there is one evaluator per
+    family and every caller is a share of it: the index owns every hub
+    and every own vector, a machine owns a slice, and a share's rows sum
+    over the shares to the index's rows.  Subclasses supply ``dense`` and
+    ``sparse``, each mapping a node batch to ``(rows, counters)``: the
+    share's ``(batch, n)`` result block in query order — a C-contiguous
+    array, or a CSR that never densifies — and, when ``collect_stats``,
+    a ``(3, batch)`` int64 block of ``entries_processed`` /
+    ``vectors_used`` / ``skeleton_lookups`` (else ``None``).  The two
+    forms agree bitwise; dense is quicker on small batches, sparse on
+    large ones, and the caller's requested result form picks.
+    """
+
+    def __init__(
+        self,
+        num_nodes: int,
+        own: OwnLookup,
+        alpha: float,
+        kernels: KernelsLike = None,
+    ) -> None:
+        self.num_nodes = int(num_nodes)
+        self.own = own
+        self.alpha = alpha
+        self.inv_alpha = 1.0 / alpha
+        self.kernels = kernels
+
+    def dense(
+        self, nodes: np.ndarray, collect_stats: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        raise NotImplementedError
+
+    def sparse(
+        self, nodes: np.ndarray, collect_stats: bool
+    ) -> tuple[sp.csr_matrix, np.ndarray | None]:
+        raise NotImplementedError
+
+    def evaluate(
+        self,
+        nodes: Sequence[int] | np.ndarray,
+        *,
+        sparse: bool,
+        collect_stats: bool,
+        batch: int | None = DEFAULT_BATCH,
+    ) -> tuple[Any, np.ndarray | None]:
+        """Validate, evaluate ``batch`` queries at a time, stack the rows.
+
+        ``batch`` bounds the intermediates at ``batch × n`` floats per
+        buffer (``None`` = one product for the whole request).  A sparse
+        result is canonical: sorted, explicit zeros dropped.
+        """
+        n = self.num_nodes
+        nodes = validate_batch(nodes, n)
+        body = self.sparse if sparse else self.dense
+        step = max(1, nodes.size if batch is None else batch)
+        out: Any
+        counters: np.ndarray | None
+        if nodes.size <= step:
+            out, counters = body(nodes, collect_stats)
+        else:
+            # Dense chunks land in one preallocated result: the peak is
+            # one result plus one chunk, not two results.
+            out = None if sparse else np.empty((nodes.size, n))
+            parts: list[sp.csr_matrix] = []
+            counted: list[np.ndarray] = []
+            for lo in range(0, nodes.size, step):
+                rows, chunk_counters = body(nodes[lo : lo + step], collect_stats)
+                if sparse:
+                    parts.append(rows)
+                else:
+                    out[lo : lo + step] = rows
+                if chunk_counters is not None:
+                    counted.append(chunk_counters)
+            if sparse:
+                out = sp.vstack(parts, format="csr")
+            counters = np.concatenate(counted, axis=1) if counted else None
+        if sparse:
+            out = finalize_csr(out, (nodes.size, n))
+        return out, counters
+
+    def _counters(self, size: int, collect_stats: bool) -> np.ndarray | None:
+        return np.zeros((3, size), dtype=np.int64) if collect_stats else None
+
+    def _own_vectors(
+        self,
+        nodes: np.ndarray,
+        hub_flags: np.ndarray,
+        counters: np.ndarray | None,
+    ) -> Iterator[SparseVec | None]:
+        """The batch's own vectors this share holds, counted, in order."""
+        for k, (hub, u) in enumerate(zip(hub_flags.tolist(), nodes.tolist())):
+            vec = self.own(hub, u)
+            if vec is not None and counters is not None:
+                counters[0, k] += vec.nnz
+                counters[1, k] += 1
+            yield vec
+
+    def _add_own_dense(
+        self,
+        out: np.ndarray,
+        nodes: np.ndarray,
+        hub_flags: np.ndarray,
+        counters: np.ndarray | None,
+    ) -> None:
+        """The base term: ``p_u``, with ``P_u`` un-adjusted by ``+α·x_u``."""
+        for k, vec in enumerate(self._own_vectors(nodes, hub_flags, counters)):
+            if vec is not None:
+                vec.add_into(out[k])
+                if hub_flags[k]:
+                    out[k, nodes[k]] += self.alpha
+
+    def _own_sparse(
+        self,
+        nodes: np.ndarray,
+        hub_flags: np.ndarray,
+        counters: np.ndarray | None,
+    ) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
+        """Sparse base term: own-vector rows plus the hub ``+α`` points.
+
+        The α un-adjustment is a *separate* matrix so the per-entry
+        addition order matches the dense path exactly:
+        ``(matmul + own) + α``, never ``matmul + (own + α)``.
+        """
+        vecs = list(self._own_vectors(nodes, hub_flags, counters))
+        held = np.asarray([vec is not None for vec in vecs], dtype=bool)
+        hub_rows = np.nonzero(held & hub_flags)[0]
+        alpha_pts = None
+        if hub_rows.size:
+            alpha_pts = point_matrix(
+                hub_rows,
+                nodes[hub_rows],
+                np.full(hub_rows.size, self.alpha),
+                (nodes.size, self.num_nodes),
+            )
+        return rows_matrix(vecs, self.num_nodes), alpha_pts
+
+
+class FlatShare(HubShare):
+    """Eq. 4 over the hubs of ``ops``; ``all_hubs`` is the global hub set
+    (a query node that is someone else's hub still has no node partial)."""
+
+    def __init__(
+        self,
+        ops: StackedOps,
+        all_hubs: np.ndarray,
+        own: OwnLookup,
+        alpha: float,
+        kernels: KernelsLike = None,
+    ) -> None:
+        super().__init__(ops[1].shape[0], own, alpha, kernels)
+        self.ops = ops
+        self.all_hubs = all_hubs
+
+    def _hub_flags(self, nodes: np.ndarray) -> np.ndarray:
+        flags = np.zeros(nodes.size, dtype=bool)
+        flags[find_sorted(self.all_hubs, nodes)[0]] = True
+        return flags
+
+    def dense(
+        self, nodes: np.ndarray, collect_stats: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        owned, part_csc, skel_csr, nnz_per_hub = self.ops
+        counters = self._counters(nodes.size, collect_stats)
+        out = np.zeros((nodes.size, self.num_nodes))
+        if owned.size and nodes.size:
+            weights = skel_csr[nodes].toarray()
+            hub_rows, pos = find_sorted(owned, nodes)
+            weights[hub_rows, pos[hub_rows]] -= self.alpha
+            out[:] = (part_csc @ (weights.T * self.inv_alpha)).T
+            if counters is not None:
+                used = weights != 0.0
+                counters[0] = used.astype(np.int64) @ nnz_per_hub
+                counters[1] = used.sum(axis=1)
+                counters[2] = owned.size
+        self._add_own_dense(out, nodes, self._hub_flags(nodes), counters)
+        return out, counters
+
+    def sparse(
+        self, nodes: np.ndarray, collect_stats: bool
+    ) -> tuple[sp.csr_matrix, np.ndarray | None]:
+        owned, part_csc, skel_csr, nnz_per_hub = self.ops
+        counters = self._counters(nodes.size, collect_stats)
+        if owned.size and nodes.size:
+            raw = skel_csr[nodes]
+            hub_rows, pos = find_sorted(owned, nodes)
+            weights = subtract_at(raw, hub_rows, pos[hub_rows], self.alpha)
+            out = spgemm_scaled(
+                part_csc, weights, self.inv_alpha, kernels=self.kernels
+            ).T.tocsr()
+            if counters is not None:
+                counters[1], counters[0] = weight_row_stats(weights, nnz_per_hub)
+                # Sparse-aware accounting: this path never touches the
+                # zero skeleton weights, so charge each query its actual
+                # nnz skeleton lookups — the dense path scans (and is
+                # charged) the full hub set.
+                counters[2] = np.diff(raw.indptr)
+        else:
+            out = sp.csr_matrix((nodes.size, self.num_nodes))
+        own, alpha_pts = self._own_sparse(nodes, self._hub_flags(nodes), counters)
+        out = sparse_add(out, own, kernels=self.kernels)
+        if alpha_pts is not None:
+            out = sparse_add(out, alpha_pts, kernels=self.kernels)
+        return out, counters
+
+
 @dataclass
 class FlatPPVIndex:
     """Pre-computed vectors for a flat hub set (PPV-JW / GPA query side)."""
@@ -341,7 +588,7 @@ class FlatPPVIndex:
     #: Kernel bundle / backend name the index's hot loops dispatch to
     #: (``None`` = the process default from the capability probe).
     kernels: KernelsLike = None
-    _ops_cache: tuple[Any, ...] | None = field(default=None, repr=False)
+    _ops_cache: FlatShare | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     def is_hub(self, u: int) -> bool:
@@ -352,23 +599,34 @@ class FlatPPVIndex:
         """Drop the stacked-matrix cache (call after mutating the stores)."""
         self._ops_cache = None
 
-    def _ops(self) -> tuple[Any, ...]:
-        """Cached (stacked hub-partial CSC, stacked skeleton CSR, nnz/hub).
+    def _share(self) -> FlatShare:
+        """The cached evaluator over the whole hub set: the index is the
+        one-machine deployment, owning every hub and every own vector.
 
-        The hub partials become the columns of one ``(n, |H|)`` CSC matrix
-        and the skeleton columns one CSR matrix of the same shape, so a
-        query is a skeleton-row slice plus a single ``CSC @ weights``
-        product instead of a per-hub Python loop.
+        Built with the stacked ops on first use; the own lookup closes
+        over the stores, not the index, so the cache is no reference
+        cycle.
         """
-        if self._ops_cache is None:
-            n = self.graph.num_nodes
-            hubs = self.hubs.tolist()
-            part_csc = stack_columns([self.hub_partials[h] for h in hubs], n)
-            skel_csr = stack_columns(
-                [self.skeleton_cols[h] for h in hubs], n
-            ).tocsr()
-            self._ops_cache = (part_csc, skel_csr, np.diff(part_csc.indptr))
-        return self._ops_cache
+        share = self._ops_cache
+        if share is None:
+            hub_store, node_store = self.hub_partials, self.node_partials
+            share = self._ops_cache = FlatShare(
+                stack_ops(
+                    self.hubs,
+                    hub_store,
+                    self.skeleton_cols,
+                    self.graph.num_nodes,
+                ),
+                self.hubs,
+                lambda hub, u: (hub_store if hub else node_store)[u],
+                self.alpha,
+            )
+        share.kernels = self.kernels  # may be switched between calls
+        return share
+
+    def _ops(self) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
+        """Cached (stacked hub-partial CSC, stacked skeleton CSR, nnz/hub)."""
+        return self._share().ops[1:]
 
     def _hub_weights(self, u: int) -> np.ndarray:
         """Eq. 4 hub weights ``s_u(h) − α·f_u(h)`` for every hub."""
@@ -430,37 +688,10 @@ class FlatPPVIndex:
         (the serving hot path) and returns an empty metadata list; the
         result matrix is identical.
         """
-        n = self.graph.num_nodes
-        nodes = validate_batch(nodes, n)
-        out = np.zeros((nodes.size, n))
-        stats = [QueryStats() for _ in range(nodes.size)] if collect_stats else []
-        if nodes.size == 0:
-            return out, stats
-        step = nodes.size if batch is None else max(1, batch)
-        inv_alpha = 1.0 / self.alpha
-        part_csc, skel_csr, nnz_per_hub = self._ops()
-        for lo in range(0, nodes.size, step):
-            sl = slice(lo, min(lo + step, nodes.size))
-            chunk = nodes[sl]
-            if self.hubs.size:
-                weights = skel_csr[chunk].toarray()
-                hub_rows, pos = find_sorted(self.hubs, chunk)
-                weights[hub_rows, pos[hub_rows]] -= self.alpha
-                out[sl] = (part_csc @ (weights.T * inv_alpha)).T
-                if collect_stats:
-                    used = weights != 0.0
-                    counts = used.sum(axis=1)
-                    entries = used.astype(np.int64) @ nnz_per_hub
-                    for k in range(chunk.size):
-                        s = stats[lo + k]
-                        s.skeleton_lookups = int(self.hubs.size)
-                        s.vectors_used = int(counts[k])
-                        s.entries_processed = int(entries[k])
-            for k, u in enumerate(chunk.tolist()):
-                self._add_own_term(
-                    u, out[lo + k], stats[lo + k] if collect_stats else None
-                )
-        return out, stats
+        out, counters = self._share().evaluate(
+            nodes, sparse=False, collect_stats=collect_stats, batch=batch
+        )
+        return out, query_stats(counters)
 
     def query_many_sparse(
         self,
@@ -471,7 +702,7 @@ class FlatPPVIndex:
     ) -> tuple[sp.csr_matrix, list[QueryStats]]:
         """Batched exact PPVs as a CSR ``(len(nodes), n)`` matrix.
 
-        The sparse twin of :meth:`query_many`: the hub combination is a
+        The sparse form of :meth:`query_many`: the hub combination is a
         sparse×sparse product (``part_csc @ sparse_weights``) and own
         terms are sparse row adds, so no ``batch × n`` dense
         intermediate ever exists — on pruned indexes the peak footprint
@@ -482,84 +713,10 @@ class FlatPPVIndex:
         actual nnz skeleton entries this path reads rather than the full
         hub-set scan of the dense path.
         """
-        n = self.graph.num_nodes
-        nodes = validate_batch(nodes, n)
-        stats = [QueryStats() for _ in range(nodes.size)] if collect_stats else []
-        if nodes.size == 0:
-            return sp.csr_matrix((0, n)), stats
-        step = nodes.size if batch is None else max(1, batch)
-        inv_alpha = 1.0 / self.alpha
-        part_csc, skel_csr, nnz_per_hub = self._ops()
-        chunks = []
-        for lo in range(0, nodes.size, step):
-            sl = slice(lo, min(lo + step, nodes.size))
-            chunk = nodes[sl]
-            if self.hubs.size:
-                raw = skel_csr[chunk]
-                hub_rows, pos = find_sorted(self.hubs, chunk)
-                weights = subtract_at(raw, hub_rows, pos[hub_rows], self.alpha)
-                level = spgemm_scaled(
-                    part_csc, weights, inv_alpha, kernels=self.kernels
-                )
-                rows = level.T.tocsr()
-                if collect_stats:
-                    counts, entries = weight_row_stats(weights, nnz_per_hub)
-                    # Sparse-aware accounting: this path never touches the
-                    # zero skeleton weights, so charge each query its
-                    # actual nnz skeleton lookups — the dense path scans
-                    # (and is charged) the full hub set.
-                    looked = np.diff(raw.indptr)
-                    for k in range(chunk.size):
-                        s = stats[lo + k]
-                        s.skeleton_lookups = int(looked[k])
-                        s.vectors_used = int(counts[k])
-                        s.entries_processed = int(entries[k])
-            else:
-                rows = sp.csr_matrix((chunk.size, n))
-            own, alpha_pts = self._own_term_matrix(
-                chunk, stats[sl] if collect_stats else None
-            )
-            rows = sparse_add(rows, own, kernels=self.kernels)
-            if alpha_pts is not None:
-                rows = sparse_add(rows, alpha_pts, kernels=self.kernels)
-            chunks.append(rows)
-        out = chunks[0] if len(chunks) == 1 else sp.vstack(chunks, format="csr")
-        return finalize_csr(out, (nodes.size, n)), stats
-
-    def _own_term_matrix(
-        self, chunk: np.ndarray, stats: list[QueryStats] | None
-    ) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
-        """Sparse own-term rows of a chunk plus the hub ``+α`` points.
-
-        The α un-adjustment is a *separate* matrix so the per-entry
-        addition order matches the dense path exactly:
-        ``(matmul + own) + α``, never ``matmul + (own + α)``.
-        """
-        n = self.graph.num_nodes
-        vecs: list[SparseVec] = []
-        alpha_rows: list[int] = []
-        alpha_cols: list[int] = []
-        for k, u in enumerate(chunk.tolist()):
-            if self.is_hub(u):
-                own = self.hub_partials[u]
-                alpha_rows.append(k)
-                alpha_cols.append(u)
-            else:
-                own = self.node_partials[u]
-            vecs.append(own)
-            if stats is not None:
-                stats[k].entries_processed += own.nnz
-                stats[k].vectors_used += 1
-        own_mat = rows_matrix(vecs, n)
-        alpha_pts = None
-        if alpha_rows:
-            alpha_pts = point_matrix(
-                np.asarray(alpha_rows),
-                np.asarray(alpha_cols),
-                np.full(len(alpha_rows), self.alpha),
-                (chunk.size, n),
-            )
-        return own_mat, alpha_pts
+        out, counters = self._share().evaluate(
+            nodes, sparse=True, collect_stats=collect_stats, batch=batch
+        )
+        return out, query_stats(counters)
 
     def query_topk(
         self, u: int, k: int, *, threshold: float | None = None

@@ -21,7 +21,7 @@ hub's own (unadjusted) partial vector when ``u`` was selected as a hub.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -31,22 +31,21 @@ import scipy.sparse as sp
 from repro.core.flat_index import (
     BUILD_BATCH,
     DEFAULT_BATCH,
+    HubShare,
+    OwnLookup,
     QueryStats,
+    StackedOps,
     build_vectors,
     csr_row_dense,
     find_sorted,
-    run_in_batches,
-    stack_columns,
+    query_stats,
+    stack_ops,
     topk_in_batches,
     validate_batch,
 )
 from repro.core.sparse_ops import (
-    finalize_csr,
     fold_depth_blocks,
-    point_matrix,
-    rows_matrix,
     sparse_add,
-    sparse_in_batches,
     spgemm_scaled,
     subtract_at,
     weight_row_stats,
@@ -62,7 +61,155 @@ from repro.partition.hierarchy import (
     build_hierarchy,
 )
 
-__all__ = ["HGPAIndex", "build_hgpa_index", "build_hgpa_ad_index"]
+__all__ = ["HGPAShare", "HGPAIndex", "build_hgpa_index", "build_hgpa_ad_index"]
+
+
+class HGPAShare(HubShare):
+    """Eq. 6 over one share of every level's hub set.
+
+    ``level_ops(sid)`` yields the stacked ops of this share's hubs in
+    subgraph ``sid``, or ``None`` where it owns none.  Per chain group
+    the level term is one skeleton-row slice plus one ``CSC @ weights``
+    product.  The port repair (see :meth:`HGPAIndex.query_detailed`)
+    splits over shares: each zeroes its own level term at the level's hub
+    coordinates and re-adds the raw skeleton values at the hubs it owns —
+    the centralized overwrite when it owns them all.
+    """
+
+    def __init__(
+        self,
+        hierarchy: Any,
+        level_ops: Callable[[int], StackedOps | None],
+        own: OwnLookup,
+        alpha: float,
+        num_nodes: int,
+        kernels: KernelsLike = None,
+    ) -> None:
+        super().__init__(num_nodes, own, alpha, kernels)
+        self.hierarchy = hierarchy
+        self.level_ops = level_ops
+
+    def dense(
+        self, nodes: np.ndarray, collect_stats: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        order, members, hub_flags, _ = _chain_membership(self.hierarchy, nodes)
+        ordered = nodes[order]
+        counters = self._counters(nodes.size, collect_stats)
+        acc = np.zeros((self.num_nodes, nodes.size))  # ordered columns
+        for sid, (lo, hi, own_list) in members.items():
+            ops = self.level_ops(sid)
+            if ops is None:
+                continue
+            owned, part_csc, skel_csr, nnz_per_hub = ops
+            own_arr = np.asarray(own_list, dtype=bool)
+            qnodes = ordered[lo:hi]
+            raw = skel_csr[qnodes].toarray()
+            weights = raw.copy()
+            own_rows = np.nonzero(own_arr)[0]
+            if own_rows.size:
+                # Hub queries at their own level: the f_u(h) adjustment.
+                hits, pos = find_sorted(owned, qnodes[own_rows])
+                weights[own_rows[hits], pos[hits]] -= self.alpha
+            level = part_csc @ (weights.T * self.inv_alpha)
+            rest = np.nonzero(~own_arr)[0]
+            if rest.size:
+                # Port repair: zero this share's level term at the level's
+                # hub coordinates, then write the raw skeleton values at
+                # the owned ones (all owned: the overwrite covers them).
+                level_hubs = self.hierarchy.subgraphs[sid].hubs
+                if owned.size < level_hubs.size:
+                    level[np.ix_(level_hubs, rest)] = 0.0
+                level[np.ix_(owned, rest)] = raw[rest].T
+            acc[:, lo:hi] += level
+            if counters is not None:
+                used = weights != 0.0
+                cols = order[lo:hi]
+                counters[0, cols] += used.astype(np.int64) @ nnz_per_hub
+                counters[1, cols] += used.sum(axis=1)
+                counters[2, cols] += owned.size
+        out = np.empty((nodes.size, self.num_nodes))
+        out[order] = acc.T
+        self._add_own_dense(out, nodes, hub_flags, counters)
+        return out, counters
+
+    def sparse(
+        self, nodes: np.ndarray, collect_stats: bool
+    ) -> tuple[sp.csr_matrix, np.ndarray | None]:
+        n = self.num_nodes
+        order, members, hub_flags, depth_of = _chain_membership(
+            self.hierarchy, nodes
+        )
+        ordered = nodes[order]
+        counters = self._counters(nodes.size, collect_stats)
+        # Level-term CSC blocks bucketed by chain depth: same-depth
+        # subgraphs cover disjoint query slices, so a whole depth merges
+        # by concatenation (port-repair values included as one scattered
+        # add per depth) and the accumulator fold costs one sparse add
+        # per depth — per entry, terms still add in chain order, exactly
+        # the dense accumulation sequence.
+        by_depth: dict[int, list[tuple[int, sp.csc_matrix]]] = {}
+        ports: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+        for sid, (lo, hi, own_list) in members.items():
+            ops = self.level_ops(sid)
+            if ops is None:
+                continue
+            owned, part_csc, skel_csr, nnz_per_hub = ops
+            own_arr = np.asarray(own_list, dtype=bool)
+            qnodes = ordered[lo:hi]
+            raw = skel_csr[qnodes]  # sparse (hi-lo, |owned|) weight rows
+            weights = raw
+            own_rows = np.nonzero(own_arr)[0]
+            if own_rows.size:
+                # Hub queries at their own level: the f_u(h) adjustment.
+                hits, pos = find_sorted(owned, qnodes[own_rows])
+                weights = subtract_at(
+                    raw, own_rows[hits], pos[hits], self.alpha
+                )
+            level = spgemm_scaled(
+                part_csc, weights, self.inv_alpha, kernels=self.kernels
+            )
+            rest = np.nonzero(~own_arr)[0]
+            if rest.size:
+                # Port repair, sparse form: the dense overwrite splits
+                # into zeroing the matmul contribution at the level's hub
+                # coordinates and adding the raw skeleton values at the
+                # owned ones (collected per depth, added after assembly).
+                rest_mask = np.zeros(hi - lo, dtype=bool)
+                rest_mask[rest] = True
+                zero_rows_in_columns(
+                    level, self.hierarchy.subgraphs[sid].hubs, rest_mask
+                )
+                raw_rest = raw[rest]
+                port_cols = lo + rest[
+                    np.repeat(np.arange(rest.size), np.diff(raw_rest.indptr))
+                ]
+                ports.setdefault(depth_of[sid], []).append(
+                    (owned[raw_rest.indices], port_cols, raw_rest.data)
+                )
+            by_depth.setdefault(depth_of[sid], []).append((lo, level))
+            if counters is not None:
+                cols = order[lo:hi]
+                used, entries = weight_row_stats(weights, nnz_per_hub)
+                counters[0, cols] += entries
+                counters[1, cols] += used
+                # Sparse-aware accounting: charge each query's actual nnz
+                # skeleton lookups at this level — the dense path scans
+                # (and is charged) the level's full hub set.
+                counters[2, cols] += np.diff(raw.indptr)
+        acc = fold_depth_blocks(
+            by_depth, ports, nodes.size, n, kernels=self.kernels
+        )
+        if acc is None:
+            out = sp.csr_matrix((nodes.size, n))
+        else:
+            inv_order = np.empty_like(order)
+            inv_order[order] = np.arange(order.size)
+            out = acc.T.tocsr()[inv_order]
+        own, alpha_pts = self._own_sparse(nodes, hub_flags, counters)
+        out = sparse_add(out, own, kernels=self.kernels)
+        if alpha_pts is not None:
+            out = sparse_add(out, alpha_pts, kernels=self.kernels)
+        return out, counters
 
 
 @dataclass
@@ -88,7 +235,8 @@ class HGPAIndex:
     #: Kernel bundle / backend name the index's hot loops dispatch to
     #: (``None`` = the process default from the capability probe).
     kernels: KernelsLike = None
-    _level_ops_cache: dict[int, tuple[Any, ...]] = field(default_factory=dict, repr=False)
+    _level_ops_cache: dict[int, StackedOps] = field(default_factory=dict, repr=False)
+    _share_cache: HGPAShare | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     def query(self, u: int) -> np.ndarray:
@@ -110,7 +258,7 @@ class HGPAIndex:
         for sg in chain:
             if sg.hubs.size == 0:
                 continue
-            part_csc, skel_csr, hubs = self._level_ops(sg.node_id)
+            hubs, part_csc, skel_csr, _ = self._share().level_ops(sg.node_id)
             weights = csr_row_dense(skel_csr, u)
             own_level = u_is_hub and sg is chain[-1]
             if own_level:
@@ -129,25 +277,43 @@ class HGPAIndex:
             self.leaf_ppv[u].add_into(acc)
         return acc
 
-    def _level_ops(self, sid: int) -> tuple[Any, ...]:
-        """Cached (stacked hub partials CSC, stacked skeleton CSR, hubs)."""
-        cached = self._level_ops_cache.get(sid)
-        if cached is not None:
-            return cached
-        sg = self.hierarchy.subgraphs[sid]
-        hubs = sg.hubs
-        n = self.graph.num_nodes
-        part_csc = stack_columns([self.hub_partials[h] for h in hubs.tolist()], n)
-        skel_csr = stack_columns(
-            [self.skeleton_cols[h] for h in hubs.tolist()], n
-        ).tocsr()
-        ops = (part_csc, skel_csr, hubs)
-        self._level_ops_cache[sid] = ops
-        return ops
+    def _share(self) -> HGPAShare:
+        """The cached evaluator over every level: the index is the
+        one-machine deployment, owning every hub and every own vector.
+
+        Its level lookup stacks a level's hub partials into one CSC and
+        its skeleton columns into one CSR on first use (cached in
+        ``_level_ops_cache``); the lookups close over the stores, not the
+        index, so the cache is no reference cycle.
+        """
+        share = self._share_cache
+        if share is None:
+            cache, subgraphs = self._level_ops_cache, self.hierarchy.subgraphs
+            hub_store, skel_store = self.hub_partials, self.skeleton_cols
+            leaf_store, n = self.leaf_ppv, self.graph.num_nodes
+
+            def level_ops(sid: int) -> StackedOps:
+                ops = cache.get(sid)
+                if ops is None:
+                    ops = cache[sid] = stack_ops(
+                        subgraphs[sid].hubs, hub_store, skel_store, n
+                    )
+                return ops
+
+            share = self._share_cache = HGPAShare(
+                self.hierarchy,
+                level_ops,
+                lambda hub, u: (hub_store if hub else leaf_store)[u],
+                self.alpha,
+                n,
+            )
+        share.kernels = self.kernels  # may be switched between calls
+        return share
 
     def invalidate_cache(self) -> None:
         """Drop the stacked-matrix caches (call after mutating the stores)."""
         self._level_ops_cache.clear()
+        self._share_cache = None
 
     def query_many(
         self,
@@ -166,64 +332,10 @@ class HGPAIndex:
         (pure overhead on the serving hot path) and returns an empty
         metadata list; the result matrix is identical.
         """
-        n = self.graph.num_nodes
-        nodes = validate_batch(nodes, n)
-        if nodes.size > DEFAULT_BATCH:
-            # Bound the dense (n, batch) accumulator.
-            return run_in_batches(
-                lambda chunk: self.query_many(
-                    chunk, collect_stats=collect_stats
-                ),
-                nodes,
-            )
-        stats = [QueryStats() for _ in range(nodes.size)] if collect_stats else []
-        order, members, hub_flags, _ = _chain_membership(self.hierarchy, nodes)
-        ordered = nodes[order]
-        acc = np.zeros((n, nodes.size))  # level terms, ordered columns
-        inv_alpha = 1.0 / self.alpha
-        for sid, (lo, hi, own_list) in members.items():
-            part_csc, skel_csr, hubs = self._level_ops(sid)
-            nnz_per_hub = np.diff(part_csc.indptr)
-            own_arr = np.asarray(own_list, dtype=bool)
-            qnodes = ordered[lo:hi]
-            raw = skel_csr[qnodes].toarray()
-            weights = raw.copy()
-            own_rows = np.nonzero(own_arr)[0]
-            if own_rows.size:
-                # Hub queries at their own level: the f_u(h) adjustment.
-                hits, pos = find_sorted(hubs, qnodes[own_rows])
-                weights[own_rows[hits], pos[hits]] -= self.alpha
-            level = part_csc @ (weights.T * inv_alpha)
-            rest = np.nonzero(~own_arr)[0]
-            if rest.size:
-                # Port repair: a non-own level contributes exactly the raw
-                # skeleton weights at its own hub coordinates (see
-                # query_detailed).
-                level[np.ix_(hubs, rest)] = raw[rest].T
-            acc[:, lo:hi] += level
-            if collect_stats:
-                used = weights != 0.0
-                counts = used.sum(axis=1)
-                entries = used.astype(np.int64) @ nnz_per_hub
-                for k in range(hi - lo):
-                    s = stats[order[lo + k]]
-                    s.skeleton_lookups += int(hubs.size)
-                    s.vectors_used += int(counts[k])
-                    s.entries_processed += int(entries[k])
-        out = np.empty((nodes.size, n))
-        out[order] = acc.T
-        for qpos, u in enumerate(nodes.tolist()):
-            if hub_flags[qpos]:
-                own = self.hub_partials[u]
-                own.add_into(out[qpos])
-                out[qpos, u] += self.alpha
-            else:
-                own = self.leaf_ppv[u]
-                own.add_into(out[qpos])
-            if collect_stats:
-                stats[qpos].entries_processed += own.nnz
-                stats[qpos].vectors_used += 1
-        return out, stats
+        out, counters = self._share().evaluate(
+            nodes, sparse=False, collect_stats=collect_stats
+        )
+        return out, query_stats(counters)
 
     def query_many_sparse(
         self,
@@ -246,114 +358,10 @@ class HGPAIndex:
         dense path except ``skeleton_lookups``, which charges the actual
         nnz skeleton entries read per level rather than full hub scans.
         """
-        n = self.graph.num_nodes
-        nodes = validate_batch(nodes, n)
-        if nodes.size > DEFAULT_BATCH:
-            # Bound the per-chunk sparse blocks like the dense path.
-            return sparse_in_batches(
-                lambda chunk: self.query_many_sparse(
-                    chunk, collect_stats=collect_stats
-                ),
-                nodes,
-                DEFAULT_BATCH,
-            )
-        stats = [QueryStats() for _ in range(nodes.size)] if collect_stats else []
-        if nodes.size == 0:
-            return sp.csr_matrix((0, n)), stats
-        order, members, hub_flags, depth_of = _chain_membership(
-            self.hierarchy, nodes
+        out, counters = self._share().evaluate(
+            nodes, sparse=True, collect_stats=collect_stats
         )
-        ordered = nodes[order]
-        inv_alpha = 1.0 / self.alpha
-        # Level-term CSC blocks bucketed by chain depth: same-depth
-        # subgraphs cover disjoint query slices, so a whole depth merges
-        # by concatenation (port-repair values included as one scattered
-        # add per depth) and the accumulator fold costs one sparse add
-        # per depth — per entry, terms still add in chain order, exactly
-        # the dense accumulation sequence.
-        by_depth: dict[int, list[tuple[int, sp.csc_matrix]]] = {}
-        ports: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-        for sid, (lo, hi, own_list) in members.items():
-            part_csc, skel_csr, hubs = self._level_ops(sid)
-            nnz_per_hub = np.diff(part_csc.indptr)
-            own_arr = np.asarray(own_list, dtype=bool)
-            qnodes = ordered[lo:hi]
-            raw = skel_csr[qnodes]  # sparse (hi-lo, |hubs|) weight rows
-            weights = raw
-            own_rows = np.nonzero(own_arr)[0]
-            if own_rows.size:
-                # Hub queries at their own level: the f_u(h) adjustment.
-                hits, pos = find_sorted(hubs, qnodes[own_rows])
-                weights = subtract_at(
-                    raw, own_rows[hits], pos[hits], self.alpha
-                )
-            level = spgemm_scaled(
-                part_csc, weights, inv_alpha, kernels=self.kernels
-            )
-            rest = np.nonzero(~own_arr)[0]
-            if rest.size:
-                # Port repair, sparse form: the dense overwrite splits
-                # into zeroing the matmul contribution at the level's hub
-                # coordinates and adding the raw skeleton values there
-                # (collected per depth, added after assembly).
-                rest_mask = np.zeros(hi - lo, dtype=bool)
-                rest_mask[rest] = True
-                zero_rows_in_columns(level, hubs, rest_mask)
-                raw_rest = raw[rest]
-                port_cols = lo + rest[
-                    np.repeat(np.arange(rest.size), np.diff(raw_rest.indptr))
-                ]
-                ports.setdefault(depth_of[sid], []).append(
-                    (hubs[raw_rest.indices], port_cols, raw_rest.data)
-                )
-            by_depth.setdefault(depth_of[sid], []).append((lo, level))
-            if collect_stats:
-                counts, entries = weight_row_stats(weights, nnz_per_hub)
-                # Sparse-aware accounting: charge each query's actual nnz
-                # skeleton lookups at this level — the dense path scans
-                # (and is charged) the level's full hub set.
-                looked = np.diff(raw.indptr)
-                for k in range(hi - lo):
-                    s = stats[order[lo + k]]
-                    s.skeleton_lookups += int(looked[k])
-                    s.vectors_used += int(counts[k])
-                    s.entries_processed += int(entries[k])
-        acc = fold_depth_blocks(
-            by_depth, ports, nodes.size, n, kernels=self.kernels
-        )
-        if acc is None:
-            out = sp.csr_matrix((nodes.size, n))
-        else:
-            inv_order = np.empty_like(order)
-            inv_order[order] = np.arange(order.size)
-            out = acc.T.tocsr()[inv_order]
-        vecs = []
-        alpha_rows: list[int] = []
-        alpha_cols: list[int] = []
-        for qpos, u in enumerate(nodes.tolist()):
-            if hub_flags[qpos]:
-                own = self.hub_partials[u]
-                alpha_rows.append(qpos)
-                alpha_cols.append(u)
-            else:
-                own = self.leaf_ppv[u]
-            vecs.append(own)
-            if collect_stats:
-                stats[qpos].entries_processed += own.nnz
-                stats[qpos].vectors_used += 1
-        out = sparse_add(out, rows_matrix(vecs, n), kernels=self.kernels)
-        if alpha_rows:
-            out = sparse_add(
-                out,
-                point_matrix(
-                    np.asarray(alpha_rows),
-                    np.asarray(alpha_cols),
-                    np.full(len(alpha_rows), self.alpha),
-                    (nodes.size, n),
-                ),
-                kernels=self.kernels,
-            )
-        return finalize_csr(out, (nodes.size, n)), stats
+        return out, query_stats(counters)
 
     def query_topk(
         self, u: int, k: int, *, threshold: float | None = None

@@ -42,7 +42,6 @@ __all__ = [
     "sparse_add",
     "zero_rows_in_columns",
     "weight_row_stats",
-    "column_sparsevec",
     "row_sparsevec",
     "topk_rows_sparse",
     "sparse_in_batches",
@@ -99,24 +98,18 @@ def subtract_at(
     return w - corr
 
 
-def scaled_transpose_csc(
-    w: sp.csr_matrix, factor: float, *, divide: bool = False
-) -> sp.csc_matrix:
-    """``(w * factor).T`` (or ``(w / factor).T``) as CSC on ``w``'s arrays.
+def scaled_transpose_csc(w: sp.csr_matrix, factor: float) -> sp.csc_matrix:
+    """``(w * factor).T`` as CSC on ``w``'s arrays.
 
     A CSR's (data, indices, indptr) reinterpreted with swapped shape *is*
     its transpose in CSC, so this costs one scaled data buffer and one
     matrix object.  Structure (and therefore the matmul term order) is
-    untouched.  ``divide`` must match the dense twin's exact operation —
-    ``x / alpha`` and ``x * (1/alpha)`` round differently for most alphas
-    (they coincide at the default 0.15), and the sparse paths promise
-    bitwise agreement: the core index paths scale with
-    ``weights.T * inv_alpha`` (multiply), the distributed runtimes with
-    ``weights.T / alpha`` (divide).
+    untouched.  Every path, dense or sparse, centralized or distributed,
+    scales by *multiplying* with ``1/α`` — ``x / α`` rounds differently
+    for most α, and the sparse paths promise bitwise agreement.
     """
     g, h = w.shape
-    data = w.data / factor if divide else w.data * factor
-    return sp.csc_matrix((data, w.indices, w.indptr), shape=(h, g))
+    return sp.csc_matrix((w.data * factor, w.indices, w.indptr), shape=(h, g))
 
 
 def _as_int64(a: np.ndarray) -> np.ndarray:
@@ -132,10 +125,9 @@ def spgemm_scaled(
     w: sp.csr_matrix,
     factor: float,
     *,
-    divide: bool = False,
     kernels: KernelsLike = None,
 ) -> sp.csc_matrix:
-    """``part_csc @ (w scaled).T`` as a *canonical* (sorted) CSC — the
+    """``part_csc @ (w * factor).T`` as a *canonical* (sorted) CSC — the
     level-term product every sparse batch path computes per subgraph.
 
     The kernel path replays scipy's CSC @ CSC scatter (per output column,
@@ -146,7 +138,7 @@ def spgemm_scaled(
     this wrapper always returns sorted indices and callers drop their
     ``sort_indices()``.
     """
-    b = scaled_transpose_csc(w, factor, divide=divide)
+    b = scaled_transpose_csc(w, factor)
     kern = resolve_kernels(kernels).spgemm_csc
     if kern is not None and part_csc.format == "csc":
         n_rows, _ = part_csc.shape
@@ -323,24 +315,13 @@ def weight_row_stats(
     return counts, entries
 
 
-def column_sparsevec(mat: sp.csc_matrix, col: int) -> SparseVec:
-    """Column ``col`` of a canonical CSC as a :class:`SparseVec`.
+def row_sparsevec(mat: sp.csr_matrix, row: int) -> SparseVec:
+    """Row ``row`` of a canonical CSR as a :class:`SparseVec`.
 
     Explicit zeros are dropped, matching ``SparseVec.from_dense`` on the
-    dense equivalent (same nnz, hence same wire bytes).
+    dense equivalent (same nnz, hence same wire bytes); buffers are
+    copied so the matrix is not pinned.
     """
-    lo, hi = mat.indptr[col], mat.indptr[col + 1]
-    idx = mat.indices[lo:hi]
-    val = mat.data[lo:hi]
-    keep = val != 0.0
-    return SparseVec(
-        idx[keep].astype(np.int64, copy=True), val[keep].copy(), _trusted=True
-    )
-
-
-def row_sparsevec(mat: sp.csr_matrix, row: int) -> SparseVec:
-    """Row ``row`` of a canonical CSR as a :class:`SparseVec` (explicit
-    zeros dropped, buffers copied so the matrix is not pinned)."""
     lo, hi = mat.indptr[row], mat.indptr[row + 1]
     idx = mat.indices[lo:hi]
     val = mat.data[lo:hi]

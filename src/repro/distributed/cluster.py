@@ -5,18 +5,31 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.flat_index import stack_columns
-from repro.core.sparse_ops import column_sparsevec, finalize_csr, rows_matrix
+from repro.core.flat_index import (
+    DEFAULT_BATCH,
+    StackedOps,
+    run_in_batches,
+    stack_columns,
+    validate_batch,
+)
+from repro.core.sparse_ops import (
+    finalize_csr,
+    row_sparsevec,
+    rows_matrix,
+    sparse_in_batches,
+)
 from repro.core.sparsevec import SparseVec
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.machine import Machine
 from repro.distributed.network import DEFAULT_COST_MODEL, CostModel
 from repro.errors import ClusterError
-from repro.exec.backend import ExecutionBackend, SerialBackend
+from repro.exec.backend import ExecLease, ExecutionBackend, SerialBackend
+from repro.exec.states import ShareHost
 
 __all__ = ["QueryReport", "ClusterBase"]
 
@@ -94,24 +107,34 @@ class ClusterBase:
     def init_exec(self, backend: ExecutionBackend | None) -> None:
         """Adopt an execution backend (``None`` → a private serial one).
 
-        Machine states register lazily under generation-stamped keys; an
-        update that changes the deployment calls :meth:`_reset_exec` so
-        stale worker states (and their shared arenas) are dropped before
-        the next batch registers fresh ones.
+        Machine states register lazily under the lease's process-wide
+        uid and are released with it: by :meth:`_reset_exec` when an
+        update changes the deployment — stale worker states (and their
+        shared arenas) are dropped before the next batch registers fresh
+        ones — or by the garbage collector when the runtime is dropped.
         """
         self._backend = backend if backend is not None else SerialBackend()
-        self._exec_keys: dict[int, tuple] = {}
-        self._exec_arenas: list = []
-        self._exec_gen = 0
+        self._lease = ExecLease(self, self._backend)
+        self._exec_keys: dict[int, tuple[str, int, int]] = {}
 
     def _reset_exec(self) -> None:
-        for key in self._exec_keys.values():
-            self._backend.unregister(key)
+        self._lease.release()
         self._exec_keys.clear()
-        for descriptor in self._exec_arenas:
-            self._backend.drop_arena(descriptor)
-        self._exec_arenas.clear()
-        self._exec_gen += 1
+
+    def _exec_key(self, mid: int) -> tuple[str, int, int]:
+        """The backend key of machine ``mid``'s share, registering it
+        (lazily, like the stacked ops) on first use."""
+        key = self._exec_keys.get(mid)
+        if key is None:
+            key = self._exec_keys[mid] = ("machine", self._lease.uid, mid)
+            self._lease.register(key, self._machine_builder(mid))
+        return key
+
+    def _machine_builder(self, mid: int) -> Callable[[], ShareHost]:
+        """A builder for machine ``mid``'s :class:`ShareHost`: in-process
+        over the runtime's live ops and store — without a strong
+        reference to the runtime — or picklable over a shared arena."""
+        raise NotImplementedError
 
     # ----- deployment-wide metrics (Figs. 11 and 12) -------------------
     @property
@@ -133,7 +156,9 @@ class ClusterBase:
         return sum(m.offline_seconds for m in self.machines)
 
     # ----- stacked query ops --------------------------------------------
-    def _stack_ops(self, owned: np.ndarray, *, machine: Machine | None = None) -> tuple:
+    def _stack_ops(
+        self, owned: np.ndarray, *, machine: Machine | None = None
+    ) -> StackedOps:
         """Stacked (owned, partial CSC, skeleton CSR, nnz-per-hub) ops.
 
         The shared body of both runtimes' lazy ``_ops_for`` builders;
@@ -184,17 +209,112 @@ class ClusterBase:
                 owners[keys] = vals
         return owners
 
-    # ----- query-side helper -------------------------------------------
+    # ----- the one-round query protocol --------------------------------
+    def _query_batch(
+        self, nodes: np.ndarray, *, sparse: bool, collect_stats: bool
+    ) -> tuple[Any, list[QueryReport]]:
+        """Submit a batch to every machine, then finish it query by query.
+
+        Each machine answers with its share's ``(batch, n)`` rows
+        (dispatched through the execution backend, so the shares run
+        in-process or as real worker processes); serialization,
+        aggregation and metrics then run per query — one vector per
+        machine per query.  ``collect_stats=False`` skips the per-query
+        entry bookkeeping and report construction (metering still runs —
+        it is the protocol) and returns ``[]``.
+        """
+        n = self.num_nodes
+        nodes = validate_batch(nodes, n)
+        if nodes.size == 0:
+            return (sp.csr_matrix((0, n)) if sparse else np.zeros((0, n))), []
+        if nodes.size > DEFAULT_BATCH:
+            # Bound the per-machine (batch, n) blocks.
+            return (sparse_in_batches if sparse else run_in_batches)(
+                lambda chunk: self._query_batch(
+                    chunk, sparse=sparse, collect_stats=collect_stats
+                ),
+                nodes,
+                DEFAULT_BATCH,
+            )
+        futures = {}
+        for machine in self.machines:
+            machine.reset_query_counters()
+            mid = machine.machine_id
+            futures[mid] = self._backend.submit(
+                self._exec_key(mid), "share_of", nodes, sparse, collect_stats
+            )
+        blocks: dict[int, Any] = {}
+        entries: dict[int, np.ndarray] = {}
+        walls: dict[int, float] = {}
+        for machine in self.machines:
+            mid = machine.machine_id
+            blocks[mid], entries[mid], wall = futures[mid].result()
+            machine.query_seconds = wall
+            walls[mid] = wall / nodes.size
+        rows: list[Any] = []
+        reports: list[QueryReport] = []
+        for k, u in enumerate(nodes.tolist()):
+            partials = {
+                mid: row_sparsevec(block, k) if sparse else block[k]
+                for mid, block in blocks.items()
+            }
+            counted = (
+                {mid: int(e[k]) for mid, e in entries.items()}
+                if collect_stats
+                else None
+            )
+            result, report = self._finish_query(
+                u,
+                partials,
+                walls,
+                entries_by_machine=counted,
+                collect_stats=collect_stats,
+            )
+            rows.append(result)
+            if report is not None:
+                reports.append(report)
+        if sparse:
+            return finalize_csr(rows_matrix(rows, n), (nodes.size, n)), reports
+        return np.vstack(rows), reports
+
+    def query_many(
+        self, nodes: np.ndarray, *, collect_stats: bool = True
+    ) -> tuple[np.ndarray, list[QueryReport]]:
+        """Batched distributed PPVs: a dense ``(len(nodes), n)`` matrix
+        plus the per-query reports (see :meth:`_query_batch`)."""
+        return self._query_batch(nodes, sparse=False, collect_stats=collect_stats)
+
+    def query_many_sparse(
+        self, nodes: np.ndarray, *, collect_stats: bool = True
+    ) -> tuple[sp.csr_matrix, list[QueryReport]]:
+        """Batched distributed PPVs as a CSR ``(len(nodes), n)`` matrix.
+
+        Each machine's share stays sparse, per-query rows ship over the
+        same wire codec — the
+        :class:`~repro.distributed.network.NetworkMeter` charges the
+        actual nnz, exactly the bytes the dense path's sparsified
+        payloads weigh — and the coordinator merges them sparsely, so no
+        dense ``(batch, n)`` block exists on any machine or at the
+        coordinator.  Agrees with the dense path exactly.
+        """
+        return self._query_batch(nodes, sparse=True, collect_stats=collect_stats)
+
     def _finish_query(
         self,
         query: int,
-        partials: dict[int, np.ndarray],
+        partials: dict[int, Any],
         machine_walls: dict[int, float],
         *,
         entries_by_machine: dict[int, int] | None = None,
         collect_stats: bool = True,
-    ) -> tuple[np.ndarray, QueryReport | None]:
+    ) -> tuple[Any, QueryReport | None]:
         """Serialize per-machine partial vectors, aggregate, build a report.
+
+        ``partials`` are dense arrays, sparsified for the wire and summed
+        into a dense vector, or :class:`SparseVec` rows, shipped as they
+        are — the same bytes, the meter charges the actual nnz either
+        way — and merged by the coordinator's sparse fold, so no dense
+        ``n``-vector is built anywhere on that path.
 
         Every per-machine quantity is keyed by ``machine_id`` so compute
         work and shipped bytes can never be paired across machines; the
@@ -206,80 +326,25 @@ class ClusterBase:
         serialization, aggregation and metering still run — they are the
         wire protocol, not bookkeeping.
         """
+        sparse = any(isinstance(part, SparseVec) for part in partials.values())
         payloads: dict[int, bytes] = {
-            mid: SparseVec.from_dense(partials[mid]).to_wire(
-                version=self.wire_version
-            )
+            mid: (
+                partials[mid] if sparse else SparseVec.from_dense(partials[mid])
+            ).to_wire(version=self.wire_version)
             for mid in sorted(partials)
         }
         assert self.coordinator is not None
         before = self.coordinator.meter.total_bytes
         self.coordinator.broadcast_query(query, [m.machine_id for m in self.machines])
         t0 = time.perf_counter()
-        result = self.coordinator.aggregate(payloads)
+        if sparse:
+            result = self.coordinator.aggregate_sparse(payloads)
+        else:
+            result = self.coordinator.aggregate(payloads)
         agg_wall = time.perf_counter() - t0
-        report = self._build_report(
-            query,
-            payloads,
-            machine_walls,
-            entries_by_machine,
-            agg_wall,
-            self.coordinator.meter.total_bytes - before,
-            collect_stats,
-        )
-        return result, report
-
-    def _finish_query_sparse(
-        self,
-        query: int,
-        partials: dict[int, SparseVec],
-        machine_walls: dict[int, float],
-        *,
-        entries_by_machine: dict[int, int] | None = None,
-        collect_stats: bool = True,
-    ) -> tuple[SparseVec, QueryReport | None]:
-        """The sparse twin of :meth:`_finish_query`.
-
-        Per-machine answers arrive already sparse (a column of the
-        machine's sparse batch product), ship over the same wire codec —
-        the meter charges the actual nnz, exactly what the dense path's
-        ``SparseVec.from_dense`` payloads weigh — and are merged by the
-        coordinator's sparse fold, so no dense ``n``-vector is built
-        anywhere on the path.
-        """
-        payloads: dict[int, bytes] = {
-            mid: partials[mid].to_wire(version=self.wire_version)
-            for mid in sorted(partials)
-        }
-        assert self.coordinator is not None
-        before = self.coordinator.meter.total_bytes
-        self.coordinator.broadcast_query(query, [m.machine_id for m in self.machines])
-        t0 = time.perf_counter()
-        result = self.coordinator.aggregate_sparse(payloads)
-        agg_wall = time.perf_counter() - t0
-        report = self._build_report(
-            query,
-            payloads,
-            machine_walls,
-            entries_by_machine,
-            agg_wall,
-            self.coordinator.meter.total_bytes - before,
-            collect_stats,
-        )
-        return result, report
-
-    def _build_report(
-        self,
-        query: int,
-        payloads: dict[int, bytes],
-        machine_walls: dict[int, float],
-        entries_by_machine: dict[int, int] | None,
-        agg_wall: float,
-        comm_bytes: int,
-        collect_stats: bool,
-    ) -> QueryReport | None:
         if not collect_stats:
-            return None
+            return result, None
+        comm_bytes = self.coordinator.meter.total_bytes - before
         if entries_by_machine is None:
             entries_by_machine = {
                 m.machine_id: m.query_entries for m in self.machines
@@ -292,7 +357,7 @@ class ClusterBase:
             for mid in mids
         )
         wall = max(machine_walls.values()) + agg_wall if machine_walls else agg_wall
-        return QueryReport(
+        return result, QueryReport(
             query=query,
             runtime_seconds=runtime,
             wall_seconds=wall,
@@ -300,48 +365,3 @@ class ClusterBase:
             per_machine_bytes=[len(payloads[mid]) for mid in mids],
             communication_bytes=comm_bytes,
         )
-
-    def _collect_sparse_batch(
-        self,
-        nodes: np.ndarray,
-        machine_accs: dict[int, sp.csc_matrix],
-        col_of: Callable[[int], int],
-        walls: dict[int, float],
-        entries: np.ndarray | None,
-        collect_stats: bool,
-    ) -> tuple[sp.csr_matrix, list[QueryReport]]:
-        """Finish a sparse batch: one wire round per query, rows stacked.
-
-        ``col_of(k)`` maps query position ``k`` to its column in the
-        per-machine ``(n, batch)`` CSC accumulators (identity for the
-        flat runtime, chain order for HGPA).  The merged rows are stacked
-        into one CSR without any dense ``(n, batch)`` intermediate.
-        """
-        rows_out: list[SparseVec] = []
-        reports: list[QueryReport] = []
-        for k, u in enumerate(nodes.tolist()):
-            c = col_of(k)
-            partial_vecs = {
-                mid: column_sparsevec(machine_accs[mid], c)
-                for mid in machine_accs
-            }
-            ebm = (
-                {mid: int(entries[k, mid]) for mid in machine_accs}
-                if collect_stats and entries is not None
-                else None
-            )
-            result, report = self._finish_query_sparse(
-                u,
-                partial_vecs,
-                walls,
-                entries_by_machine=ebm,
-                collect_stats=collect_stats,
-            )
-            rows_out.append(result)
-            if collect_stats:
-                reports.append(report)
-        out = finalize_csr(
-            rows_matrix(rows_out, self.num_nodes),
-            (nodes.size, self.num_nodes),
-        )
-        return out, reports

@@ -23,15 +23,8 @@ import time
 from collections.abc import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.core.flat_index import (
-    DEFAULT_BATCH,
-    hub_weights,
-    run_in_batches,
-    validate_batch,
-)
-from repro.core.sparse_ops import sparse_in_batches
+from repro.core.flat_index import FlatShare, StackedOps, hub_weights
 from repro.core.gpa import GPAIndex
 from repro.core.updates import (
     UPDATE_WIRE_BYTES,
@@ -41,14 +34,10 @@ from repro.core.updates import (
 )
 from repro.distributed.cluster import ClusterBase, QueryReport
 from repro.distributed.machine import Machine
-from repro.distributed.machine_tasks import (
-    GPAMachineBuilder,
-    GPAMachineTask,
-    gpa_machine_arrays,
-)
 from repro.distributed.network import DEFAULT_COST_MODEL, CostModel
 from repro.errors import ClusterError, QueryError
 from repro.exec.backend import ExecutionBackend
+from repro.exec.states import FlatShareBuilder, ShareHost, flat_share_arrays
 from repro.kernels.dispatch import KernelsLike, resolve_kernels
 
 __all__ = ["DistributedGPA"]
@@ -73,7 +62,7 @@ class DistributedGPA(ClusterBase):
             wire_version=wire_version,
         )
         self.index = index
-        #: Kernel bundle / backend the machine tasks dispatch to; defaults
+        #: Kernel bundle / backend the machine shares dispatch to; defaults
         #: to the index's own setting so one switch flips the whole stack.
         self.kernels: KernelsLike = (
             index.kernels if kernels is None else kernels
@@ -84,7 +73,7 @@ class DistributedGPA(ClusterBase):
         self._hub_owner: dict[int, int] = {}
         self._node_owner: dict[int, int] = {}
         self._machine_owned: dict[int, np.ndarray] = {}
-        self._machine_ops: dict[int, tuple] = {}
+        self._machine_ops: dict[int, StackedOps] = {}
         self._deploy()
 
     # ------------------------------------------------------------------
@@ -121,7 +110,7 @@ class DistributedGPA(ClusterBase):
                 )
                 self._node_owner[u] = machine.machine_id
 
-    def _ops_for(self, mid: int) -> tuple:
+    def _ops_for(self, mid: int) -> StackedOps:
         """The machine's stacked (owned, CSC, CSR, nnz-per-hub) query ops.
 
         Built on first use and cached; the machine's stored hub partials
@@ -150,52 +139,36 @@ class DistributedGPA(ClusterBase):
         return self._owners_to_map(self._node_owner, self._hub_owner)
 
     # ----- execution seam ----------------------------------------------
-    def _exec_key(self, mid: int) -> tuple:
-        """The backend key of machine ``mid``'s task state, registering
-        it (lazily, like the stacked ops) on first use."""
-        key = self._exec_keys.get(mid)
-        if key is None:
-            key = ("gpa", id(self), self._exec_gen, mid)
-            self._backend.register(key, self._machine_builder(mid))
-            self._exec_keys[mid] = key
-        return key
+    def _machine_builder(self, mid: int) -> Callable[[], ShareHost]:
+        """Machine ``mid``'s share of Eq. 5: its hub slice, its store.
 
-    def _machine_builder(self, mid: int) -> Callable[[], GPAMachineTask]:
-        """A state builder for machine ``mid``'s batch share.
-
-        Serial backends get a closure over the runtime's live ops and
-        store (zero extra memory); process backends get a picklable
+        Serial backends get the evaluator over the runtime's live ops
+        and store (zero extra memory); process backends get a picklable
         builder whose arrays are published to a shared arena once —
         per-batch IPC then carries node ids in and result blocks out.
         """
+        ops, hubs, alpha = self._ops_for(mid), self.index.hubs, self.index.alpha
+        store = self.machines[mid].store
         if self._backend.is_local:
-
-            def build() -> GPAMachineTask:
-                return GPAMachineTask(
-                    self.index.alpha,
-                    self.num_nodes,
-                    self.index.hubs,
-                    self._ops_for(mid),
-                    self.machines[mid].store,
-                    kernels=self.kernels,
+            host = ShareHost(
+                FlatShare(
+                    ops,
+                    hubs,
+                    lambda hub, u: store.get(("hub" if hub else "part", u)),
+                    alpha,
+                    self.kernels,
                 )
-
-            return build
-        ops = self._ops_for(mid)
-        part_store = {
-            u: vec
-            for (kind, u), vec in self.machines[mid].store.items()
-            if kind == "part"
-        }
-        descriptor = self._backend.create_arena(
-            gpa_machine_arrays(ops, self.index.hubs, part_store)
+            )
+            return lambda: host
+        part_store = {u: vec for (kind, u), vec in store.items() if kind == "part"}
+        descriptor = self._lease.create_arena(
+            flat_share_arrays(ops, hubs, part_store)
         )
-        self._exec_arenas.append(descriptor)
-        return GPAMachineBuilder(
+        return FlatShareBuilder(
             descriptor,
-            self.index.alpha,
+            alpha,
             self.num_nodes,
-            kernel_backend=resolve_kernels(self.kernels).backend,
+            resolve_kernels(self.kernels).backend,
         )
 
     # ------------------------------------------------------------------
@@ -227,7 +200,7 @@ class DistributedGPA(ClusterBase):
             t0 = time.perf_counter()
             if owned.size:
                 weights = hub_weights(skel_csr, owned, u, index.alpha)
-                acc = part_csc @ (weights / index.alpha)
+                acc = part_csc @ (weights * (1.0 / index.alpha))
                 machine.query_entries += int(nnz_per_hub[weights != 0.0].sum())
             else:
                 acc = np.zeros(self.num_nodes)
@@ -236,120 +209,6 @@ class DistributedGPA(ClusterBase):
             walls[mid] = machine.query_seconds
             partials[mid] = acc
         return self._finish_query(u, partials, walls)
-
-    def query_many(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[np.ndarray, list[QueryReport]]:
-        """Batched distributed PPVs: one sparse matmul per machine.
-
-        Each machine evaluates its share of the whole batch in a single
-        ``CSC @ weights`` product (see
-        :class:`~repro.distributed.machine_tasks.GPAMachineTask` — the
-        shares are dispatched through the execution backend, so they run
-        in-process or as real worker processes); serialization,
-        aggregation and metrics then run per query (the wire protocol is
-        unchanged — one vector per machine per query).  Returns a dense
-        ``(len(nodes), n)`` matrix plus the per-query reports.
-        ``collect_stats=False`` skips the per-query entry bookkeeping and
-        report construction (metering still runs — it is the protocol)
-        and returns ``[]``.
-        """
-        nodes = validate_batch(nodes, self.num_nodes)
-        if nodes.size == 0:
-            return np.zeros((0, self.num_nodes)), []
-        if nodes.size > DEFAULT_BATCH:
-            # Bound the per-machine dense (n, batch) intermediates.
-            return run_in_batches(
-                lambda chunk: self.query_many(
-                    chunk, collect_stats=collect_stats
-                ),
-                nodes,
-            )
-        machine_accs: dict[int, np.ndarray] = {}
-        entries = np.zeros((nodes.size, self.num_machines), dtype=np.int64)
-        walls: dict[int, float] = {}
-        futures = {}
-        for machine in self.machines:
-            machine.reset_query_counters()
-            mid = machine.machine_id
-            futures[mid] = self._backend.submit(
-                self._exec_key(mid), "dense", nodes, collect_stats
-            )
-        for machine in self.machines:
-            mid = machine.machine_id
-            acc, entry_col, wall = futures[mid].result()
-            machine.query_seconds = wall
-            walls[mid] = wall / nodes.size
-            if collect_stats:
-                entries[:, mid] = entry_col
-            machine_accs[mid] = acc
-        out = np.zeros((nodes.size, self.num_nodes))
-        reports: list[QueryReport] = []
-        for k, u in enumerate(nodes.tolist()):
-            result, report = self._finish_query(
-                u,
-                {mid: machine_accs[mid][:, k] for mid in machine_accs},
-                walls,
-                entries_by_machine={
-                    mid: int(entries[k, mid]) for mid in machine_accs
-                },
-                collect_stats=collect_stats,
-            )
-            out[k] = result
-            if collect_stats:
-                reports.append(report)
-        return out, reports
-
-    def query_many_sparse(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[sp.csr_matrix, list[QueryReport]]:
-        """Batched distributed PPVs as a CSR ``(len(nodes), n)`` matrix.
-
-        The sparse twin of :meth:`query_many`: each machine's share of
-        the batch is one sparse×sparse ``CSC @ sparse_weights`` product
-        (its ``(n, batch)`` partial-result block stays CSC), per-query
-        columns ship over the same wire codec — the
-        :class:`~repro.distributed.network.NetworkMeter` charges the
-        actual nnz, exactly the bytes the dense path's sparsified
-        payloads weigh — and the coordinator merges them sparsely, so no
-        dense ``(n, batch)`` accumulator exists on any machine or at the
-        coordinator.  Machine shares dispatch through the execution
-        backend like the dense path's.  Agrees with the dense path
-        exactly.
-        """
-        nodes = validate_batch(nodes, self.num_nodes)
-        if nodes.size == 0:
-            return sp.csr_matrix((0, self.num_nodes)), []
-        if nodes.size > DEFAULT_BATCH:
-            # Bound the per-machine sparse blocks like the dense path.
-            return sparse_in_batches(
-                lambda chunk: self.query_many_sparse(
-                    chunk, collect_stats=collect_stats
-                ),
-                nodes,
-                DEFAULT_BATCH,
-            )
-        machine_accs: dict[int, sp.csc_matrix] = {}
-        entries = np.zeros((nodes.size, self.num_machines), dtype=np.int64)
-        walls: dict[int, float] = {}
-        futures = {}
-        for machine in self.machines:
-            machine.reset_query_counters()
-            mid = machine.machine_id
-            futures[mid] = self._backend.submit(
-                self._exec_key(mid), "sparse", nodes, collect_stats
-            )
-        for machine in self.machines:
-            mid = machine.machine_id
-            acc, entry_col, wall = futures[mid].result()
-            machine.query_seconds = wall
-            walls[mid] = wall / nodes.size
-            if collect_stats:
-                entries[:, mid] = entry_col
-            machine_accs[mid] = acc
-        return self._collect_sparse_batch(
-            nodes, machine_accs, lambda k: k, walls, entries, collect_stats
-        )
 
     # ------------------------------------------------------------------
     def apply_update(self, update: EdgeUpdate) -> UpdateReceipt:

@@ -27,20 +27,13 @@ coordinates, and the owner of hub ``ĥ`` contributes the skeleton value
 from __future__ import annotations
 
 import time
+import weakref
 from collections.abc import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.core.flat_index import (
-    DEFAULT_BATCH,
-    csr_row_dense,
-    find_sorted,
-    run_in_batches,
-    validate_batch,
-)
-from repro.core.hgpa import HGPAIndex, _chain_membership
-from repro.core.sparse_ops import sparse_in_batches
+from repro.core.flat_index import StackedOps, csr_row_dense, find_sorted
+from repro.core.hgpa import HGPAIndex, HGPAShare
 from repro.core.updates import (
     UPDATE_WIRE_BYTES,
     EdgeUpdate,
@@ -48,34 +41,18 @@ from repro.core.updates import (
     apply_edge_update,
 )
 from repro.distributed.cluster import ClusterBase, QueryReport
-from repro.distributed.machine_tasks import (
-    HGPAMachineBuilder,
-    HGPAMachineTask,
-    hgpa_machine_arrays,
-)
 from repro.distributed.network import DEFAULT_COST_MODEL, CostModel
 from repro.errors import ClusterError, QueryError
 from repro.exec.backend import ExecutionBackend
-from repro.exec.states import _HierarchyHandle
+from repro.exec.states import (
+    HGPAShareBuilder,
+    HierarchyHandle,
+    ShareHost,
+    hgpa_share_arrays,
+)
 from repro.kernels.dispatch import KernelsLike, resolve_kernels
 
 __all__ = ["DistributedHGPA"]
-
-
-class _LiveLevelOps:
-    """Serial-backend view of one machine's level ops: ``get`` delegates
-    to the runtime's lazy per-(machine, level) stacking, so the task sees
-    exactly what the inline loop saw — including ``None`` for levels the
-    machine owns no hub of."""
-
-    __slots__ = ("_runtime", "_mid")
-
-    def __init__(self, runtime: "DistributedHGPA", mid: int) -> None:
-        self._runtime = runtime
-        self._mid = mid
-
-    def get(self, sid: int) -> tuple | None:
-        return self._runtime._ops_for(self._mid, sid)
 
 
 class DistributedHGPA(ClusterBase):
@@ -97,7 +74,7 @@ class DistributedHGPA(ClusterBase):
             wire_version=wire_version,
         )
         self.index = index
-        #: Kernel bundle / backend the machine tasks dispatch to; defaults
+        #: Kernel bundle / backend the machine shares dispatch to; defaults
         #: to the index's own setting so one switch flips the whole stack.
         self.kernels: KernelsLike = (
             index.kernels if kernels is None else kernels
@@ -108,7 +85,7 @@ class DistributedHGPA(ClusterBase):
         self._hub_owner: dict[int, int] = {}
         self._leaf_owner: dict[int, int] = {}
         self._level_owned: dict[tuple[int, int], np.ndarray] = {}
-        self._level_ops: dict[tuple[int, int], tuple] = {}
+        self._level_ops: dict[tuple[int, int], StackedOps] = {}
         self._deploy()
 
     # ------------------------------------------------------------------
@@ -144,7 +121,7 @@ class DistributedHGPA(ClusterBase):
             )
             self._leaf_owner[u] = machine.machine_id
 
-    def _ops_for(self, mid: int, sid: int) -> tuple | None:
+    def _ops_for(self, mid: int, sid: int) -> StackedOps | None:
         """Stacked query ops of one (machine, level) pair, or ``None``
         when the machine owns no hub of that level.
 
@@ -168,59 +145,48 @@ class DistributedHGPA(ClusterBase):
         return self._owners_to_map(self._leaf_owner, self._hub_owner)
 
     # ----- execution seam ----------------------------------------------
-    def _exec_key(self, mid: int) -> tuple:
-        """The backend key of machine ``mid``'s task state, registering
-        it (lazily, like the stacked ops) on first use."""
-        key = self._exec_keys.get(mid)
-        if key is None:
-            key = ("hgpa", id(self), self._exec_gen, mid)
-            self._backend.register(key, self._machine_builder(mid))
-            self._exec_keys[mid] = key
-        return key
+    def _machine_builder(self, mid: int) -> Callable[[], ShareHost]:
+        """Machine ``mid``'s share of Eq. 6: its hubs per level, its store.
 
-    def _machine_builder(self, mid: int) -> Callable[[], HGPAMachineTask]:
-        """A state builder for machine ``mid``'s batch share.
-
-        Serial backends get a closure whose level-ops mapping delegates
-        back to :meth:`_ops_for` — per-(machine, level) laziness is
-        preserved exactly, so a batch still only stacks the levels its
-        chains traverse.  Process backends must materialise every owned
-        level once to publish the shared arena; after that, per-batch
-        IPC carries node ids in and result blocks out.
+        Serial backends get the evaluator over the runtime's live store,
+        its level lookup delegating back to :meth:`_ops_for` (weakly:
+        the backend must not pin the runtime) — per-(machine, level)
+        laziness is preserved exactly, so a batch still only stacks the
+        levels its chains traverse.  Process backends must materialise
+        every owned level once to publish the shared arena; after that,
+        per-batch IPC carries node ids in and result blocks out.
         """
+        index = self.index
+        store = self.machines[mid].store
         if self._backend.is_local:
-
-            def build() -> HGPAMachineTask:
-                return HGPAMachineTask(
-                    self.index.alpha,
+            ops_for = weakref.WeakMethod(self._ops_for)
+            host = ShareHost(
+                HGPAShare(
+                    index.hierarchy,
+                    lambda sid: ops_for()(mid, sid),
+                    lambda hub, u: store.get(("hub" if hub else "leaf", u)),
+                    index.alpha,
                     self.num_nodes,
-                    self.index.hierarchy,
-                    _LiveLevelOps(self, mid),
-                    self.machines[mid].store,
-                    kernels=self.kernels,
+                    self.kernels,
                 )
-
-            return build
-        level_ops: dict[int, tuple] = {}
-        for omid, sid in sorted(self._level_owned):
-            if omid == mid:
-                level_ops[sid] = self._ops_for(mid, sid)
-        leaf_store = {
-            u: vec
-            for (kind, u), vec in self.machines[mid].store.items()
-            if kind == "leaf"
+            )
+            return lambda: host
+        level_ops = {
+            sid: self._ops_for(mid, sid)
+            for omid, sid in sorted(self._level_owned)
+            if omid == mid
         }
-        descriptor = self._backend.create_arena(
-            hgpa_machine_arrays(level_ops, leaf_store)
+        leaf_store = {u: vec for (kind, u), vec in store.items() if kind == "leaf"}
+        descriptor = self._lease.create_arena(
+            hgpa_share_arrays(level_ops, leaf_store)
         )
-        self._exec_arenas.append(descriptor)
-        return HGPAMachineBuilder(
+        return HGPAShareBuilder(
             descriptor,
             tuple(level_ops),
-            _HierarchyHandle.from_hierarchy(self.index.hierarchy),
-            self.index.alpha,
+            HierarchyHandle(index.hierarchy),
+            index.alpha,
             self.num_nodes,
-            kernel_backend=resolve_kernels(self.kernels).backend,
+            resolve_kernels(self.kernels).backend,
         )
 
     # ------------------------------------------------------------------
@@ -255,7 +221,7 @@ class DistributedHGPA(ClusterBase):
                     if hits.size:
                         weights = raw.copy()
                         weights[pos[0]] -= alpha
-                contrib = part_csc @ (weights / alpha)
+                contrib = part_csc @ (weights * (1.0 / alpha))
                 machine.query_entries += int(nnz_per_hub[weights != 0.0].sum())
                 if not own_level:
                     # Zero this machine's level term at the level's hub
@@ -274,135 +240,6 @@ class DistributedHGPA(ClusterBase):
             walls[mid] = machine.query_seconds
             partials[mid] = acc
         return self._finish_query(u, partials, walls)
-
-    def query_many(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[np.ndarray, list[QueryReport]]:
-        """Batched distributed PPVs: one sparse matmul per machine level.
-
-        Queries are grouped by the subgraphs their chains traverse (as in
-        :meth:`repro.core.hgpa.HGPAIndex.query_many`); each machine then
-        evaluates its owned share of every group in one ``CSC @ weights``
-        product (see
-        :class:`~repro.distributed.machine_tasks.HGPAMachineTask` — the
-        shares dispatch through the execution backend, in-process or as
-        real worker processes).  Serialization, aggregation and metrics
-        run per query —
-        the wire protocol is unchanged.  Returns a dense
-        ``(len(nodes), n)`` matrix plus the per-query reports.
-        ``collect_stats=False`` skips the per-query entry bookkeeping and
-        report construction (metering still runs) and returns ``[]``.
-        """
-        index = self.index
-        nodes = validate_batch(nodes, self.num_nodes)
-        if nodes.size == 0:
-            return np.zeros((0, self.num_nodes)), []
-        if nodes.size > DEFAULT_BATCH:
-            # Bound the per-machine dense (n, batch) intermediates.
-            return run_in_batches(
-                lambda chunk: self.query_many(
-                    chunk, collect_stats=collect_stats
-                ),
-                nodes,
-            )
-        order, _, _, _ = _chain_membership(index.hierarchy, nodes)
-        inv_order = np.empty_like(order)
-        inv_order[order] = np.arange(order.size)
-        machine_accs: dict[int, np.ndarray] = {}
-        entries = np.zeros((nodes.size, self.num_machines), dtype=np.int64)
-        walls: dict[int, float] = {}
-        futures = {}
-        for machine in self.machines:
-            machine.reset_query_counters()
-            mid = machine.machine_id
-            futures[mid] = self._backend.submit(
-                self._exec_key(mid), "dense", nodes, collect_stats
-            )
-        for machine in self.machines:
-            mid = machine.machine_id
-            acc, entry_col, wall = futures[mid].result()
-            machine.query_seconds = wall
-            walls[mid] = wall / nodes.size
-            if collect_stats:
-                entries[:, mid] = entry_col
-            machine_accs[mid] = acc
-        out = np.zeros((nodes.size, self.num_nodes))
-        reports: list[QueryReport] = []
-        for k, u in enumerate(nodes.tolist()):
-            result, report = self._finish_query(
-                u,
-                {
-                    mid: machine_accs[mid][:, inv_order[k]]
-                    for mid in machine_accs
-                },
-                walls,
-                entries_by_machine={
-                    mid: int(entries[k, mid]) for mid in machine_accs
-                },
-                collect_stats=collect_stats,
-            )
-            out[k] = result
-            if collect_stats:
-                reports.append(report)
-        return out, reports
-
-    def query_many_sparse(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[sp.csr_matrix, list[QueryReport]]:
-        """Batched distributed PPVs as a CSR ``(len(nodes), n)`` matrix.
-
-        The sparse twin of :meth:`query_many`: each machine accumulates
-        its owned share of every chain group as sparse CSC blocks (the
-        distributed port repair becomes a structural zero-out plus a
-        scattered skeleton-value add, exactly as in
-        :meth:`repro.core.hgpa.HGPAIndex.query_many_sparse`), per-query
-        columns ship sparse over the metered wire (actual nnz charged),
-        and the coordinator merges them without a dense accumulator.
-        Machine shares dispatch through the execution backend like the
-        dense path's.  Agrees with the dense path exactly.
-        """
-        index = self.index
-        nodes = validate_batch(nodes, self.num_nodes)
-        if nodes.size == 0:
-            return sp.csr_matrix((0, self.num_nodes)), []
-        if nodes.size > DEFAULT_BATCH:
-            # Bound the per-machine sparse blocks like the dense path.
-            return sparse_in_batches(
-                lambda chunk: self.query_many_sparse(
-                    chunk, collect_stats=collect_stats
-                ),
-                nodes,
-                DEFAULT_BATCH,
-            )
-        order, _, _, _ = _chain_membership(index.hierarchy, nodes)
-        inv_order = np.empty_like(order)
-        inv_order[order] = np.arange(order.size)
-        machine_accs: dict[int, sp.csc_matrix] = {}
-        entries = np.zeros((nodes.size, self.num_machines), dtype=np.int64)
-        walls: dict[int, float] = {}
-        futures = {}
-        for machine in self.machines:
-            machine.reset_query_counters()
-            mid = machine.machine_id
-            futures[mid] = self._backend.submit(
-                self._exec_key(mid), "sparse", nodes, collect_stats
-            )
-        for machine in self.machines:
-            mid = machine.machine_id
-            acc, entry_col, wall = futures[mid].result()
-            machine.query_seconds = wall
-            walls[mid] = wall / nodes.size
-            if collect_stats:
-                entries[:, mid] = entry_col
-            machine_accs[mid] = acc
-        return self._collect_sparse_batch(
-            nodes,
-            machine_accs,
-            lambda k: int(inv_order[k]),
-            walls,
-            entries,
-            collect_stats,
-        )
 
     # ------------------------------------------------------------------
     def apply_update(self, update: EdgeUpdate) -> UpdateReceipt:

@@ -9,6 +9,7 @@ rows out.  Both distributed runtimes and the sharding layer accept a
 """
 
 from repro.exec.backend import (
+    ExecLease,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -16,18 +17,17 @@ from repro.exec.backend import (
 from repro.exec.shm import (
     ArenaDescriptor,
     ArraySpec,
-    SharedStackedOps,
     ShmArena,
     stacked_ops_arrays,
 )
 
 __all__ = [
     "ExecutionBackend",
+    "ExecLease",
     "SerialBackend",
     "ProcessPoolBackend",
     "ArenaDescriptor",
     "ArraySpec",
-    "SharedStackedOps",
     "ShmArena",
     "stacked_ops_arrays",
 ]

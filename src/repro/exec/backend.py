@@ -45,7 +45,7 @@ from repro.exec.shm import ArenaDescriptor, ShmArena
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
 
-__all__ = ["ExecutionBackend", "SerialBackend", "ProcessPoolBackend"]
+__all__ = ["ExecutionBackend", "ExecLease", "SerialBackend", "ProcessPoolBackend"]
 
 
 class ExecutionBackend:
@@ -96,6 +96,56 @@ class ExecutionBackend:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+# Lease uids name worker-side registrations, so they must be unique for
+# the life of the process, not of the owner: id() values recycle once a
+# dropped owner is freed.
+_UIDS = itertools.count()
+
+
+class ExecLease:
+    """What one owner (a replica, a runtime) holds on an execution backend.
+
+    ``uid`` is process-wide unique, so keys built from it never collide
+    with a dead owner's.  Keys registered and arenas created through the
+    lease are released together — by :meth:`release`, or by the garbage
+    collector when the owner is dropped without one — so a backend never
+    pins the states of owners it no longer serves.  The lease holds no
+    reference to its owner.
+    """
+
+    __slots__ = ("uid", "backend", "keys", "arenas")
+
+    def __init__(
+        self, owner: object, backend: ExecutionBackend | None = None
+    ) -> None:
+        self.uid = next(_UIDS)
+        self.backend = backend
+        self.keys: list[Hashable] = []
+        self.arenas: list[ArenaDescriptor] = []
+        weakref.finalize(owner, self.release).atexit = False
+
+    def register(self, key: Hashable, builder: Callable[[], Any]) -> None:
+        assert self.backend is not None
+        self.backend.register(key, builder)
+        self.keys.append(key)
+
+    def create_arena(self, arrays: dict[str, np.ndarray]) -> ArenaDescriptor:
+        assert self.backend is not None
+        descriptor = self.backend.create_arena(arrays)
+        self.arenas.append(descriptor)
+        return descriptor
+
+    def release(self) -> None:
+        """Unregister every key and drop every arena (idempotent)."""
+        if self.backend is not None:
+            for key in self.keys:
+                self.backend.unregister(key)
+            for descriptor in self.arenas:
+                self.backend.drop_arena(descriptor)
+        self.keys.clear()
+        self.arenas.clear()
 
 
 class _ReadyFuture:

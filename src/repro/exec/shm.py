@@ -5,10 +5,10 @@ segment holding any number of named flat arrays back to back.  Its
 :class:`ArenaDescriptor` — segment name plus per-array (dtype, shape,
 offset) specs — is a tiny picklable value; a worker that receives it
 attaches the segment once and maps every array as a zero-copy read-only
-``np.ndarray`` view.  :class:`SharedStackedOps` layers the repo's
-stacked ``(owned, partial CSC, skeleton CSR, nnz-per-hub)`` query-op
-tuple on top: it pickles as a descriptor and rebuilds the matrices
-worker-side via :mod:`repro.core.stacked`, so per-query IPC never
+``np.ndarray`` view.  :func:`stacked_ops_arrays` /
+:func:`build_ops_from_view` layer the repo's stacked ``(owned, partial
+CSC, skeleton CSR, nnz-per-hub)`` query-op tuple on top: the matrices are
+rebuilt worker-side via :mod:`repro.core.stacked`, so per-query IPC never
 carries index data — only node ids in and result rows out.
 
 Segment names are ``repro-shm-<creator pid>-<counter>``, which is what
@@ -26,6 +26,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
+from repro.core.flat_index import StackedOps
 from repro.core.stacked import csc_from_arrays, csr_from_arrays
 from repro.errors import ExecutionError
 
@@ -35,8 +36,8 @@ __all__ = [
     "ArenaDescriptor",
     "ArenaView",
     "ShmArena",
-    "SharedStackedOps",
     "stacked_ops_arrays",
+    "build_ops_from_view",
 ]
 
 SHM_NAME_PREFIX = "repro-shm-"
@@ -90,8 +91,8 @@ class ArenaDescriptor:
         return view
 
 
-# One attachment per segment per process: every SharedStackedOps (or
-# store) of the same machine shares a single mapping.
+# One attachment per segment per process: every ops tuple (or store)
+# read from the same arena shares a single mapping.
 _VIEW_CACHE: dict[str, "ArenaView"] = {}
 
 # Views of already-unlinked segments, pinned for process lifetime: their
@@ -230,10 +231,10 @@ class ShmArena:
         self.close()
 
 
-def stacked_ops_arrays(ops: tuple[Any, ...], prefix: str = "") -> dict[str, np.ndarray]:
+def stacked_ops_arrays(ops: StackedOps, prefix: str = "") -> dict[str, np.ndarray]:
     """Flatten one stacked query-op tuple into named arena arrays.
 
-    The inverse lives in :class:`SharedStackedOps`; ``prefix`` namespaces
+    The inverse is :func:`build_ops_from_view`; ``prefix`` namespaces
     several ops (e.g. one per HGPA level) inside a single arena.
     """
     owned, part_csc, skel_csr, nnz_per_hub = ops
@@ -249,52 +250,9 @@ def stacked_ops_arrays(ops: tuple[Any, ...], prefix: str = "") -> dict[str, np.n
     }
 
 
-class SharedStackedOps:
-    """One machine's stacked query ops, living in a shared arena.
-
-    Pickles as ``(descriptor, prefix, num_nodes)`` — a few hundred bytes
-    — and reconstructs the ``(owned, part CSC, skel CSR, nnz-per-hub)``
-    tuple on first use as zero-copy read-only views of the segment
-    (:func:`repro.core.stacked.csc_from_arrays` discipline).  Matrices
-    derived from the views at query time (row slices, matmul products)
-    are fresh writable arrays, so the read-only state is never mutated.
-    """
-
-    __slots__ = ("descriptor", "prefix", "num_nodes", "_ops")
-
-    def __init__(
-        self, descriptor: ArenaDescriptor, prefix: str, num_nodes: int
-    ) -> None:
-        self.descriptor = descriptor
-        self.prefix = prefix
-        self.num_nodes = int(num_nodes)
-        self._ops: tuple[Any, ...] | None = None
-
-    @classmethod
-    def publish(cls, ops: tuple[Any, ...], num_nodes: int) -> tuple[ShmArena, "SharedStackedOps"]:
-        """Publish one ops tuple in its own arena (owner keeps the arena)."""
-        arena = ShmArena(stacked_ops_arrays(ops))
-        return arena, cls(arena.descriptor, "", num_nodes)
-
-    @property
-    def ops(self) -> tuple[Any, ...]:
-        if self._ops is None:
-            self._ops = build_ops_from_view(
-                self.descriptor.attach(), self.prefix, self.num_nodes
-            )
-        return self._ops
-
-    def __getstate__(self) -> tuple[Any, ...]:
-        return (self.descriptor, self.prefix, self.num_nodes)
-
-    def __setstate__(self, state: tuple[Any, ...]) -> None:
-        self.descriptor, self.prefix, self.num_nodes = state
-        self._ops = None
-
-
 def build_ops_from_view(
     view: ArenaView, prefix: str, num_nodes: int
-) -> tuple[Any, ...]:
+) -> StackedOps:
     """Rebuild one stacked ops tuple from an attached arena."""
     try:
         a = {

@@ -1,15 +1,20 @@
-"""Worker-side engine reconstruction for the sharding layer.
+"""Worker-side hub-share evaluators for the runtimes and the sharding layer.
 
-A :class:`~repro.sharding.replica.Replica` whose engine is an index
-family (flat hub set or HGPA hierarchy) can run its batches in a worker
-process: the engine's stacked query ops and vector stores are published
-once per engine object in a shared arena (see
+A batch crosses the execution seam as node ids in and a result block
+out; what answers it on the other side is the index family's own
+evaluator (:class:`~repro.core.flat_index.FlatShare` /
+:class:`~repro.core.hgpa.HGPAShare`) behind a :class:`ShareHost` that
+times it.  In-process the host wraps the caller's live evaluator; in a
+worker process one picklable builder per family rebuilds it around
+zero-copy read-only views of a shared arena — stacked ops, hub vectors
+rebound as slices of the stacked CSC, the packed own-vector store — so
+the worker runs the same code as the parent on the same bytes and the
+results are bitwise equal.  What the arena holds decides whose share it
+is: every hub and own vector for a :class:`~repro.sharding.replica.Replica`
+(published once per engine object, see
 :func:`~repro.exec.backend.ExecutionBackend.memo_arena` — replicas
-sharing one engine share one arena), and the picklable builders here
-rebuild a *real* index instance worker-side around zero-copy read-only
-views — ops caches pre-seeded, store vectors rebound as buffer slices —
-so the worker runs the exact same ``query_many`` / ``query_many_sparse``
-code as the parent, on the same bytes, and the results are bitwise equal.
+sharing one engine share one arena), one machine's slice for a
+distributed runtime.
 
 Engines without a supported layout (a distributed runtime behind a
 replica, an approximation) simply get no builder: :func:`engine_builder`
@@ -20,45 +25,65 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.core.flat_index import FlatPPVIndex
-from repro.core.hgpa import HGPAIndex
+from repro.core.flat_index import FlatPPVIndex, FlatShare, HubShare, StackedOps
+from repro.core.hgpa import HGPAIndex, HGPAShare
 from repro.core.sparsevec import SparseVec
 from repro.core.stacked import pack_vectors, unpack_vectors
 from repro.errors import PartitionError
 from repro.exec.shm import (
     ArenaDescriptor,
+    ArenaView,
     build_ops_from_view,
     stacked_ops_arrays,
 )
-
-if TYPE_CHECKING:
-    from repro.exec.shm import ArenaView
+from repro.kernels.dispatch import resolve_kernels
 
 __all__ = [
-    "EngineHost",
-    "FlatEngineBuilder",
-    "HGPAEngineBuilder",
+    "ShareHost",
+    "HierarchyHandle",
+    "FlatShareBuilder",
+    "HGPAShareBuilder",
+    "flat_share_arrays",
+    "hgpa_share_arrays",
     "engine_builder",
 ]
 
 
-class _GraphHandle:
-    """Stand-in for a worker-side index's graph: the query paths only
-    ever read ``num_nodes`` off it (ops caches are pre-seeded), so the
-    adjacency never crosses the process boundary."""
+class ShareHost:
+    """One evaluator behind the execution seam, timed.
 
-    __slots__ = ("num_nodes",)
+    The wall clock covers only the evaluation, so the caller's load
+    accounting (:meth:`Replica.note_served`, ``Machine.query_seconds``)
+    charges what the share actually computed, not the IPC.
+    """
 
-    def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = int(num_nodes)
+    __slots__ = ("share",)
+
+    def __init__(self, share: HubShare) -> None:
+        self.share = share
+
+    def share_of(
+        self, nodes: np.ndarray, sparse: bool, collect_stats: bool
+    ) -> tuple[Any, np.ndarray | None, float]:
+        """A machine's answer: ``(rows, entries per query, wall)``."""
+        t0 = time.perf_counter()
+        rows, counters = self.share.evaluate(
+            nodes, sparse=sparse, collect_stats=collect_stats
+        )
+        entries = None if counters is None else counters[0]
+        return rows, entries, time.perf_counter() - t0
+
+    def serve(self, nodes: np.ndarray, sparse: bool) -> tuple[Any, float]:
+        """A replica's answer: ``(rows, wall)``."""
+        rows, _, wall = self.share_of(nodes, sparse, False)
+        return rows, wall
 
 
-class _HierarchyHandle:
+class HierarchyHandle:
     """Stand-in for a worker-side :class:`PartitionHierarchy`.
 
     Carries exactly what the HGPA query paths read — the subgraph tree
@@ -69,23 +94,10 @@ class _HierarchyHandle:
 
     __slots__ = ("subgraphs", "hub_level", "deepest_subgraph")
 
-    def __init__(
-        self,
-        subgraphs: list[Any],
-        hub_level: np.ndarray,
-        deepest_subgraph: np.ndarray,
-    ) -> None:
-        self.subgraphs = subgraphs
-        self.hub_level = hub_level
-        self.deepest_subgraph = deepest_subgraph
-
-    @classmethod
-    def from_hierarchy(cls, hierarchy: Any) -> "_HierarchyHandle":
-        return cls(
-            hierarchy.subgraphs,
-            hierarchy.hub_level,
-            hierarchy.deepest_subgraph,
-        )
+    def __init__(self, hierarchy: Any) -> None:
+        self.subgraphs = hierarchy.subgraphs
+        self.hub_level = hierarchy.hub_level
+        self.deepest_subgraph = hierarchy.deepest_subgraph
 
     def is_hub(self, u: int) -> bool:
         return bool(self.hub_level[u] >= 0)
@@ -104,37 +116,11 @@ class _HierarchyHandle:
         return path
 
 
-class EngineHost:
-    """The worker-side state wrapping one rebuilt index.
-
-    Methods return ``(result, wall_seconds)`` — the wall clock covers
-    only the engine compute, so the parent's load accounting
-    (:meth:`Replica.note_served`) charges the replica what the worker
-    actually spent, not the IPC.
-    """
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: Any) -> None:
-        self.index = index
-
-    def dense(self, nodes: np.ndarray) -> tuple[np.ndarray, float]:
-        t0 = time.perf_counter()
-        out, _ = self.index.query_many(nodes, collect_stats=False)
-        return out, time.perf_counter() - t0
-
-    def sparse(self, nodes: np.ndarray) -> tuple[sp.csr_matrix, float]:
-        t0 = time.perf_counter()
-        mat, _ = self.index.query_many_sparse(nodes, collect_stats=False)
-        return mat, time.perf_counter() - t0
-
-
-def _hub_store_from_csc(
-    owned: np.ndarray, part_csc: sp.csc_matrix
-) -> dict[int, SparseVec]:
-    """Rebind hub partial vectors as slices of the stacked CSC's buffers —
-    the worker-side twin of ``ClusterBase._stack_ops``'s rebinding, so
-    the store costs no memory beyond the shared segment."""
+def _hub_store(ops: StackedOps) -> dict[int, SparseVec]:
+    """Hub partial vectors as slices of the stacked CSC's buffers — the
+    worker-side twin of ``ClusterBase._stack_ops``'s rebinding, so the
+    store costs no memory beyond the shared segment."""
+    owned, part_csc = ops[0], ops[1]
     pp = part_csc.indptr
     return {
         int(h): SparseVec(
@@ -146,126 +132,124 @@ def _hub_store_from_csc(
     }
 
 
-def _packed_store(view: "ArenaView", prefix: str) -> dict[int, SparseVec]:
-    """Unpack a ``pack_vectors``-published id→vector store from an arena."""
-    nodes = view.arrays[prefix + "nodes"]
+def _own_store(view: ArenaView, hub_ops: list[StackedOps]) -> dict[int, SparseVec]:
+    """Every own vector of an attached share, by node id: the packed
+    ``own_`` store (node partials / leaf PPVs) plus the hub partials of
+    ``hub_ops``.  Hub and non-hub ids are disjoint, so one dict serves
+    both arms of the evaluators' own lookup."""
     vecs = unpack_vectors(
-        view.arrays[prefix + "indptr"],
-        view.arrays[prefix + "idx"],
-        view.arrays[prefix + "val"],
+        view.arrays["own_indptr"], view.arrays["own_idx"], view.arrays["own_val"]
     )
-    return {int(u): v for u, v in zip(nodes.tolist(), vecs)}
+    store = dict(zip(view.arrays["own_nodes"].tolist(), vecs))
+    for ops in hub_ops:
+        store.update(_hub_store(ops))
+    return store
 
 
-def _pack_store_arrays(store: dict[int, SparseVec], prefix: str) -> dict[Any, Any]:
-    """The inverse of :func:`_packed_store`: one id→vector store as flat
-    arena arrays (ids sorted, so the layout is deterministic)."""
+def _pack_own_store(store: dict[int, SparseVec]) -> dict[str, np.ndarray]:
+    """One id→vector store as flat ``own_`` arena arrays (ids sorted, so
+    the layout is deterministic)."""
     nodes = np.asarray(sorted(store), dtype=np.int64)
-    indptr, idx, val = pack_vectors([store[int(u)] for u in nodes.tolist()])
+    indptr, idx, val = pack_vectors([store[u] for u in nodes.tolist()])
     return {
-        prefix + "nodes": nodes,
-        prefix + "indptr": indptr,
-        prefix + "idx": idx,
-        prefix + "val": val,
+        "own_nodes": nodes,
+        "own_indptr": indptr,
+        "own_idx": idx,
+        "own_val": val,
     }
 
 
 # ----------------------------------------------------------------------
-# Flat hub-set engines (FlatPPVIndex and subclasses: GPA, JW)
+# Flat hub-set shares (FlatPPVIndex and subclasses, GPA machines)
 
 
-def flat_engine_arrays(index: FlatPPVIndex) -> dict[Any, Any]:
-    """Arena arrays of one flat index: stacked ops + node-partial store."""
-    part_csc, skel_csr, nnz_per_hub = index._ops()
-    arrays = stacked_ops_arrays((index.hubs, part_csc, skel_csr, nnz_per_hub))
-    arrays.update(_pack_store_arrays(index.node_partials, "own_"))
+def flat_share_arrays(
+    ops: StackedOps, all_hubs: np.ndarray, node_store: dict[int, SparseVec]
+) -> dict[str, np.ndarray]:
+    """Arena arrays of one flat share: its stacked ops, the global hub
+    set, and the node partials it holds."""
+    arrays = stacked_ops_arrays(ops)
+    arrays["all_hubs"] = all_hubs
+    arrays.update(_pack_own_store(node_store))
     return arrays
 
 
 @dataclass(frozen=True)
-class FlatEngineBuilder:
-    """Picklable recipe for a worker-side flat index (GPA/JW/plain)."""
+class FlatShareBuilder:
+    """Picklable recipe for a worker-side :class:`FlatShare`.
+
+    ``kernel_backend`` carries the kernel choice across the process
+    boundary as a plain backend *name* (bundles hold compiled callables
+    and never pickle); ``None`` lets the worker's own capability probe
+    decide.
+    """
 
     descriptor: ArenaDescriptor
     alpha: float
-    tol: float
-    prune: float
     num_nodes: int
+    kernel_backend: str | None = None
 
-    def __call__(self) -> EngineHost:
+    def __call__(self) -> ShareHost:
         view = self.descriptor.attach()
-        owned, part_csc, skel_csr, nnz_per_hub = build_ops_from_view(
-            view, "", self.num_nodes
+        ops = build_ops_from_view(view, "", self.num_nodes)
+        own = _own_store(view, [ops])
+        return ShareHost(
+            FlatShare(
+                ops,
+                view.arrays["all_hubs"],
+                lambda _hub, u: own.get(u),
+                self.alpha,
+                self.kernel_backend,
+            )
         )
-        index = FlatPPVIndex(
-            graph=_GraphHandle(self.num_nodes),
-            alpha=self.alpha,
-            tol=self.tol,
-            prune=self.prune,
-            hubs=owned,
-            hub_partials=_hub_store_from_csc(owned, part_csc),
-            skeleton_cols={},  # query paths read the pre-seeded CSR only
-            node_partials=_packed_store(view, "own_"),
-        )
-        index._ops_cache = (part_csc, skel_csr, nnz_per_hub)
-        return EngineHost(index)
 
 
 # ----------------------------------------------------------------------
-# HGPA engines
+# HGPA shares (HGPAIndex, HGPA machines)
 
 
-def hgpa_engine_arrays(index: HGPAIndex) -> dict[Any, Any]:
-    """Arena arrays of one HGPA index: per-level stacked ops (prefix
-    ``s<sid>:``) + the leaf-PPV store."""
-    arrays: dict[Any, Any] = {}
-    for sg in index.hierarchy.subgraphs:
-        if sg.hubs.size == 0:
-            continue
-        part_csc, skel_csr, hubs = index._level_ops(sg.node_id)
-        arrays.update(
-            stacked_ops_arrays(
-                (hubs, part_csc, skel_csr, np.diff(part_csc.indptr)),
-                prefix=f"s{sg.node_id}:",
-            )
-        )
-    arrays.update(_pack_store_arrays(index.leaf_ppv, "own_"))
+def hgpa_share_arrays(
+    level_ops: dict[int, StackedOps], leaf_store: dict[int, SparseVec]
+) -> dict[str, np.ndarray]:
+    """Arena arrays of one HGPA share: stacked ops per level it owns a
+    hub of (prefix ``s<sid>:``) and the leaf PPVs it holds."""
+    arrays = _pack_own_store(leaf_store)
+    for sid in sorted(level_ops):
+        arrays.update(stacked_ops_arrays(level_ops[sid], prefix=f"s{sid}:"))
     return arrays
 
 
 @dataclass(frozen=True)
-class HGPAEngineBuilder:
-    """Picklable recipe for a worker-side HGPA index."""
+class HGPAShareBuilder:
+    """Picklable recipe for a worker-side :class:`HGPAShare`
+    (``kernel_backend`` as in :class:`FlatShareBuilder`)."""
 
     descriptor: ArenaDescriptor
     sids: tuple[int, ...]
-    hierarchy: _HierarchyHandle
+    hierarchy: HierarchyHandle
     alpha: float
-    tol: float
-    prune: float
     num_nodes: int
+    kernel_backend: str | None = None
 
-    def __call__(self) -> EngineHost:
+    def __call__(self) -> ShareHost:
         view = self.descriptor.attach()
-        index = HGPAIndex(
-            graph=_GraphHandle(self.num_nodes),
-            hierarchy=self.hierarchy,
-            alpha=self.alpha,
-            tol=self.tol,
-            prune=self.prune,
-            hub_partials={},
-            skeleton_cols={},
-            leaf_ppv=_packed_store(view, "own_"),
-        )
-        for sid in self.sids:
-            hubs, part_csc, skel_csr, _ = build_ops_from_view(
-                view, f"s{sid}:", self.num_nodes
+        level_ops = {
+            sid: build_ops_from_view(view, f"s{sid}:", self.num_nodes)
+            for sid in self.sids
+        }
+        # Hub sets are disjoint across subgraphs, so every hub's partial
+        # lives in exactly one level's stacked CSC.
+        own = _own_store(view, [level_ops[sid] for sid in self.sids])
+        return ShareHost(
+            HGPAShare(
+                self.hierarchy,
+                level_ops.get,
+                lambda _hub, u: own.get(u),
+                self.alpha,
+                self.num_nodes,
+                self.kernel_backend,
             )
-            index._level_ops_cache[sid] = (part_csc, skel_csr, hubs)
-            # Hub sets are disjoint across subgraphs, so every hub's
-            # partial lives in exactly one level's stacked CSC.
-            index.hub_partials.update(_hub_store_from_csc(hubs, part_csc))
-        return EngineHost(index)
+        )
 
 
 # ----------------------------------------------------------------------
@@ -277,44 +261,43 @@ def engine_builder(query_backend: Any, exec_backend: Any) -> Any:
     ``None`` means the engine has no shared-memory layout the workers
     understand (a distributed runtime, an approximation, or a subclass
     that overrides the batch paths) and the shard must serve it inline.
-    The engine's arena is memoized on the execution backend for the
-    life of the engine object, so replicas sharing one engine publish it
-    once and an updated backend's new engine publishes afresh.
+    The worker gets the index's own share — everything owned.  Its arena
+    is memoized on the execution backend for the life of the engine
+    object, so replicas sharing one engine publish it once and an
+    updated backend's new engine publishes afresh.
     """
     engine = query_backend.engine
+    family: Any = HGPAIndex if isinstance(engine, HGPAIndex) else FlatPPVIndex
     if (
-        isinstance(engine, HGPAIndex)
-        and type(engine).query_many is HGPAIndex.query_many
-        and type(engine).query_many_sparse is HGPAIndex.query_many_sparse
+        not isinstance(engine, family)
+        or type(engine).query_many is not family.query_many
+        or type(engine).query_many_sparse is not family.query_many_sparse
     ):
+        return None
+    share = engine._share()
+    kernel_backend = resolve_kernels(engine.kernels).backend
+    if isinstance(share, FlatShare):
         descriptor = exec_backend.memo_arena(
-            engine, lambda: hgpa_engine_arrays(engine)
+            engine,
+            lambda: flat_share_arrays(
+                share.ops, share.all_hubs, engine.node_partials
+            ),
         )
-        sids = tuple(
-            sg.node_id for sg in engine.hierarchy.subgraphs if sg.hubs.size
+        return FlatShareBuilder(
+            descriptor, share.alpha, share.num_nodes, kernel_backend
         )
-        return HGPAEngineBuilder(
-            descriptor,
-            sids,
-            _HierarchyHandle.from_hierarchy(engine.hierarchy),
-            engine.alpha,
-            engine.tol,
-            engine.prune,
-            engine.graph.num_nodes,
-        )
-    if (
-        isinstance(engine, FlatPPVIndex)
-        and type(engine).query_many is FlatPPVIndex.query_many
-        and type(engine).query_many_sparse is FlatPPVIndex.query_many_sparse
-    ):
-        descriptor = exec_backend.memo_arena(
-            engine, lambda: flat_engine_arrays(engine)
-        )
-        return FlatEngineBuilder(
-            descriptor,
-            engine.alpha,
-            engine.tol,
-            engine.prune,
-            engine.graph.num_nodes,
-        )
-    return None
+    sids = tuple(sg.node_id for sg in engine.hierarchy.subgraphs if sg.hubs.size)
+    descriptor = exec_backend.memo_arena(
+        engine,
+        lambda: hgpa_share_arrays(
+            {sid: share.level_ops(sid) for sid in sids}, engine.leaf_ppv
+        ),
+    )
+    return HGPAShareBuilder(
+        descriptor,
+        sids,
+        HierarchyHandle(engine.hierarchy),
+        share.alpha,
+        share.num_nodes,
+        kernel_backend,
+    )

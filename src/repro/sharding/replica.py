@@ -17,14 +17,14 @@ of the partition's precomputed vectors.
 
 from __future__ import annotations
 
-import itertools
 import time
-import weakref
+from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.core.updates import EdgeUpdate, UpdateReceipt
+from repro.exec.backend import ExecLease
 from repro.exec.states import engine_builder
 from repro.serving.adapters import MutableBackend, as_backend, as_mutable_backend
 
@@ -35,11 +35,6 @@ if TYPE_CHECKING:
 
 __all__ = ["Replica"]
 
-# Replica uids name worker-side registrations, so they must be unique for
-# the life of the process, not of the replica: id() values recycle once a
-# dropped router's replicas are freed.
-_UIDS = itertools.count()
-
 
 class Replica:
     """A health-tracked query backend inside a shard's replica group."""
@@ -47,7 +42,14 @@ class Replica:
     def __init__(self, engine: Any, replica_id: int) -> None:
         self.backend = as_backend(engine)
         self.replica_id = int(replica_id)
-        self.uid = next(_UIDS)
+        # Worker-side execution state, per (execution backend, engine
+        # epoch): the lease unregisters ``_exec_key`` — on _drop_exec, or
+        # when the replica is garbage-collected without one — and its
+        # process-wide uid names the replica.  ``_exec_inline``: probed,
+        # and the engine has no shared-memory layout.
+        self._lease = ExecLease(self)
+        self._exec_inline = False
+        self.uid = self._lease.uid
         self.served_queries = 0
         self.served_batches = 0
         self.busy_seconds = 0.0
@@ -60,14 +62,6 @@ class Replica:
         # Per-replica circuit breaker, installed by the owning shard
         # when the router runs with a resilience policy.
         self.breaker: CircuitBreaker | None = None
-        # Worker-side execution state, per (execution backend, engine
-        # epoch).  ``_exec_release`` unregisters ``_exec_key`` — called by
-        # _drop_exec, or by the garbage collector when the replica is
-        # dropped without one; None = not registered.  ``_exec_inline``:
-        # probed, and the engine has no shared-memory layout.
-        self._exec_backend: ExecutionBackend | None = None
-        self._exec_release: weakref.finalize[..., Any] | None = None
-        self._exec_inline = False
 
     @property
     def num_nodes(self) -> int:
@@ -135,24 +129,19 @@ class Replica:
         """
         if backend is None:
             return None
-        if self._exec_backend is not backend:
+        lease = self._lease
+        if lease.backend is not backend:
             self._drop_exec()
-            self._exec_backend = backend
-        if self._exec_release is None and not self._exec_inline:
+            lease.backend = backend
+        if not lease.keys and not self._exec_inline:
             builder = engine_builder(self.backend, backend)
             if builder is None:
                 self._exec_inline = True
             else:
-                backend.register(self._exec_key, builder)
-                self._exec_release = weakref.finalize(
-                    self, backend.unregister, self._exec_key
-                )
-                self._exec_release.atexit = False
+                lease.register(self._exec_key, builder)
         if self._exec_inline:
             return None
-        return backend.submit(
-            self._exec_key, "sparse" if sparse else "dense", nodes
-        )
+        return backend.submit(self._exec_key, "serve", nodes, sparse)
 
     def note_served(self, num_queries: int, seconds: float) -> None:
         """Account a worker-served batch to this replica's load counters
@@ -187,40 +176,36 @@ class Replica:
         self._drop_exec()
 
     def _drop_exec(self) -> None:
-        if self._exec_release is not None:
-            self._exec_release()
-        self._exec_backend = None
-        self._exec_release = None
+        self._lease.release()
+        self._lease.backend = None
         self._exec_inline = False
 
     # ----- serving ------------------------------------------------------
-    def query_many(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[np.ndarray, list[Any]]:
-        """Serve one batch, accounting load to this replica."""
+    def _serve(
+        self, verb: Callable[..., Any], nodes: np.ndarray, collect_stats: bool
+    ) -> tuple[Any, list[Any]]:
         t0 = time.perf_counter()
-        out, meta = self.backend.query_many(nodes, collect_stats=collect_stats)
+        out, meta = verb(nodes, collect_stats=collect_stats)
         self.busy_seconds += time.perf_counter() - t0
         self.served_queries += int(np.asarray(nodes).size)
         self.served_batches += 1
         return out, meta
 
+    def query_many(
+        self, nodes: np.ndarray, *, collect_stats: bool = True
+    ) -> tuple[np.ndarray, list[Any]]:
+        """Serve one batch, accounting load to this replica."""
+        return self._serve(self.backend.query_many, nodes, collect_stats)
+
     def query_many_sparse(
         self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[Any, ...]:
+    ) -> tuple[Any, list[Any]]:
         """Serve one batch as sparse CSR rows, accounting load.
 
         Exact: ``toarray()`` equals the dense :meth:`query_many` result
         (the adapter sparsifies dense-only engines transparently).
         """
-        t0 = time.perf_counter()
-        out, meta = self.backend.query_many_sparse(
-            nodes, collect_stats=collect_stats
-        )
-        self.busy_seconds += time.perf_counter() - t0
-        self.served_queries += int(np.asarray(nodes).size)
-        self.served_batches += 1
-        return out, meta
+        return self._serve(self.backend.query_many_sparse, nodes, collect_stats)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "down" if self._down else "up"

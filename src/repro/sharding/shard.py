@@ -348,6 +348,12 @@ class Shard:
             return self._finish_compute_basic(replica, future, unique, sparse=sparse)
         return self._finish_compute_resilient(replica, future, unique, sparse=sparse)
 
+    @staticmethod
+    def _serve_inline(replica: Replica, unique: np.ndarray, *, sparse: bool) -> Any:
+        """Serve the batch on the replica itself (no worker future)."""
+        serve = replica.query_many_sparse if sparse else replica.query_many
+        return serve(unique, collect_stats=False)[0]
+
     def _finish_compute_basic(
         self, replica: Replica, future: Any, unique: np.ndarray, *, sparse: bool
     ) -> tuple[Any, Replica, float]:
@@ -364,14 +370,7 @@ class Shard:
             try:
                 delay = replica.probe_faults(self._now())
                 if future is None:
-                    if sparse:
-                        result, _ = replica.query_many_sparse(
-                            unique, collect_stats=False
-                        )
-                    else:
-                        result, _ = replica.query_many(
-                            unique, collect_stats=False
-                        )
+                    result = self._serve_inline(replica, unique, sparse=sparse)
                     return result, replica, delay
                 result, wall = future.result()
             except WorkerDied:
@@ -398,11 +397,7 @@ class Shard:
         """Resolve one attempt's answer (inline serve or worker future),
         retrying a resolve-time worker death once in place."""
         if future is None:
-            if sparse:
-                result, _ = replica.query_many_sparse(unique, collect_stats=False)
-            else:
-                result, _ = replica.query_many(unique, collect_stats=False)
-            return result
+            return self._serve_inline(replica, unique, sparse=sparse)
         try:
             result, wall = future.result()
         except WorkerDied:
@@ -565,14 +560,18 @@ class Shard:
             f"attempt(s)"
         ) from last_error
 
-    def _plan(self, nodes: np.ndarray, *, sparse: bool) -> _PendingBatch:
+    def _plan(
+        self, nodes: np.ndarray, *, sparse: bool, lost: bool = False
+    ) -> _PendingBatch:
         """Submit half of one batch: cache scan, then replica hand-off.
 
         Cache hits are resolved immediately (dense path densifies sparse
         entries on read, sparse path sparsifies dense entries — same
         values either way); the deduplicated misses are submitted via
         :meth:`_submit_compute`.  Nodes under a mid-rollout hold bypass
-        the cache in both directions.
+        the cache in both directions.  ``lost``: the request payload
+        never reached the shard — no cache scan, no compute, every row
+        sheds at finish time.
         """
         plan = _PendingBatch()
         plan.nodes = nodes
@@ -580,8 +579,14 @@ class Shard:
         plan.out = None if sparse else np.empty((nodes.size, self.num_nodes))
         plan.row_vecs = [None] * nodes.size if sparse else None
         plan.infos = [None] * nodes.size
-        held = self._held if self._held is not None else ()
         miss_rows: list[int] = []
+        plan.miss_rows = miss_rows
+        plan.failed = lost
+        plan.unique = plan.inverse = None
+        plan.replica = plan.future = None
+        if lost:
+            return plan
+        held = self._held if self._held is not None else ()
         if self.cache is not None:
             for i, u in enumerate(nodes.tolist()):
                 hit = None if u in held else self.cache.get(u)
@@ -601,11 +606,7 @@ class Shard:
                         plan.out[i] = hit
                     plan.infos[i] = RouteInfo(self.shard_id, -1, True, self.epoch)
         else:
-            miss_rows = list(range(nodes.size))
-        plan.miss_rows = miss_rows
-        plan.failed = False
-        plan.unique = plan.inverse = None
-        plan.replica = plan.future = None
+            miss_rows.extend(range(nodes.size))
         if miss_rows:
             rows = np.asarray(miss_rows, dtype=np.int64)
             plan.unique, plan.inverse = np.unique(
@@ -619,21 +620,6 @@ class Shard:
                 if not self._degrade:
                     raise
                 plan.failed = True  # finish serves degraded/shed rows
-        return plan
-
-    def _plan_lost(self, nodes: np.ndarray, *, sparse: bool) -> _PendingBatch:
-        """A batch whose request payload never reached the shard: no
-        cache scan, no compute — every row sheds at finish time."""
-        plan = _PendingBatch()
-        plan.nodes = nodes
-        plan.sparse = sparse
-        plan.out = None if sparse else np.empty((nodes.size, self.num_nodes))
-        plan.row_vecs = [None] * nodes.size if sparse else None
-        plan.infos = [None] * nodes.size
-        plan.miss_rows = []
-        plan.unique = plan.inverse = None
-        plan.replica = plan.future = None
-        plan.failed = True
         return plan
 
     def _finish(self, plan: _PendingBatch) -> tuple[Any, ...]:
@@ -749,22 +735,13 @@ class Shard:
             return rows_matrix([None] * n, self.num_nodes), new_infos
         return np.zeros((n, self.num_nodes)), new_infos
 
-    def _serve_dense(self, nodes: np.ndarray) -> tuple[np.ndarray, list[Any]]:
-        """Dense rows for ``nodes`` via cache + chosen replica (unmetered)."""
-        return self._finish(self._plan(nodes, sparse=False))
-
-    def _serve_sparse(self, nodes: np.ndarray) -> tuple[Any, ...]:
-        """Sparse rows for ``nodes`` via cache + chosen replica (unmetered)."""
-        return self._finish(self._plan(nodes, sparse=True))
-
-    def query_many_submit(
-        self, nodes: Sequence[int] | np.ndarray
+    def _submit(
+        self, nodes: Sequence[int] | np.ndarray, *, sparse: bool
     ) -> _PendingBatch:
-        """Start one routed dense batch: meter the request leg, scan the
-        cache and submit the misses; resolve with
-        :meth:`query_many_finish`.  The router submits to every shard
-        before finishing any, so shard workers overlap."""
+        """Start one routed batch: meter the request leg, scan the cache
+        and submit the misses."""
         nodes = validate_batch(nodes, self.num_nodes)
+        lost = False
         try:
             self._record_wire(
                 "router",
@@ -774,59 +751,56 @@ class Shard:
         except ReplicaUnavailable:
             if not self._degrade:
                 raise
-            return self._plan_lost(nodes, sparse=False)
-        return self._plan(nodes, sparse=False)
+            lost = True
+        return self._plan(nodes, sparse=sparse, lost=lost)
+
+    def _finish_metered(self, plan: _PendingBatch) -> tuple[Any, list[RouteInfo]]:
+        """Finish a submitted batch and meter the response leg: dense
+        ``8n``-byte rows, or each sparse row at its wire size
+        (``16 + 12·nnz`` bytes)."""
+        out, infos = self._finish(plan)
+        self.batches += 1
+        if plan.sparse:
+            num_bytes = (
+                WIRE_HEADER_BYTES * plan.nodes.size + WIRE_ENTRY_BYTES * out.nnz
+            )
+        else:
+            num_bytes = out.nbytes
+        try:
+            self._record_wire(f"shard-{self.shard_id}", "router", num_bytes)
+        except ReplicaUnavailable:
+            if not self._degrade:
+                raise
+            out, infos = self._shed_response(plan, infos)
+        return out, infos
+
+    def query_many_submit(
+        self, nodes: Sequence[int] | np.ndarray
+    ) -> _PendingBatch:
+        """Start one routed dense batch; resolve with
+        :meth:`query_many_finish`.  The router submits to every shard
+        before finishing any, so shard workers overlap."""
+        return self._submit(nodes, sparse=False)
 
     def query_many_finish(
         self, plan: _PendingBatch
     ) -> tuple[np.ndarray, list[RouteInfo]]:
         """Finish a batch from :meth:`query_many_submit`, metering the
         dense ``8n``-byte response rows."""
-        out, infos = self._finish(plan)
-        self.batches += 1
-        try:
-            self._record_wire(f"shard-{self.shard_id}", "router", out.nbytes)
-        except ReplicaUnavailable:
-            if not self._degrade:
-                raise
-            out, infos = self._shed_response(plan, infos)
-        return out, infos
+        return self._finish_metered(plan)
 
     def query_many_sparse_submit(
         self, nodes: Sequence[int] | np.ndarray
     ) -> _PendingBatch:
         """Sparse twin of :meth:`query_many_submit`."""
-        nodes = validate_batch(nodes, self.num_nodes)
-        try:
-            self._record_wire(
-                "router",
-                f"shard-{self.shard_id}",
-                NODE_ID_WIRE_BYTES * nodes.size,
-            )
-        except ReplicaUnavailable:
-            if not self._degrade:
-                raise
-            return self._plan_lost(nodes, sparse=True)
-        return self._plan(nodes, sparse=True)
+        return self._submit(nodes, sparse=True)
 
     def query_many_sparse_finish(self, plan: _PendingBatch) -> tuple[Any, ...]:
         """Finish a batch from :meth:`query_many_sparse_submit`, metering
-        each response row at its sparse wire size (``16 + 12·nnz``
-        bytes) — on pruned indexes a fraction of the dense ``8n``-byte
-        rows, which is the bandwidth win of the sparse pipeline."""
-        out, infos = self._finish(plan)
-        self.batches += 1
-        try:
-            self._record_wire(
-                f"shard-{self.shard_id}",
-                "router",
-                WIRE_HEADER_BYTES * plan.nodes.size + WIRE_ENTRY_BYTES * out.nnz,
-            )
-        except ReplicaUnavailable:
-            if not self._degrade:
-                raise
-            out, infos = self._shed_response(plan, infos)
-        return out, infos
+        each response row at its sparse wire size — on pruned indexes a
+        fraction of the dense ``8n``-byte rows, which is the bandwidth
+        win of the sparse pipeline."""
+        return self._finish_metered(plan)
 
     def query_many(
         self, nodes: Sequence[int] | np.ndarray
@@ -876,9 +850,10 @@ class Shard:
                 raise
             self.batches += 1
             return self._shed_topk(nodes, k, count_queries=True)
-        serve = self._serve_sparse if sparse else self._serve_dense
+        # Rows via cache + chosen replica, unmetered: only the k-cut ships.
         ids, scores, infos = topk_in_batches(
-            serve, nodes, k, self.num_nodes, batch, threshold,
+            lambda chunk: self._finish(self._plan(chunk, sparse=sparse)),
+            nodes, k, self.num_nodes, batch, threshold,
             kernels=self.kernels,
         )
         self.batches += 1

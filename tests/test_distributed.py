@@ -8,8 +8,12 @@ partitions without duplication, and pre-computation splits evenly.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import SparseVec
+from repro.core.flat_index import FlatShare, stack_ops
+from repro.core.hgpa import HGPAShare
 from repro.distributed import (
     CostModel,
     DistributedGPA,
@@ -239,6 +243,130 @@ class TestOwnershipPrecompute:
             assert dist_gpa.owner_map()[h] == mid
         for u, mid in dist_hgpa._leaf_owner.items():
             assert dist_hgpa.owner_map()[u] == mid
+
+
+def _assert_shares_sum_to(shares, index, nodes):
+    """The shares' rows sum to the index's rows (bitwise when there is one
+    share), their ``entries`` sum to the index's ``entries_processed``,
+    and each share's sparse form equals its own dense form."""
+    dense, stats = index.query_many(nodes)
+    parts = [share.evaluate(nodes, sparse=False, collect_stats=True) for share in shares]
+    total = sum(rows for rows, _ in parts)
+    if len(shares) == 1:
+        assert np.array_equal(total, dense)
+    np.testing.assert_allclose(total, dense, rtol=0, atol=1e-12)
+    entries = sum(counters[0] for _, counters in parts)
+    assert entries.tolist() == [s.entries_processed for s in stats]
+    for share, (rows, counters) in zip(shares, parts):
+        sparse_rows, sparse_counters = share.evaluate(
+            nodes, sparse=True, collect_stats=True
+        )
+        assert np.array_equal(sparse_rows.toarray(), rows)
+        assert np.array_equal(sparse_counters[:2], counters[:2])
+
+
+_SPLIT_SETTINGS = dict(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class TestHubSplits:
+    """A machine's answer is a share of one sum (Eq. 5, Theorem 4), not a
+    second algorithm: *any* split of the hubs and own vectors over the
+    machines — not just the runtimes' round-robin — sums to the index."""
+
+    @settings(**_SPLIT_SETTINGS)
+    @given(machines=st.integers(1, 5), seed=st.integers(0, 10_000))
+    def test_any_flat_split_sums_to_the_index(self, gpa_small, machines, seed):
+        index, rng = gpa_small, np.random.default_rng(seed)
+        n = index.graph.num_nodes
+        hub_machine = rng.integers(0, machines, index.hubs.size)
+        own_machine = rng.integers(0, machines, n)
+        stores = (index.hub_partials, index.node_partials)
+
+        def own_of(mid):
+            return lambda hub, u: (
+                stores[0 if hub else 1][u] if own_machine[u] == mid else None
+            )
+
+        shares = [
+            FlatShare(
+                stack_ops(
+                    index.hubs[hub_machine == mid],
+                    index.hub_partials,
+                    index.skeleton_cols,
+                    n,
+                ),
+                index.hubs,
+                own_of(mid),
+                index.alpha,
+            )
+            for mid in range(machines)
+        ]
+        nodes = rng.integers(0, n, 12)
+        nodes[:3] = rng.choice(index.hubs, 3)  # hub queries too
+        _assert_shares_sum_to(shares, index, nodes)
+
+    @settings(**_SPLIT_SETTINGS)
+    @given(machines=st.integers(1, 5), seed=st.integers(0, 10_000))
+    def test_any_hgpa_split_sums_to_the_index(self, hgpa_small, machines, seed):
+        index, rng = hgpa_small, np.random.default_rng(seed)
+        n = index.graph.num_nodes
+        own_machine = rng.integers(0, machines, n)  # hubs: their level's share
+        stores = (index.hub_partials, index.leaf_ppv)
+
+        def share_of(mid):
+            level_ops = {}
+            for sg in index.hierarchy.subgraphs:
+                owned = sg.hubs[own_machine[sg.hubs] == mid]
+                if owned.size:
+                    level_ops[sg.node_id] = stack_ops(
+                        owned, index.hub_partials, index.skeleton_cols, n
+                    )
+            return HGPAShare(
+                index.hierarchy,
+                level_ops.get,
+                lambda hub, u: (
+                    stores[0 if hub else 1][u] if own_machine[u] == mid else None
+                ),
+                index.alpha,
+                n,
+            )
+
+        hubs = np.asarray(sorted(index.hub_partials))
+        nodes = rng.integers(0, n, 12)
+        nodes[:3] = rng.choice(hubs, 3)  # hub queries too
+        _assert_shares_sum_to(
+            [share_of(mid) for mid in range(machines)], index, nodes
+        )
+
+    @settings(**_SPLIT_SETTINGS)
+    @given(machines=st.integers(1, 5), seed=st.integers(0, 10_000))
+    def test_batched_reports_equal_per_query_reports(
+        self, gpa_small, hgpa_small, machines, seed
+    ):
+        rng = np.random.default_rng(seed)
+        for index, runtime_cls in (
+            (gpa_small, DistributedGPA),
+            (hgpa_small, DistributedHGPA),
+        ):
+            runtime = runtime_cls(index, machines)
+            nodes = rng.integers(0, index.graph.num_nodes, 6)
+            out, reports = runtime.query_many(nodes)
+            _, sparse_reports = runtime.query_many_sparse(nodes)
+            np.testing.assert_allclose(
+                out, index.query_many(nodes)[0], rtol=0, atol=1e-12
+            )
+            for k, u in enumerate(nodes.tolist()):
+                vec, one = runtime.query(u)
+                np.testing.assert_allclose(vec, out[k], rtol=0, atol=1e-12)
+                for report in (reports[k], sparse_reports[k]):
+                    assert report.query == one.query == u
+                    assert report.per_machine_entries == one.per_machine_entries
+                    assert report.per_machine_bytes == one.per_machine_bytes
+                    assert report.communication_bytes == one.communication_bytes
 
 
 class TestDeployment:

@@ -24,16 +24,18 @@ import numpy as np
 import pytest
 
 from repro import datasets
-from repro.core import build_gpa_index
+from repro.core import build_gpa_index, build_hgpa_index
 from repro.core.updates import EdgeUpdate
 from repro.distributed import DistributedGPA, DistributedHGPA
 from repro.errors import ExecutionError, ShardingError, WorkerDied
 from repro.exec import (
     ProcessPoolBackend,
     SerialBackend,
-    SharedStackedOps,
     ShmArena,
+    stacked_ops_arrays,
 )
+from repro.exec.shm import build_ops_from_view
+from repro.graph import hierarchical_community_digraph
 from repro.sharding.router import ShardRouter
 
 
@@ -95,10 +97,11 @@ class TestArena:
     def test_shared_stacked_ops_roundtrip(self, gpa_small):
         part_csc, skel_csr, nnz_per_hub = gpa_small._ops()
         ops = (gpa_small.hubs, part_csc, skel_csr, nnz_per_hub)
-        arena, shared = SharedStackedOps.publish(ops, gpa_small.graph.num_nodes)
-        with arena:
-            back = pickle.loads(pickle.dumps(shared))
-            owned, got_csc, got_csr, got_nnz = back.ops
+        with ShmArena(stacked_ops_arrays(ops)) as arena:
+            descriptor = pickle.loads(pickle.dumps(arena.descriptor))
+            owned, got_csc, got_csr, got_nnz = build_ops_from_view(
+                descriptor.attach(), "", gpa_small.graph.num_nodes
+            )
             assert np.array_equal(owned, gpa_small.hubs)
             assert_csr_bitwise(got_csc, part_csc)
             assert_csr_bitwise(got_csr, skel_csr)
@@ -205,6 +208,53 @@ class TestBackendRegistry:
             assert not _shm_segments()
 
 
+    @pytest.mark.parametrize("family", ["gpa", "hgpa"])
+    def test_dropped_runtimes_release_their_states(self, request, family):
+        # The serial machine builder was a closure over the runtime, so
+        # the backend pinned every runtime it ever served (40 deployments
+        # left 80 machine states registered); on a pool the arenas stayed
+        # until it closed, under keys built from id().
+        index = request.getfixturevalue(f"{family}_small")
+        runtime_cls = DistributedGPA if family == "gpa" else DistributedHGPA
+        nodes = _query_nodes(index.graph.num_nodes, size=8, seed=3)
+        d0, _ = index.query_many(nodes)
+        serial = SerialBackend()
+        for _ in range(40):
+            runtime = runtime_cls(index, 2, backend=serial)
+            d1, _ = runtime.query_many(nodes)
+            assert np.array_equal(d1, runtime_cls(index, 2).query_many(nodes)[0])
+            np.testing.assert_allclose(d1, d0, rtol=0, atol=1e-12)
+            assert len(serial._builders) == len(serial._states) == 2
+            del runtime
+            gc.collect()
+            assert not serial._builders and not serial._states
+        with ProcessPoolBackend(2) as pool:
+            for _ in range(6):
+                runtime = runtime_cls(index, 2, backend=pool)
+                d2, _ = runtime.query_many(nodes)
+                assert np.array_equal(d1, d2)
+                assert len(pool._assignment) == len(pool._arenas) == 2
+                del runtime
+                gc.collect()
+                assert not pool._assignment and not pool._arenas
+                assert not _shm_segments()
+
+    def test_update_releases_the_old_deployment(self, gpa_small):
+        nodes = _query_nodes(gpa_small.graph.num_nodes, size=8, seed=4)
+        update = EdgeUpdate.insert(0, gpa_small.graph.num_nodes - 1)
+        with ProcessPoolBackend(2) as pool:
+            runtime = DistributedGPA(gpa_small, 2, backend=pool)
+            runtime.query_many(nodes)
+            before = set(pool._arenas)
+            assert runtime.apply_update(update).changed
+            assert not pool._assignment and not pool._arenas
+            d1, _ = runtime.query_many(nodes)
+            assert len(pool._arenas) == 2 and not before & set(pool._arenas)
+            serial = DistributedGPA(gpa_small, 2)
+            serial.apply_update(update)
+            assert np.array_equal(d1, serial.query_many(nodes)[0])
+
+
 _POOL_FIRST_SCRIPT = """
 import os
 from multiprocessing import resource_tracker
@@ -304,6 +354,39 @@ class TestRuntimeBitwise:
             assert np.array_equal(d0, d1)
             if receipt.changed:
                 assert all(info.epoch == 1 for info in infos)
+
+
+    @pytest.mark.parametrize("alpha", [0.15, 0.2, 0.85])
+    def test_one_machine_deployment_equals_its_index(self, alpha):
+        """An index *is* the one-machine deployment: same evaluator, every
+        hub owned, scaled by the same ``* (1/alpha)`` — so the answers are
+        bitwise equal for every alpha, on either backend, and so is a
+        pool-backed router over the index (``x / alpha`` on the machine
+        side used to differ from the index at alpha = 0.2)."""
+        g = hierarchical_community_digraph(
+            120, avg_out_degree=3, seed=4
+        ).with_dangling_policy("self_loop")
+        nodes = np.arange(0, 120, 5)
+        with ProcessPoolBackend(2) as pool:
+            for index, runtime_cls in (
+                (build_gpa_index(g, 3, alpha=alpha, tol=1e-6, seed=0), DistributedGPA),
+                (build_hgpa_index(g, alpha=alpha, tol=1e-6, seed=0), DistributedHGPA),
+            ):
+                dense, stats = index.query_many(nodes)
+                sparse, _ = index.query_many_sparse(nodes)
+                for backend in (None, pool):
+                    one = runtime_cls(index, 1, backend=backend)
+                    d1, reports = one.query_many(nodes)
+                    s1, _ = one.query_many_sparse(nodes)
+                    assert np.array_equal(d1, dense)
+                    assert_csr_bitwise(s1, sparse)
+                    assert [r.per_machine_entries for r in reports] == [
+                        [s.entries_processed] for s in stats
+                    ]
+                router = ShardRouter([[index, index]] * 2, backend=pool)
+                assert np.array_equal(router.query_many(nodes)[0], dense)
+                assert_csr_bitwise(router.query_many_sparse(nodes)[0], sparse)
+                router.close()
 
 
 class TestFailover:

@@ -312,16 +312,6 @@ class TestSparseOpsEquivalence:
         np.testing.assert_array_equal(fast.data, base.data)
         assert fast.has_sorted_indices and fast.has_canonical_format
 
-    def test_spgemm_divide_mode(self, backend):
-        rng = np.random.default_rng(7)
-        part = sp.random(4, 12, density=0.4, format="csc", rng=rng)
-        part.sort_indices()
-        w = _random_csr(rng, 10, 12, density=0.3)
-        base = spgemm_scaled(part, w, 0.15, divide=True, kernels="scipy")
-        fast = spgemm_scaled(part, w, 0.15, divide=True, kernels=backend)
-        np.testing.assert_array_equal(fast.data, base.data)
-        np.testing.assert_array_equal(fast.indices, base.indices)
-
     def test_add_bitwise_vs_scipy(self, backend):
         rng = np.random.default_rng(8)
         for fmt in ("csr", "csc"):

@@ -166,13 +166,15 @@ class TestEngineEquivalence:
         """Exactness must hold for any alpha, not just the 0.15 default.
 
         ``x / alpha`` and ``x * (1/alpha)`` round differently for most
-        alphas; every sparse path must use its dense twin's exact scaling
-        operation (the runtimes divide, the core indexes multiply).
+        alphas, so every path — dense or sparse, index or machine —
+        scales by multiplying with ``1/alpha``.  That makes sparse equal
+        dense everywhere, and a one-machine deployment equal its index.
         """
         g = hierarchical_community_digraph(
             120, avg_out_degree=3, seed=4
         ).with_dangling_policy("self_loop")
-        for alpha in (0.2, 0.85):
+        queries = np.arange(0, 120, 5)
+        for alpha in (0.15, 0.2, 0.85):
             gpa = build_gpa_index(g, 3, alpha=alpha, tol=1e-6, seed=0)
             hgpa = build_hgpa_index(g, alpha=alpha, tol=1e-6, seed=0)
             engines = [
@@ -181,11 +183,21 @@ class TestEngineEquivalence:
                 DistributedGPA(gpa, 3),
                 DistributedHGPA(hgpa, 3),
             ]
-            queries = np.arange(0, 120, 5)
             for engine in engines:
                 dense, _ = engine.query_many(queries)
                 sparse, _ = engine.query_many_sparse(queries)
                 _assert_exact(sparse, dense)
+            for index, one in (
+                (gpa, DistributedGPA(gpa, 1)),
+                (hgpa, DistributedHGPA(hgpa, 1)),
+            ):
+                dense, _ = index.query_many(queries)
+                sparse, _ = index.query_many_sparse(queries)
+                assert np.array_equal(one.query_many(queries)[0], dense)
+                got, _ = one.query_many_sparse(queries)
+                assert np.array_equal(got.indptr, sparse.indptr)
+                assert np.array_equal(got.indices, sparse.indices)
+                assert np.array_equal(got.data, sparse.data)
 
 
 # ----------------------------------------------------------------------
