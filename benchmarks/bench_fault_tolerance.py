@@ -27,7 +27,7 @@ import os
 
 import numpy as np
 
-from repro.bench import ExperimentTable, gpa_index, results_dir, zipf_stream
+from repro.bench import ExperimentTable, gpa_index, result_path, zipf_stream
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.serving import PPVService, SimulatedClock
 from repro.sharding import RetryPolicy, ShardRouter
@@ -220,6 +220,6 @@ def test_fault_tolerance():
         },
         "rows": rows,
     }
-    out = results_dir() / "BENCH_fault_tolerance.json"
+    out = result_path("BENCH_fault_tolerance", ".json")
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")

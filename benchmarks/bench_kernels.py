@@ -12,7 +12,9 @@ picked — and the two results are asserted exactly equal on the way
 
 One end-to-end row repeats the comparison at the level users feel it:
 a pruned GPA index serving a ``query_many_sparse`` + ``query_many_topk``
-batch with its ``kernels`` field flipped between the two backends.
+batch with the process default (``REPRO_KERNELS`` + a refreshed probe —
+the one switch above the leaf functions) flipped between the two
+backends.
 
 With numba installed (the CI optional-deps job, ``REPRO_KERNELS=numba``)
 the recorded speedup must reach ≥ 2× on at least one hot kernel; without
@@ -38,14 +40,15 @@ from repro.bench import (
     ExperimentTable,
     gpa_index,
     kernel_backend_info,
-    results_dir,
+    result_path,
     zipf_stream,
 )
 from repro.core.decomposition import as_view, partial_vectors
 from repro.core.flat_index import topk_rows
 from repro.core.power_iteration import power_iteration_ppv
 from repro.core.sparse_ops import sparse_add, spgemm_scaled, topk_rows_sparse
-from repro.kernels import active_kernels
+from repro.kernels import active_kernels, probe
+from repro.kernels.capability import ENV_VAR
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 DATASET = "email" if SMOKE else "web"
@@ -178,27 +181,37 @@ def _micro_rows() -> list[dict]:
 
 
 def _end_to_end_row() -> dict:
-    """The whole-stack flip: one pruned GPA index, ``kernels`` switched."""
+    """The whole-stack flip: one pruned GPA index, the process default
+    switched the way ``tests/test_kernels.py`` switches it."""
     index = gpa_index(DATASET, 4, prune=1e-3)
     queries = zipf_stream(index.graph.num_nodes, BATCH, seed=11)
-    saved = index.kernels
+    saved = os.environ.get(ENV_VAR)
+    active = active_kernels().backend
 
-    def run(kern):
-        index.kernels = kern
+    def switch(backend):
+        if backend is None:
+            os.environ.pop(ENV_VAR, None)
+        else:
+            os.environ[ENV_VAR] = backend
+        probe(refresh=True)
+
+    def run():
         mat, _ = index.query_many_sparse(queries, collect_stats=False)
         ids, scores, _ = index.query_many_topk(queries, K)
         return mat, ids, scores
 
     try:
-        base = run("scipy")
-        fast = run(active_kernels())
+        switch("scipy")
+        base = run()
+        base_wall = _best_wall(run)
+        switch(active)
+        fast = run()
+        fast_wall = _best_wall(run)
         _assert_same_sparse(base[0], fast[0], "end_to_end sparse")
         np.testing.assert_array_equal(base[1], fast[1])
         np.testing.assert_array_equal(base[2], fast[2])
-        base_wall = _best_wall(lambda: run("scipy"))
-        fast_wall = _best_wall(lambda: run(active_kernels()))
     finally:
-        index.kernels = saved
+        switch(saved)
     return {
         "kernel": "end_to_end (sparse batch + topk)",
         "scipy_ms": base_wall * 1e3,
@@ -246,7 +259,7 @@ def test_kernel_dispatch_speedups():
         **info,
         "rows": rows,
     }
-    out = results_dir() / "BENCH_kernels.json"
+    out = result_path("BENCH_kernels", ".json")
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
 

@@ -18,8 +18,9 @@ dynamic-graph mode the serving stack opens up:
 Smoke mode (``REPRO_SMOKE=1``) shrinks the dataset and stream and skips
 the timing assertion, so CI exercises the full update pipeline on every
 push without timing flakiness.  Smoke tables are written apart
-(``results/*_smoke.txt``) so they never overwrite the full-scale
-recording, and every table names the environment that produced it.
+(``results/*_smoke.txt``, see :func:`repro.bench.result_path`) so they
+never overwrite the full-scale recording, and every table names the
+environment that produced it.
 """
 
 import os
@@ -45,7 +46,6 @@ REPLICAS = 2
 WINDOW_S = 0.005
 ARRIVAL_SPACING = 1e-4
 UPDATE_SECONDS = 0.01
-SUFFIX = " Smoke" if SMOKE else ""
 ENVIRONMENT = (
     f"environment: {'smoke' if SMOKE else 'full'} scale, "
     f"nproc={os.cpu_count()}, "
@@ -94,7 +94,7 @@ def test_incremental_update_vs_full_rebuild():
     backend = as_mutable_backend(index)
 
     table = ExperimentTable(
-        "Live Update Latency" + SUFFIX,
+        "Live Update Latency",
         f"GPA on {DATASET}: incremental edge updates vs full rebuild "
         f"({rebuild_s * 1e3:.0f} ms)",
         ["update", "latency (ms)", "rebuild_fraction", "affected", "speedup"],
@@ -164,7 +164,7 @@ def test_staggered_rollout_serving_dip():
         )
 
     table = ExperimentTable(
-        "Staggered Rollout Serving" + SUFFIX,
+        "Staggered Rollout Serving",
         f"PPVService over {NUM_SHARDS}x{REPLICAS} ShardRouter on {DATASET}: "
         "Zipf stream served across a one-replica-per-shard-at-a-time rollout",
         ["phase", "requests", "answered", "busy (s)", "modeled qps", "epoch"],

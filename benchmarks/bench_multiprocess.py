@@ -39,7 +39,7 @@ from repro.bench import (
     ExperimentTable,
     gpa_index,
     kernel_backend_info,
-    results_dir,
+    result_path,
     zipf_stream,
 )
 from repro.distributed import DistributedGPA
@@ -165,7 +165,7 @@ def test_multiprocess_backend():
         **kernel_backend_info(),
         "rows": rows,
     }
-    out = results_dir() / "BENCH_multiprocess.json"
+    out = result_path("BENCH_multiprocess", ".json")
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
 

@@ -50,7 +50,7 @@ from repro.bench import (
     gpa_index,
     hgpa_index,
     kernel_backend_info,
-    results_dir,
+    result_path,
     zipf_stream,
 )
 
@@ -185,7 +185,7 @@ def test_sparse_query_pipeline():
         **kernel_backend_info(),
         "rows": rows,
     }
-    out = results_dir() / "BENCH_sparse_queries.json"
+    out = result_path("BENCH_sparse_queries", ".json")
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
 

@@ -32,7 +32,6 @@ from repro.core.flat_index import (
 )
 from repro.core.sparse_ops import finalize_csr
 from repro.core.sparsevec import SparseVec
-from repro.kernels.dispatch import KernelsLike
 from repro.errors import IndexBuildError, QueryError
 from repro.graph.analysis import top_pagerank_nodes
 from repro.graph.digraph import DiGraph
@@ -59,9 +58,6 @@ class FastPPVIndex:
     hubs: np.ndarray
     hub_partials: dict[int, SparseVec] = field(default_factory=dict)
     hub_frontier: dict[int, SparseVec] = field(default_factory=dict)
-    #: Kernel bundle / backend name the query-time solves dispatch to
-    #: (``None`` = the process default from the capability probe).
-    kernels: KernelsLike = None
 
     def total_bytes(self) -> int:
         stores = (self.hub_partials, self.hub_frontier)
@@ -159,7 +155,6 @@ class FastPPVIndex:
             alpha=self.alpha,
             tol=self.tol,
             per_column=True,
-            kernels=self.kernels,
         )
         solve_each = (time.perf_counter() - t0) / nodes.size
         infos: list[FastPPVQueryInfo] = []
@@ -181,12 +176,7 @@ class FastPPVIndex:
         return out, infos
 
     def query_many_sparse(
-        self,
-        nodes: np.ndarray,
-        *,
-        max_expansions: int | None = None,
-        frontier_cutoff: float | None = None,
-        collect_stats: bool = True,
+        self, nodes: np.ndarray, *, collect_stats: bool = True
     ) -> tuple[sp.csr_matrix, list[FastPPVQueryInfo]]:
         """Batched approximate PPVs as a CSR ``(len(nodes), n)`` matrix.
 
@@ -198,22 +188,11 @@ class FastPPVIndex:
         indexes; this keeps FastPPV servable behind the same
         ``query_many_sparse`` capability.
         """
-        dense, infos = self.query_many(
-            nodes,
-            max_expansions=max_expansions,
-            frontier_cutoff=frontier_cutoff,
-            collect_stats=collect_stats,
-        )
+        dense, infos = self.query_many(nodes, collect_stats=collect_stats)
         return finalize_csr(sp.csr_matrix(dense), dense.shape), infos
 
     def query_topk(
-        self,
-        u: int,
-        k: int,
-        *,
-        threshold: float | None = None,
-        max_expansions: int | None = None,
-        frontier_cutoff: float | None = None,
+        self, u: int, k: int, *, threshold: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` of the approximate PPV of ``u``: ``(ids, scores)``.
 
@@ -223,11 +202,7 @@ class FastPPVIndex:
         ``-1`` / score ``0.0``).
         """
         ids, scores, _ = self.query_many_topk(
-            np.asarray([u]),
-            k,
-            threshold=threshold,
-            max_expansions=max_expansions,
-            frontier_cutoff=frontier_cutoff,
+            np.asarray([u]), k, threshold=threshold
         )
         return ids[0], scores[0]
 
@@ -238,8 +213,6 @@ class FastPPVIndex:
         *,
         batch: int = DEFAULT_BATCH,
         threshold: float | None = None,
-        max_expansions: int | None = None,
-        frontier_cutoff: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray, list[FastPPVQueryInfo]]:
         """Batched approximate top-``k`` without materialising full PPVs.
 
@@ -251,19 +224,7 @@ class FastPPVIndex:
         """
         n = self.graph.num_nodes
         nodes = validate_batch(nodes, n)
-        return topk_in_batches(
-            lambda chunk: self.query_many(
-                chunk,
-                max_expansions=max_expansions,
-                frontier_cutoff=frontier_cutoff,
-            ),
-            nodes,
-            k,
-            n,
-            batch,
-            threshold,
-            kernels=self.kernels,
-        )
+        return topk_in_batches(self.query_many, nodes, k, n, batch, threshold)
 
     def _expand_frontier(
         self,
@@ -316,19 +277,12 @@ def build_fastppv_index(
     tol: float = 1e-4,
     prune: float | None = None,
     batch: int = 256,
-    kernels: KernelsLike = None,
 ) -> FastPPVIndex:
     """Pre-compute the FastPPV index with the top-``num_hubs`` PageRank hubs."""
     if num_hubs < 1:
         raise IndexBuildError("num_hubs must be >= 1")
     hubs = np.unique(top_pagerank_nodes(graph, num_hubs, alpha=alpha))
-    index = FastPPVIndex(
-        graph=graph,
-        alpha=alpha,
-        tol=tol,
-        hubs=hubs,
-        kernels=kernels,
-    )
+    index = FastPPVIndex(graph=graph, alpha=alpha, tol=tol, hubs=hubs)
     cutoff = tol if prune is None else prune
     view = as_view(graph)
     for lo in range(0, hubs.size, batch):

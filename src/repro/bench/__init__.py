@@ -8,6 +8,7 @@ from repro.bench.harness import (
     hgpa_index,
     jw_index,
     kernel_backend_info,
+    result_path,
     results_dir,
     time_queries,
     zipf_stream,
@@ -16,6 +17,7 @@ from repro.bench.harness import (
 __all__ = [
     "ExperimentTable",
     "results_dir",
+    "result_path",
     "hgpa_index",
     "gpa_index",
     "jw_index",

@@ -32,6 +32,7 @@ from repro.kernels import active_kernels
 __all__ = [
     "ExperimentTable",
     "results_dir",
+    "result_path",
     "hgpa_index",
     "gpa_index",
     "jw_index",
@@ -48,6 +49,17 @@ def results_dir() -> Path:
     path = Path(os.environ.get("REPRO_RESULTS", Path(__file__).resolve().parents[3] / "results"))
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def result_path(name: str, suffix: str) -> Path:
+    """Where a benchmark persists ``name`` — table or JSON alike.
+
+    Under ``REPRO_SMOKE=1`` the stem gains ``_smoke``, so a smoke run
+    (CI, or the CI commands run locally) never overwrites the committed
+    full-scale result of the same name.
+    """
+    smoke = "_smoke" if os.environ.get("REPRO_SMOKE") == "1" else ""
+    return results_dir() / f"{name}{smoke}{suffix}"
 
 
 @dataclass
@@ -85,7 +97,7 @@ class ExperimentTable:
         text = self.render()
         print("\n" + text)
         safe = self.experiment.lower().replace(" ", "_").replace("/", "-")
-        (results_dir() / f"{safe}.txt").write_text(text + "\n", encoding="utf-8")
+        result_path(safe, ".txt").write_text(text + "\n", encoding="utf-8")
 
 
 def kernel_backend_info() -> dict[str, object]:

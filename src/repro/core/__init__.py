@@ -12,15 +12,17 @@ from repro.core.decomposition import (
 from repro.core.flat_index import FlatPPVIndex, QueryStats
 from repro.core.gpa import GPAIndex, build_gpa_index
 from repro.core.hgpa import HGPAIndex, build_hgpa_ad_index, build_hgpa_index
-from repro.core.incremental import UpdateStats, delete_edge, insert_edge
 from repro.core.updates import (
     EdgeUpdate,
     UpdateBatch,
     UpdateReceipt,
+    UpdateStats,
     affected_sources,
     apply_edge_update,
     apply_update_batch,
+    delete_edge,
     delete_edge_flat,
+    insert_edge,
     insert_edge_flat,
 )
 from repro.core.jw import JWIndex, build_jw_index

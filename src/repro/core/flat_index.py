@@ -58,7 +58,6 @@ __all__ = [
     "query_stats",
     "csr_row_dense",
     "find_sorted",
-    "hub_weights",
     "validate_batch",
     "run_in_batches",
     "topk_rows",
@@ -283,7 +282,6 @@ def topk_in_batches(
     num_nodes: int,
     batch: int = DEFAULT_BATCH,
     threshold: float | None = None,
-    kernels: KernelsLike = None,
 ) -> tuple[np.ndarray, np.ndarray, list[Any]]:
     """Chunked top-k reduction over a ``query_many``-style callable.
 
@@ -309,26 +307,9 @@ def topk_in_batches(
         sl = slice(lo, min(lo + step, nodes.size))
         chunk, meta = query_many_fn(nodes[sl])
         reduce = topk_rows_sparse if sp.issparse(chunk) else topk_rows
-        ids[sl], scores[sl] = reduce(
-            chunk, k_eff, threshold=threshold, kernels=kernels
-        )
+        ids[sl], scores[sl] = reduce(chunk, k_eff, threshold=threshold)
         metas.extend(meta)
     return ids, scores, metas
-
-
-def hub_weights(
-    skel_csr: sp.csr_matrix, hubs: np.ndarray, u: int, alpha: float
-) -> np.ndarray:
-    """Eq. 4/Eq. 5 hub weights ``s_u(h) − α·f_u(h)`` over stacked columns.
-
-    ``skel_csr`` holds one skeleton column per hub of ``hubs`` (any
-    subset: a whole hub set, one hierarchy level, one machine's share).
-    """
-    weights = csr_row_dense(skel_csr, u)
-    rows, pos = find_sorted(hubs, np.asarray([u]))
-    if rows.size:
-        weights[pos[0]] -= alpha
-    return weights
 
 
 StackedOps = tuple[np.ndarray, sp.csc_matrix, sp.csr_matrix, np.ndarray]
@@ -378,21 +359,26 @@ class HubShare:
     a ``(3, batch)`` int64 block of ``entries_processed`` /
     ``vectors_used`` / ``skeleton_lookups`` (else ``None``).  The two
     forms agree bitwise; dense is quicker on small batches, sparse on
-    large ones, and the caller's requested result form picks.
+    large ones, and the caller's requested result form picks.  ``row``
+    is the same algebra for one node — a skeleton-row slice and one
+    ``CSC @ vector`` product — which beats both batch bodies at one row
+    and is what every single-row read runs.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        own: OwnLookup,
-        alpha: float,
-        kernels: KernelsLike = None,
-    ) -> None:
+    def __init__(self, num_nodes: int, own: OwnLookup, alpha: float) -> None:
         self.num_nodes = int(num_nodes)
         self.own = own
         self.alpha = alpha
         self.inv_alpha = 1.0 / alpha
-        self.kernels = kernels
+
+    def row(
+        self, u: int, collect_stats: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """This share of one query: the dense ``n``-vector and, when
+        ``collect_stats``, four int64 counters — the three ``dense``
+        reports for the node, then the stored skeleton entries read,
+        which is what ``sparse`` charges as its lookups."""
+        raise NotImplementedError
 
     def dense(
         self, nodes: np.ndarray, collect_stats: bool
@@ -416,10 +402,19 @@ class HubShare:
 
         ``batch`` bounds the intermediates at ``batch × n`` floats per
         buffer (``None`` = one product for the whole request).  A sparse
-        result is canonical: sorted, explicit zeros dropped.
+        result is canonical: sorted, explicit zeros dropped.  A request
+        of one node is :meth:`row` in the requested form — same bits,
+        same counters, without the batch bodies' fixed cost.
         """
         n = self.num_nodes
         nodes = validate_batch(nodes, n)
+        if nodes.size == 1:
+            vec, counted = self.row(int(nodes[0]), collect_stats)
+            if counted is not None:
+                counted = counted[[0, 1, 3 if sparse else 2], np.newaxis]
+            if sparse:
+                return rows_matrix([SparseVec.from_dense(vec)], n), counted
+            return vec[np.newaxis], counted
         body = self.sparse if sparse else self.dense
         step = max(1, nodes.size if batch is None else batch)
         out: Any
@@ -463,6 +458,19 @@ class HubShare:
                 counters[0, k] += vec.nnz
                 counters[1, k] += 1
             yield vec
+
+    def _add_own_row(
+        self, acc: np.ndarray, u: int, hub: bool, counters: np.ndarray | None
+    ) -> None:
+        """:meth:`_add_own_dense` for one query."""
+        vec = self.own(hub, u)
+        if vec is not None:
+            vec.add_into(acc)
+            if hub:
+                acc[u] += self.alpha
+            if counters is not None:
+                counters[0] += vec.nnz
+                counters[1] += 1
 
     def _add_own_dense(
         self,
@@ -514,9 +522,8 @@ class FlatShare(HubShare):
         all_hubs: np.ndarray,
         own: OwnLookup,
         alpha: float,
-        kernels: KernelsLike = None,
     ) -> None:
-        super().__init__(ops[1].shape[0], own, alpha, kernels)
+        super().__init__(ops[1].shape[0], own, alpha)
         self.ops = ops
         self.all_hubs = all_hubs
 
@@ -524,6 +531,30 @@ class FlatShare(HubShare):
         flags = np.zeros(nodes.size, dtype=bool)
         flags[find_sorted(self.all_hubs, nodes)[0]] = True
         return flags
+
+    def row(
+        self, u: int, collect_stats: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        owned, part_csc, skel_csr, nnz_per_hub = self.ops
+        counters = np.zeros(4, dtype=np.int64) if collect_stats else None
+        one = np.asarray([u])
+        if owned.size:
+            weights = csr_row_dense(skel_csr, u)
+            hits, pos = find_sorted(owned, one)
+            if hits.size:
+                weights[pos[0]] -= self.alpha  # the f_u(h) adjustment
+            acc = part_csc @ (weights * self.inv_alpha)
+            if counters is not None:
+                used = weights != 0.0
+                counters[0] = nnz_per_hub[used].sum()
+                counters[1] = np.count_nonzero(used)
+                counters[2] = owned.size
+                counters[3] = skel_csr.indptr[u + 1] - skel_csr.indptr[u]
+        else:
+            acc = np.zeros(self.num_nodes)
+        hub = bool(find_sorted(self.all_hubs, one)[0].size)
+        self._add_own_row(acc, u, hub, counters)
+        return acc, counters
 
     def dense(
         self, nodes: np.ndarray, collect_stats: bool
@@ -553,9 +584,7 @@ class FlatShare(HubShare):
             raw = skel_csr[nodes]
             hub_rows, pos = find_sorted(owned, nodes)
             weights = subtract_at(raw, hub_rows, pos[hub_rows], self.alpha)
-            out = spgemm_scaled(
-                part_csc, weights, self.inv_alpha, kernels=self.kernels
-            ).T.tocsr()
+            out = spgemm_scaled(part_csc, weights, self.inv_alpha).T.tocsr()
             if counters is not None:
                 counters[1], counters[0] = weight_row_stats(weights, nnz_per_hub)
                 # Sparse-aware accounting: this path never touches the
@@ -566,9 +595,9 @@ class FlatShare(HubShare):
         else:
             out = sp.csr_matrix((nodes.size, self.num_nodes))
         own, alpha_pts = self._own_sparse(nodes, self._hub_flags(nodes), counters)
-        out = sparse_add(out, own, kernels=self.kernels)
+        out = sparse_add(out, own)
         if alpha_pts is not None:
-            out = sparse_add(out, alpha_pts, kernels=self.kernels)
+            out = sparse_add(out, alpha_pts)
         return out, counters
 
 
@@ -585,9 +614,6 @@ class FlatPPVIndex:
     skeleton_cols: dict[int, SparseVec] = field(default_factory=dict)
     node_partials: dict[int, SparseVec] = field(default_factory=dict)
     build_cost: dict[tuple[Any, ...], float] = field(default_factory=dict)
-    #: Kernel bundle / backend name the index's hot loops dispatch to
-    #: (``None`` = the process default from the capability probe).
-    kernels: KernelsLike = None
     _ops_cache: FlatShare | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
@@ -621,17 +647,11 @@ class FlatPPVIndex:
                 lambda hub, u: (hub_store if hub else node_store)[u],
                 self.alpha,
             )
-        share.kernels = self.kernels  # may be switched between calls
         return share
 
     def _ops(self) -> tuple[sp.csc_matrix, sp.csr_matrix, np.ndarray]:
         """Cached (stacked hub-partial CSC, stacked skeleton CSR, nnz/hub)."""
         return self._share().ops[1:]
-
-    def _hub_weights(self, u: int) -> np.ndarray:
-        """Eq. 4 hub weights ``s_u(h) − α·f_u(h)`` for every hub."""
-        _, skel_csr, _ = self._ops()
-        return hub_weights(skel_csr, self.hubs, u, self.alpha)
 
     def _add_own_term(
         self, u: int, acc: np.ndarray, stats: QueryStats | None
@@ -657,19 +677,9 @@ class FlatPPVIndex:
         """PPV of ``u`` plus work counters, via the vectorised fast path."""
         if not 0 <= u < self.graph.num_nodes:
             raise QueryError(f"query node {u} out of range")
-        stats = QueryStats()
-        if self.hubs.size:
-            part_csc, _, nnz_per_hub = self._ops()
-            weights = self._hub_weights(u)
-            acc = part_csc @ (weights * (1.0 / self.alpha))
-            used = weights != 0.0
-            stats.skeleton_lookups = int(self.hubs.size)
-            stats.vectors_used = int(np.count_nonzero(used))
-            stats.entries_processed = int(nnz_per_hub[used].sum())
-        else:
-            acc = np.zeros(self.graph.num_nodes)
-        self._add_own_term(u, acc, stats)
-        return acc, stats
+        acc, counters = self._share().row(u, True)
+        assert counters is not None
+        return acc, QueryStats(*counters[:3].tolist())
 
     def query_many(
         self,
@@ -759,7 +769,6 @@ class FlatPPVIndex:
             n,
             batch,
             threshold,
-            kernels=self.kernels,
         )
 
     def query_reference(self, u: int) -> tuple[np.ndarray, QueryStats]:
@@ -818,7 +827,7 @@ def build_vectors(
     """Solve, sparsify and store one vector per node of ``sources`` on ``view``.
 
     The one precompute loop of every index family (an object with
-    ``alpha``/``tol``/``prune``/``kernels``/``build_cost``), full builds
+    ``alpha``/``tol``/``prune``/``build_cost``), full builds
     and incremental updates alike.  Without ``hub_local`` the vectors are
     skeleton columns ``s_·(h)``; with it, partial vectors blocked by those
     local hub ids (empty = full local PPVs), stored as ``P_h = p_h − α·x_h``
@@ -839,7 +848,6 @@ def build_vectors(
             cols, _ = partial_vectors(
                 view, hub_local, chunk,
                 alpha=index.alpha, tol=index.tol, per_column=True,
-                kernels=index.kernels,
             )
         per_col = (time.perf_counter() - t0) / chunk.size
         if adjust:

@@ -23,7 +23,6 @@ from repro.core.flat_index import (
 from repro.errors import IndexBuildError
 from repro.graph.digraph import DiGraph
 from repro.graph.subgraph import VirtualSubgraph
-from repro.kernels.dispatch import KernelsLike
 from repro.partition.flat import FlatPartition, flat_partition
 
 __all__ = ["GPAIndex", "build_gpa_index"]
@@ -52,7 +51,6 @@ def build_gpa_index(
     cover_method: str = "auto",
     batch: int = BUILD_BATCH,
     partition: FlatPartition | None = None,
-    kernels: KernelsLike = None,
 ) -> GPAIndex:
     """Pre-compute the GPA index over an ``num_parts``-way partition.
 
@@ -72,7 +70,6 @@ def build_gpa_index(
         prune=tol if prune is None else prune,
         hubs=partition.hubs,
         partition=partition,
-        kernels=kernels,
     )
     # Hub partial vectors and skeleton columns live on the whole graph: a
     # hub's neighbourhood spans the subgraphs it bridges, and skeleton

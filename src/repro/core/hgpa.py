@@ -52,7 +52,6 @@ from repro.core.sparse_ops import (
     zero_rows_in_columns,
 )
 from repro.core.sparsevec import SparseVec
-from repro.kernels.dispatch import KernelsLike
 from repro.errors import IndexBuildError, QueryError
 from repro.graph.digraph import DiGraph
 from repro.partition.hierarchy import (
@@ -83,11 +82,47 @@ class HGPAShare(HubShare):
         own: OwnLookup,
         alpha: float,
         num_nodes: int,
-        kernels: KernelsLike = None,
     ) -> None:
-        super().__init__(num_nodes, own, alpha, kernels)
+        super().__init__(num_nodes, own, alpha)
         self.hierarchy = hierarchy
         self.level_ops = level_ops
+
+    def row(
+        self, u: int, collect_stats: bool
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        counters = np.zeros(4, dtype=np.int64) if collect_stats else None
+        acc = np.zeros(self.num_nodes)
+        chain = self.hierarchy.chain(u)
+        u_is_hub = self.hierarchy.is_hub(u)
+        for sg in chain:
+            ops = self.level_ops(sg.node_id) if sg.hubs.size else None
+            if ops is None:
+                continue
+            owned, part_csc, skel_csr, nnz_per_hub = ops
+            raw = csr_row_dense(skel_csr, u)
+            weights = raw
+            own_level = u_is_hub and sg is chain[-1]
+            if own_level:
+                # A hub query at its own level: the f_u(h) adjustment.
+                hits, pos = find_sorted(owned, np.asarray([u]))
+                if hits.size:
+                    weights = raw.copy()
+                    weights[pos[0]] -= self.alpha
+            contrib = part_csc @ (weights * self.inv_alpha)
+            if not own_level:
+                # Port repair, as in ``dense``.
+                if owned.size < sg.hubs.size:
+                    contrib[sg.hubs] = 0.0
+                contrib[owned] = raw
+            acc += contrib
+            if counters is not None:
+                used = weights != 0.0
+                counters[0] += nnz_per_hub[used].sum()
+                counters[1] += np.count_nonzero(used)
+                counters[2] += owned.size
+                counters[3] += skel_csr.indptr[u + 1] - skel_csr.indptr[u]
+        self._add_own_row(acc, u, u_is_hub, counters)
+        return acc, counters
 
     def dense(
         self, nodes: np.ndarray, collect_stats: bool
@@ -165,9 +200,7 @@ class HGPAShare(HubShare):
                 weights = subtract_at(
                     raw, own_rows[hits], pos[hits], self.alpha
                 )
-            level = spgemm_scaled(
-                part_csc, weights, self.inv_alpha, kernels=self.kernels
-            )
+            level = spgemm_scaled(part_csc, weights, self.inv_alpha)
             rest = np.nonzero(~own_arr)[0]
             if rest.size:
                 # Port repair, sparse form: the dense overwrite splits
@@ -196,9 +229,7 @@ class HGPAShare(HubShare):
                 # skeleton lookups at this level — the dense path scans
                 # (and is charged) the level's full hub set.
                 counters[2, cols] += np.diff(raw.indptr)
-        acc = fold_depth_blocks(
-            by_depth, ports, nodes.size, n, kernels=self.kernels
-        )
+        acc = fold_depth_blocks(by_depth, ports, nodes.size, n)
         if acc is None:
             out = sp.csr_matrix((nodes.size, n))
         else:
@@ -206,9 +237,9 @@ class HGPAShare(HubShare):
             inv_order[order] = np.arange(order.size)
             out = acc.T.tocsr()[inv_order]
         own, alpha_pts = self._own_sparse(nodes, hub_flags, counters)
-        out = sparse_add(out, own, kernels=self.kernels)
+        out = sparse_add(out, own)
         if alpha_pts is not None:
-            out = sparse_add(out, alpha_pts, kernels=self.kernels)
+            out = sparse_add(out, alpha_pts)
         return out, counters
 
 
@@ -232,9 +263,6 @@ class HGPAIndex:
     skeleton_cols: dict[int, SparseVec] = field(default_factory=dict)
     leaf_ppv: dict[int, SparseVec] = field(default_factory=dict)
     build_cost: dict[tuple[Any, ...], float] = field(default_factory=dict)
-    #: Kernel bundle / backend name the index's hot loops dispatch to
-    #: (``None`` = the process default from the capability probe).
-    kernels: KernelsLike = None
     _level_ops_cache: dict[int, StackedOps] = field(default_factory=dict, repr=False)
     _share_cache: HGPAShare | None = field(default=None, repr=False)
 
@@ -250,32 +278,7 @@ class HGPAIndex:
         """
         if not 0 <= u < self.graph.num_nodes:
             raise QueryError(f"query node {u} out of range")
-        n = self.graph.num_nodes
-        acc = np.zeros(n)
-        chain = self.hierarchy.chain(u)
-        u_is_hub = self.hierarchy.is_hub(u)
-        inv_alpha = 1.0 / self.alpha
-        for sg in chain:
-            if sg.hubs.size == 0:
-                continue
-            hubs, part_csc, skel_csr, _ = self._share().level_ops(sg.node_id)
-            weights = csr_row_dense(skel_csr, u)
-            own_level = u_is_hub and sg is chain[-1]
-            if own_level:
-                adjusted = weights.copy()
-                pos = int(np.searchsorted(hubs, u))
-                adjusted[pos] -= self.alpha
-                acc += part_csc @ (adjusted * inv_alpha)
-            else:
-                snapshot = acc[hubs].copy()
-                acc += part_csc @ (weights * inv_alpha)
-                acc[hubs] = snapshot + weights  # port repair (see below)
-        if u_is_hub:
-            self.hub_partials[u].add_into(acc)
-            acc[u] += self.alpha
-        else:
-            self.leaf_ppv[u].add_into(acc)
-        return acc
+        return self._share().row(u, False)[0]
 
     def _share(self) -> HGPAShare:
         """The cached evaluator over every level: the index is the
@@ -307,7 +310,6 @@ class HGPAIndex:
                 self.alpha,
                 n,
             )
-        share.kernels = self.kernels  # may be switched between calls
         return share
 
     def invalidate_cache(self) -> None:
@@ -396,10 +398,7 @@ class HGPAIndex:
         """
         n = self.graph.num_nodes
         nodes = validate_batch(nodes, n)
-        return topk_in_batches(
-            self.query_many, nodes, k, n, batch, threshold,
-            kernels=self.kernels,
-        )
+        return topk_in_batches(self.query_many, nodes, k, n, batch, threshold)
 
     def query_detailed(self, u: int) -> tuple[np.ndarray, QueryStats]:
         """PPV of ``u`` plus work counters (Eq. 6 evaluation).
@@ -552,7 +551,6 @@ def build_hgpa_index(
     seed: int = 0,
     cover_method: str = "auto",
     batch: int = BUILD_BATCH,
-    kernels: KernelsLike = None,
 ) -> HGPAIndex:
     """Pre-compute the full HGPA index.
 
@@ -578,7 +576,6 @@ def build_hgpa_index(
         alpha=alpha,
         tol=tol,
         prune=tol if prune is None else prune,
-        kernels=kernels,
     )
     for sg in hierarchy.subgraphs:
         build_subgraph_vectors(index, sg, batch)

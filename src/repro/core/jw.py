@@ -20,7 +20,6 @@ from repro.core.flat_index import (
 from repro.errors import IndexBuildError
 from repro.graph.analysis import top_pagerank_nodes
 from repro.graph.digraph import DiGraph
-from repro.kernels.dispatch import KernelsLike
 
 __all__ = ["JWIndex", "build_jw_index"]
 
@@ -38,7 +37,6 @@ def build_jw_index(
     tol: float = 1e-4,
     prune: float | None = None,
     batch: int = BUILD_BATCH,
-    kernels: KernelsLike = None,
 ) -> JWIndex:
     """Pre-compute the PPV-JW index.
 
@@ -57,7 +55,6 @@ def build_jw_index(
         tol=tol,
         prune=tol if prune is None else prune,
         hubs=hubs,
-        kernels=kernels,
     )
     view = full_view(graph)
     # Hub ids are local ids: the full view's mapping is the identity.

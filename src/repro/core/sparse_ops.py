@@ -237,8 +237,6 @@ def fold_depth_blocks(
     ports: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
     total_cols: int,
     n: int,
-    *,
-    kernels: KernelsLike = None,
 ) -> sp.csc_matrix | None:
     """Merge depth-bucketed level-term blocks into one ``(n, total_cols)``
     CSC accumulator — the shared core of both HGPA sparse batch paths.
@@ -268,9 +266,8 @@ def fold_depth_blocks(
                     (n, total_cols),
                     fmt="csc",
                 ),
-                kernels=kernels,
             )
-        acc = mat if acc is None else sparse_add(acc, mat, kernels=kernels)
+        acc = mat if acc is None else sparse_add(acc, mat)
     return acc
 
 

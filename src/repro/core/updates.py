@@ -7,11 +7,11 @@ stack builds on:
 * :class:`EdgeUpdate` / :class:`UpdateBatch` — the update wire format, a
   declarative ``insert``/``delete`` of one edge (or a sequence of them).
 * :func:`apply_edge_update` — functional update of any mutable index
-  (:class:`~repro.core.hgpa.HGPAIndex` via the hierarchical chain rebuild
-  of :mod:`repro.core.incremental`; :class:`~repro.core.flat_index.
-  FlatPPVIndex` families via the affected-column path below).  The old
-  index stays valid — staggered rollouts serve the old epoch from it
-  while replicas flip one at a time.
+  (:class:`~repro.core.hgpa.HGPAIndex` via the hierarchical chain
+  rebuild, :class:`~repro.core.flat_index.FlatPPVIndex` families via the
+  affected-column path, both below).  The old index stays valid —
+  staggered rollouts serve the old epoch from it while replicas flip one
+  at a time.
 * :class:`UpdateReceipt` — what every layer above passes around: whether
   anything changed, the epoch the change produced (filled in by whichever
   layer owns the counter), the *affected sources* report, and the exact
@@ -45,6 +45,25 @@ rebuild over the same partition — the property the serving stack's
 1e-12 update-vs-rebuild contract rests on.  A GPA insert that crosses two
 parts without touching a hub violates the separator invariant; the repair
 mirrors the hierarchical one: ``u`` is promoted into the hub set.
+
+Hierarchical (HGPA) incremental path
+------------------------------------
+Only the vectors whose defining subgraph actually changed are rebuilt:
+
+* An edge ``u → v`` only alters walks that *leave* ``u``, so the affected
+  subgraphs are exactly those containing ``u`` — the chain from the root to
+  ``u``'s leaf (or hub level).  Sibling subgraphs keep their vectors.
+* Insertion can violate the separator invariant: if ``u`` and ``v`` sit in
+  different children of some subgraph ``S`` and neither is a hub of ``S``,
+  tours could now bypass ``H(S)``.  The repair promotes ``u`` into ``H(S)``
+  at the shallowest violated level (removing it from all deeper levels),
+  after which no deeper violation from this edge is possible — a hub's
+  out-edges never cross inside a child.
+* Deletion never breaks separation (it can only leave hubs that are no
+  longer necessary, which is harmless), so it is promotion-free.
+
+The returned index is a new object sharing all untouched vectors with the
+old one; the old index stays valid for the old graph.
 """
 
 from __future__ import annotations
@@ -58,17 +77,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.flat_index import FlatPPVIndex, build_vectors, full_view
-from repro.core.hgpa import HGPAIndex
-from repro.core.incremental import (
-    UpdateStats,
-    check_endpoints,
-    delete_edge,
-    insert_edge,
-)
+from repro.core.hgpa import HGPAIndex, build_subgraph_vectors
 from repro.errors import GraphError, UpdateError
 from repro.graph.digraph import DiGraph
 from repro.graph.subgraph import VirtualSubgraph
 from repro.partition.flat import FlatPartition
+from repro.partition.hierarchy import PartitionHierarchy, SubgraphNode
 
 __all__ = [
     "INSERT",
@@ -76,10 +90,13 @@ __all__ = [
     "UPDATE_WIRE_BYTES",
     "EdgeUpdate",
     "UpdateBatch",
+    "UpdateStats",
     "UpdateReceipt",
     "affected_sources",
     "apply_edge_update",
     "apply_update_batch",
+    "insert_edge",
+    "delete_edge",
     "insert_edge_flat",
     "delete_edge_flat",
 ]
@@ -142,6 +159,35 @@ class UpdateBatch:
 
     def __len__(self) -> int:
         return len(self.updates)
+
+
+@dataclass(frozen=True)
+class UpdateStats:
+    """What one incremental update had to do.
+
+    ``rebuilt_keys`` / ``dropped_keys`` are the store keys (``("hub", h)``,
+    ``("skel", h)``, ``("leaf", u)``, ``("part", u)``) an index update
+    recomputed / removed-without-replacement — the precise delta a
+    deployed runtime must re-ship to the machines owning those vectors.
+    ``affected_subgraphs`` lists the hierarchy subgraph ids rebuilt (empty
+    for flat indexes).
+    """
+
+    changed: bool
+    promoted_hub: int | None
+    rebuilt_subgraphs: int
+    rebuilt_vectors: int
+    total_vectors: int
+    rebuilt_keys: frozenset[Any] = frozenset()
+    dropped_keys: frozenset[Any] = frozenset()
+    affected_subgraphs: tuple[Any, ...] = ()
+
+    @property
+    def rebuild_fraction(self) -> float:
+        """Share of stored vectors that had to be recomputed."""
+        if self.total_vectors == 0:
+            return 0.0
+        return self.rebuilt_vectors / self.total_vectors
 
 
 @dataclass(frozen=True)
@@ -227,45 +273,57 @@ def affected_sources(graph: DiGraph, u: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Flat-index (PPV-JW / GPA) incremental path.
+# The prologue every incremental path shares.
 # ----------------------------------------------------------------------
-def _flat_noop(index: FlatPPVIndex) -> UpdateStats:
-    total = (
-        len(index.hub_partials)
-        + len(index.skeleton_cols)
-        + len(index.node_partials)
-    )
-    return UpdateStats(False, None, 0, 0, total)
+def _updated_graph(
+    graph: DiGraph, u: int, v: int, *, insert: bool
+) -> DiGraph | None:
+    """``graph`` with edge ``(u, v)`` inserted or deleted, or ``None``
+    when that changes nothing (already present / already absent).
 
-
-def _flat_update(
-    index: FlatPPVIndex, u: int, v: int, *, insert: bool
-) -> tuple[FlatPPVIndex, UpdateStats]:
-    graph = index.graph
+    Out-of-range endpoints are a *graph* error (the edge cannot exist in
+    this graph), not a malformed query: both directions are validated
+    and the offending edge is named.  A delete may not strand its source.
+    """
     n = graph.num_nodes
-    check_endpoints(graph, u, v)
+    for name, node in (("source", u), ("target", v)):
+        if not 0 <= node < n:
+            raise GraphError(
+                f"edge ({u}, {v}): {name} node {node} not in graph "
+                f"(num_nodes={n})"
+            )
+    if graph.has_edge(u, v) == insert:
+        return None
+    src, dst = graph.edge_arrays()
     if insert:
-        if graph.has_edge(u, v):
-            return index, _flat_noop(index)
+        src, dst = np.concatenate([src, [u]]), np.concatenate([dst, [v]])
     else:
-        if not graph.has_edge(u, v):
-            return index, _flat_noop(index)
         if graph.out_degree(u) == 1:
             raise GraphError(
                 f"removing ({u}, {v}) would leave node {u} dangling; "
                 "normalise the graph first"
             )
-    src, dst = graph.edge_arrays()
-    if insert:
-        new_graph = DiGraph.from_arrays(
-            n,
-            np.concatenate([src, [u]]),
-            np.concatenate([dst, [v]]),
-            name=graph.name,
-        )
-    else:
         keep = ~((src == u) & (dst == v))
-        new_graph = DiGraph.from_arrays(n, src[keep], dst[keep], name=graph.name)
+        src, dst = src[keep], dst[keep]
+    return DiGraph.from_arrays(n, src, dst, name=graph.name)
+
+
+def _stored_vectors(index: HGPAIndex | FlatPPVIndex) -> int:
+    own = index.leaf_ppv if isinstance(index, HGPAIndex) else index.node_partials
+    return len(index.hub_partials) + len(index.skeleton_cols) + len(own)
+
+
+# ----------------------------------------------------------------------
+# Flat-index (PPV-JW / GPA) incremental path.
+# ----------------------------------------------------------------------
+def _flat_update(
+    index: FlatPPVIndex, u: int, v: int, *, insert: bool
+) -> tuple[FlatPPVIndex, UpdateStats]:
+    graph = index.graph
+    n = graph.num_nodes
+    new_graph = _updated_graph(graph, u, v, insert=insert)
+    if new_graph is None:
+        return index, UpdateStats(False, None, 0, 0, _stored_vectors(index))
 
     hubs = index.hubs
     hub_mask = np.zeros(n, dtype=bool)
@@ -374,17 +432,12 @@ def _flat_update(
             )
         rebuilt |= {("part", int(w)) for w in stale_parts.tolist()}
 
-    total = (
-        len(new_index.hub_partials)
-        + len(new_index.skeleton_cols)
-        + len(new_index.node_partials)
-    )
     stats = UpdateStats(
         changed=True,
         promoted_hub=promoted,
         rebuilt_subgraphs=0,
         rebuilt_vectors=len(rebuilt),
-        total_vectors=total,
+        total_vectors=_stored_vectors(new_index),
         rebuilt_keys=frozenset(rebuilt),
         dropped_keys=frozenset(dropped - rebuilt),
     )
@@ -406,6 +459,176 @@ def delete_edge_flat(
 
 
 # ----------------------------------------------------------------------
+# Hierarchical (HGPA) incremental path.
+# ----------------------------------------------------------------------
+def _contains(sorted_arr: np.ndarray, value: int) -> bool:
+    pos = np.searchsorted(sorted_arr, value)
+    return bool(pos < sorted_arr.size and sorted_arr[pos] == value)
+
+
+def _remove_value(sorted_arr: np.ndarray, value: int) -> np.ndarray:
+    pos = np.searchsorted(sorted_arr, value)
+    if pos < sorted_arr.size and sorted_arr[pos] == value:
+        return np.delete(sorted_arr, pos)
+    return sorted_arr
+
+
+def _insert_value(sorted_arr: np.ndarray, value: int) -> np.ndarray:
+    pos = np.searchsorted(sorted_arr, value)
+    if pos < sorted_arr.size and sorted_arr[pos] == value:
+        return sorted_arr
+    return np.insert(sorted_arr, pos, value)
+
+
+def _clone_subgraphs(hierarchy: PartitionHierarchy) -> list[SubgraphNode]:
+    return [
+        SubgraphNode(
+            node_id=sg.node_id,
+            level=sg.level,
+            nodes=sg.nodes.copy(),
+            parent=sg.parent,
+            hubs=sg.hubs.copy(),
+            children=list(sg.children),
+        )
+        for sg in hierarchy.subgraphs
+    ]
+
+
+def _rebuild(
+    old: HGPAIndex,
+    new_graph: DiGraph,
+    subgraphs: list[SubgraphNode],
+    affected_ids: list[int],
+    promoted: int | None,
+    dropped_keys: set[tuple[Any, ...]],
+) -> tuple[HGPAIndex, UpdateStats]:
+    """Assemble the new index, recomputing only affected subgraphs."""
+    hierarchy = PartitionHierarchy(new_graph, subgraphs, old.hierarchy.fanout)
+    index = HGPAIndex(
+        graph=new_graph,
+        hierarchy=hierarchy,
+        alpha=old.alpha,
+        tol=old.tol,
+        prune=old.prune,
+        hub_partials=dict(old.hub_partials),
+        skeleton_cols=dict(old.skeleton_cols),
+        leaf_ppv=dict(old.leaf_ppv),
+        build_cost=dict(old.build_cost),
+    )
+    # Drop every stored vector owned by an affected subgraph (old layout),
+    # plus explicitly invalidated keys (e.g. the promoted node's old role).
+    rebuilt_vectors = 0
+    for sid in affected_ids:
+        sg_old = old.hierarchy.subgraphs[sid]
+        for h in sg_old.hubs.tolist():
+            dropped_keys.add(("hub", h))
+            dropped_keys.add(("skel", h))
+        if sg_old.is_leaf:
+            for node in sg_old.nodes.tolist():
+                dropped_keys.add(("leaf", node))
+    # Only keys that actually existed in the old stores count as dropped:
+    # a promoted node's old roles are invalidated defensively (a hub
+    # moving levels never had a leaf vector), and phantom keys would send
+    # the distributed runtimes' targeted re-deploy after vectors no
+    # machine ever owned.
+    present: set[tuple[Any, ...]] = set()
+    for kind, key in sorted(dropped_keys):
+        store = {
+            "hub": index.hub_partials,
+            "skel": index.skeleton_cols,
+            "leaf": index.leaf_ppv,
+        }[kind]
+        if store.pop(key, None) is not None:
+            present.add((kind, key))
+        index.build_cost.pop((kind, key), None)
+    # Recompute the affected subgraphs against the new graph.
+    rebuilt_keys: set[tuple[Any, ...]] = set()
+    for sid in affected_ids:
+        sg = subgraphs[sid]
+        build_subgraph_vectors(index, sg)
+        rebuilt_vectors += 2 * sg.hubs.size
+        for h in sg.hubs.tolist():
+            rebuilt_keys.add(("hub", h))
+            rebuilt_keys.add(("skel", h))
+        if sg.is_leaf and sg.num_nodes:
+            rebuilt_vectors += sg.num_nodes
+            for node in sg.nodes.tolist():
+                rebuilt_keys.add(("leaf", node))
+    stats = UpdateStats(
+        changed=True,
+        promoted_hub=promoted,
+        rebuilt_subgraphs=len(affected_ids),
+        rebuilt_vectors=rebuilt_vectors,
+        total_vectors=_stored_vectors(index),
+        rebuilt_keys=frozenset(rebuilt_keys),
+        dropped_keys=frozenset(present - rebuilt_keys),
+        affected_subgraphs=tuple(affected_ids),
+    )
+    return index, stats
+
+
+def _repair_separator(
+    subgraphs: list[SubgraphNode], chain_ids: list[int], u: int, v: int
+) -> bool:
+    """Promote ``u`` into the hub set of the shallowest subgraph of its
+    chain where the new edge ``u → v`` crosses children without touching
+    a hub (and out of every deeper level); ``False`` = no violation."""
+    for sid in chain_ids:
+        sg = subgraphs[sid]
+        if sg.is_leaf or _contains(sg.hubs, u) or _contains(sg.hubs, v):
+            continue
+        child_of_u = child_of_v = None
+        for cid in sg.children:
+            child = subgraphs[cid]
+            if _contains(child.nodes, u):
+                child_of_u = cid
+            if _contains(child.nodes, v):
+                child_of_v = cid
+        if child_of_u is None or child_of_v is None or child_of_u == child_of_v:
+            continue
+        sg.hubs = _insert_value(sg.hubs, u)
+        for deeper_id in chain_ids[chain_ids.index(sid) + 1 :]:
+            deeper = subgraphs[deeper_id]
+            deeper.nodes = _remove_value(deeper.nodes, u)
+            deeper.hubs = _remove_value(deeper.hubs, u)
+        return True
+    return False
+
+
+def _hgpa_update(
+    index: HGPAIndex, u: int, v: int, *, insert: bool
+) -> tuple[HGPAIndex, UpdateStats]:
+    new_graph = _updated_graph(index.graph, u, v, insert=insert)
+    if new_graph is None:
+        return index, UpdateStats(False, None, 0, 0, _stored_vectors(index))
+    subgraphs = _clone_subgraphs(index.hierarchy)
+    chain_ids = [sg.node_id for sg in index.hierarchy.chain(u)]
+    # Removal cannot break the separator invariant; an insert may.
+    promoted = insert and _repair_separator(subgraphs, chain_ids, u, v)
+    dropped: set[tuple[Any, ...]] = (
+        {("leaf", u), ("hub", u), ("skel", u)} if promoted else set()
+    )
+    affected = [sid for sid in chain_ids if subgraphs[sid].num_nodes > 0]
+    return _rebuild(
+        index, new_graph, subgraphs, affected, u if promoted else None, dropped
+    )
+
+
+def insert_edge(index: HGPAIndex, u: int, v: int) -> tuple[HGPAIndex, UpdateStats]:
+    """Return a new index for ``graph + (u → v)``, rebuilt minimally."""
+    return _hgpa_update(index, u, v, insert=True)
+
+
+def delete_edge(index: HGPAIndex, u: int, v: int) -> tuple[HGPAIndex, UpdateStats]:
+    """Return a new index for ``graph − (u → v)``, rebuilt minimally.
+
+    Removal cannot break the separator invariant; hubs that are no longer
+    strictly necessary are kept (correct, merely conservative).
+    """
+    return _hgpa_update(index, u, v, insert=False)
+
+
+# ----------------------------------------------------------------------
 # The uniform entry point.
 # ----------------------------------------------------------------------
 def apply_edge_update(
@@ -420,17 +643,16 @@ def apply_edge_update(
     """
     if not isinstance(update, EdgeUpdate):
         raise UpdateError(f"expected an EdgeUpdate, got {update!r}")
+    fn: Any
     if isinstance(index, HGPAIndex):
-        fn = insert_edge if update.op == INSERT else delete_edge
-        new_index, stats = fn(index, update.u, update.v)
+        fn = _hgpa_update
     elif isinstance(index, FlatPPVIndex):
-        new_index, stats = _flat_update(
-            index, update.u, update.v, insert=update.op == INSERT
-        )
+        fn = _flat_update
     else:
         raise UpdateError(
             f"{type(index).__name__} does not support incremental edge updates"
         )
+    new_index, stats = fn(index, update.u, update.v, insert=update.op == INSERT)
     affected = (
         affected_sources(new_index.graph, update.u)
         if stats.changed

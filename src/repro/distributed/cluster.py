@@ -1,10 +1,19 @@
-"""Cluster plumbing shared by the distributed GPA and HGPA runtimes."""
+"""The distributed runtime: everything DistributedGPA and DistributedHGPA share.
+
+A runtime is an index family's hub sum split over simulated machines
+(Eq. 5, Theorem 4), so construction, the one-round query protocol — per
+query and batched — live updates, ownership maps and the deployment-wide
+metrics are written once, here, over each machine's
+:class:`~repro.core.flat_index.HubShare`.  A subclass is a *placement*:
+where hubs and own vectors go, how its stacked-ops cache is keyed and
+invalidated, and how a machine's share is built.
+"""
 
 from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -12,6 +21,7 @@ import scipy.sparse as sp
 
 from repro.core.flat_index import (
     DEFAULT_BATCH,
+    HubShare,
     StackedOps,
     run_in_batches,
     stack_columns,
@@ -24,10 +34,17 @@ from repro.core.sparse_ops import (
     sparse_in_batches,
 )
 from repro.core.sparsevec import SparseVec
+from repro.core.updates import (
+    UPDATE_WIRE_BYTES,
+    EdgeUpdate,
+    UpdateReceipt,
+    UpdateStats,
+    apply_edge_update,
+)
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.machine import Machine
 from repro.distributed.network import DEFAULT_COST_MODEL, CostModel
-from repro.errors import ClusterError
+from repro.errors import ClusterError, QueryError
 from repro.exec.backend import ExecLease, ExecutionBackend, SerialBackend
 from repro.exec.states import ShareHost
 
@@ -84,39 +101,141 @@ def _stack_shared(
     return sp.csc_matrix((val, idx, indptr), shape=(n, len(cols))), idx
 
 
-@dataclass
 class ClusterBase:
-    """Machines + coordinator + cost model, with deployment-wide metrics."""
+    """An index deployed over simulated share-nothing machines.
 
-    num_nodes: int
-    machines: list[Machine] = field(default_factory=list)
-    coordinator: Coordinator | None = None
-    cost_model: CostModel = DEFAULT_COST_MODEL
-    wire_version: int = 1
+    Subclasses name their own-vector store in ``OWN`` and supply
+    :meth:`_deploy`, :meth:`_hub_load`, :meth:`_restack`,
+    :meth:`_machine_share` and :meth:`_machine_builder`.
+    """
 
-    def init_cluster(self, num_machines: int) -> None:
+    #: ``(store-key kind, index attribute)`` of the family's own vectors:
+    #: the node partials of GPA, the leaf PPVs of HGPA.
+    OWN: tuple[str, str]
+
+    def __init__(
+        self,
+        index: Any = None,
+        num_machines: int = 0,
+        *,
+        cost_model: CostModel = DEFAULT_COST_MODEL,
+        backend: ExecutionBackend | None = None,
+        wire_version: int = 1,
+        num_nodes: int | None = None,
+    ) -> None:
+        """Deploy ``index`` over ``num_machines`` machines.
+
+        ``backend`` runs the machines' shares (``None`` → a private
+        serial one).  Machine states register lazily under the lease's
+        process-wide uid and are released with it: by
+        :meth:`_reset_exec` when an update changes the deployment —
+        stale worker states (and their shared arenas) are dropped before
+        the next batch registers fresh ones — or by the garbage
+        collector when the runtime is dropped.
+
+        Without an index only the protocol plumbing exists — ``num_nodes``
+        is given, machines and coordinator are the caller's to assign —
+        which is enough for :meth:`_finish_query`.
+        """
+        self.num_nodes = int(
+            num_nodes if index is None else index.graph.num_nodes
+        )
+        self.machines: list[Machine] = []
+        self.coordinator: Coordinator | None = None
+        self.cost_model = cost_model
+        self.wire_version = wire_version
+        if index is None:
+            return
         if num_machines < 1:
             raise ClusterError("need at least one machine")
+        self.index = index
+        self.epoch = 0
         self.machines = [
-            Machine(machine_id=i, wire_version=self.wire_version)
+            Machine(machine_id=i, wire_version=wire_version)
             for i in range(num_machines)
         ]
         self.coordinator = Coordinator(num_nodes=self.num_nodes)
-
-    # ----- execution seam ----------------------------------------------
-    def init_exec(self, backend: ExecutionBackend | None) -> None:
-        """Adopt an execution backend (``None`` → a private serial one).
-
-        Machine states register lazily under the lease's process-wide
-        uid and are released with it: by :meth:`_reset_exec` when an
-        update changes the deployment — stale worker states (and their
-        shared arenas) are dropped before the next batch registers fresh
-        ones — or by the garbage collector when the runtime is dropped.
-        """
         self._backend = backend if backend is not None else SerialBackend()
         self._lease = ExecLease(self, self._backend)
         self._exec_keys: dict[int, tuple[str, int, int]] = {}
+        self._hub_owner: dict[int, int] = {}
+        self._own_owner: dict[int, int] = {}
+        self._deploy()
 
+    # ----- placement ----------------------------------------------------
+    def _deploy(self) -> None:
+        """Place every vector of the index: hubs through
+        :meth:`_deploy_hubs`, own vectors through :meth:`_deploy_own`."""
+        raise NotImplementedError
+
+    def _deploy_hubs(self, mid: int, owned: np.ndarray) -> None:
+        """Machine ``mid`` takes the hubs ``owned``: each travels with its
+        adjusted partial vector *and* its skeleton column, so every
+        hub-weight lookup at query time is machine-local."""
+        index, machine = self.index, self.machines[mid]
+        stores = (("hub", index.hub_partials), ("skel", index.skeleton_cols))
+        for h in owned.tolist():
+            for kind, store in stores:
+                machine.put(
+                    (kind, h),
+                    store[h],
+                    build_seconds=index.build_cost.get((kind, h), 0.0),
+                )
+            self._hub_owner[h] = mid
+
+    def _deploy_own(self, mid: int, u: int) -> None:
+        """Machine ``mid`` takes the own vector of non-hub node ``u``."""
+        kind, attr = self.OWN
+        self.machines[mid].put(
+            (kind, u),
+            getattr(self.index, attr)[u],
+            build_seconds=self.index.build_cost.get((kind, u), 0.0),
+        )
+        self._own_owner[u] = mid
+
+    def _hub_load(self, mid: int) -> int:
+        """Hubs machine ``mid`` owns (ranks machines for a promoted hub)."""
+        raise NotImplementedError
+
+    def _restack(self, stats: UpdateStats, machines: set[int]) -> None:
+        """After an update changed hub vectors on ``machines``: re-slice
+        the owned hub sets from :attr:`_hub_owner` and drop the stacked
+        ops built over the old ones (``self.index`` is the new index)."""
+        raise NotImplementedError
+
+    def _owners_of(self, hubs: np.ndarray) -> np.ndarray:
+        """The owning machine of each hub of ``hubs`` (``-1`` = none)."""
+        return np.asarray(
+            [self._hub_owner.get(h, -1) for h in hubs.tolist()], dtype=np.int64
+        )
+
+    def owner_map(self) -> np.ndarray:
+        """Machine owning each node's own vector: ``(n,)`` array, ``-1``
+        where no machine holds one (never happens after a full deploy).
+
+        Hubs map to their hub-vector owner, everything else to its
+        own-vector owner — the affinity map a sharded serving layer
+        routes by (see :mod:`repro.sharding`).
+        """
+        owners = np.full(self.num_nodes, -1, dtype=np.int64)
+        for owner_dict in (self._own_owner, self._hub_owner):
+            if owner_dict:
+                keys = np.fromiter(owner_dict, dtype=np.int64, count=len(owner_dict))
+                vals = np.fromiter(
+                    owner_dict.values(), dtype=np.int64, count=len(owner_dict)
+                )
+                owners[keys] = vals
+        return owners
+
+    def validate_deployment(self) -> None:
+        """Every hub and own vector placed exactly once."""
+        if set(self._hub_owner) != set(self.index.hub_partials):
+            raise ClusterError("hub ownership incomplete")
+        kind, attr = self.OWN
+        if set(self._own_owner) != set(getattr(self.index, attr)):
+            raise ClusterError(f"{kind} ownership incomplete")
+
+    # ----- execution seam ----------------------------------------------
     def _reset_exec(self) -> None:
         self._lease.release()
         self._exec_keys.clear()
@@ -130,10 +249,17 @@ class ClusterBase:
             self._lease.register(key, self._machine_builder(mid))
         return key
 
+    def _machine_share(self, mid: int, u: int | None = None) -> HubShare:
+        """Machine ``mid``'s evaluator, in-process over the runtime's live
+        ops and store — without a strong reference to the runtime.  With
+        ``u``, every stacked-ops block a query of ``u`` reads exists on
+        return: one-time work the caller keeps out of its timed region."""
+        raise NotImplementedError
+
     def _machine_builder(self, mid: int) -> Callable[[], ShareHost]:
-        """A builder for machine ``mid``'s :class:`ShareHost`: in-process
-        over the runtime's live ops and store — without a strong
-        reference to the runtime — or picklable over a shared arena."""
+        """A builder for machine ``mid``'s :class:`ShareHost`: around
+        :meth:`_machine_share` for a local backend, else picklable over
+        a shared arena."""
         raise NotImplementedError
 
     # ----- deployment-wide metrics (Figs. 11 and 12) -------------------
@@ -156,17 +282,13 @@ class ClusterBase:
         return sum(m.offline_seconds for m in self.machines)
 
     # ----- stacked query ops --------------------------------------------
-    def _stack_ops(
-        self, owned: np.ndarray, *, machine: Machine | None = None
-    ) -> StackedOps:
-        """Stacked (owned, partial CSC, skeleton CSR, nnz-per-hub) ops.
+    def _stack_ops(self, mid: int, owned: np.ndarray) -> StackedOps:
+        """Stacked (owned, partial CSC, skeleton CSR, nnz-per-hub) ops of
+        the hubs ``owned`` on machine ``mid`` — the shared body of the
+        families' lazy ``_ops_for`` builders.
 
-        The shared body of both runtimes' lazy ``_ops_for`` builders;
-        relies on the subclass carrying its index (with ``hub_partials``
-        / ``skeleton_cols`` stores) as ``self.index``.
-
-        When ``machine`` is given, the machine's stored **hub partials**
-        are rebound as read-only views into the stacked CSC's own buffers
+        The machine's stored **hub partials** are rebound as read-only
+        views into the stacked CSC's own buffers
         (``np.shares_memory``-asserted by the tests): the CSC *is* the
         query op, so the store's copy of every partial becomes free.
         The skeleton side cannot share — its query form is the row-sliced
@@ -175,41 +297,43 @@ class ClusterBase:
         and the CSR copy remains the price of matmul-form skeleton
         lookups.
         """
-        index = self.index
+        index, store = self.index, self.machines[mid].store
         parts = [index.hub_partials[h] for h in owned.tolist()]
         skels = [index.skeleton_cols[h] for h in owned.tolist()]
         part_csc, part_idx = _stack_shared(parts, self.num_nodes)
         skel_csr = stack_columns(skels, self.num_nodes).tocsr()
-        if machine is not None:
-            pp = part_csc.indptr
-            for j, h in enumerate(owned.tolist()):
-                machine.store[("hub", h)] = SparseVec(
-                    part_idx[pp[j] : pp[j + 1]],
-                    part_csc.data[pp[j] : pp[j + 1]],
-                    _trusted=True,
-                )
+        pp = part_csc.indptr
+        for j, h in enumerate(owned.tolist()):
+            store[("hub", h)] = SparseVec(
+                part_idx[pp[j] : pp[j + 1]],
+                part_csc.data[pp[j] : pp[j + 1]],
+                _trusted=True,
+            )
         return (owned, part_csc, skel_csr, np.diff(part_csc.indptr))
 
-    # ----- ownership ----------------------------------------------------
-    def _owners_to_map(self, *owner_dicts: dict[int, int]) -> np.ndarray:
-        """Merge node→machine dicts into one ``(n,)`` owner array.
-
-        Unowned nodes are ``-1``; later dicts win on (impossible, but
-        defensive) overlap.  This is the runtimes' ``owner_map()``
-        product — the partition-affinity seam the sharded serving layer
-        routes by.
-        """
-        owners = np.full(self.num_nodes, -1, dtype=np.int64)
-        for owner_dict in owner_dicts:
-            if owner_dict:
-                keys = np.fromiter(owner_dict, dtype=np.int64, count=len(owner_dict))
-                vals = np.fromiter(
-                    owner_dict.values(), dtype=np.int64, count=len(owner_dict)
-                )
-                owners[keys] = vals
-        return owners
-
     # ----- the one-round query protocol --------------------------------
+    def query(self, u: int) -> tuple[np.ndarray, QueryReport]:
+        """Distributed PPV of ``u`` plus the paper's per-query metrics.
+
+        Every machine's share is computed here, in the calling process,
+        one after the other and each under its own timer — this is the
+        paper-metric verb; batches are the serving path.
+        """
+        if not 0 <= u < self.num_nodes:
+            raise QueryError(f"query node {u} out of range")
+        partials: dict[int, np.ndarray] = {}
+        walls: dict[int, float] = {}
+        for machine in self.machines:
+            machine.reset_query_counters()
+            mid = machine.machine_id
+            share = self._machine_share(mid, u)
+            t0 = time.perf_counter()
+            partials[mid], counters = share.row(u, True)
+            walls[mid] = machine.query_seconds = time.perf_counter() - t0
+            assert counters is not None
+            machine.query_entries = int(counters[0])
+        return self._finish_query(u, partials, walls)
+
     def _query_batch(
         self, nodes: np.ndarray, *, sparse: bool, collect_stats: bool
     ) -> tuple[Any, list[QueryReport]]:
@@ -365,3 +489,75 @@ class ClusterBase:
             per_machine_bytes=[len(payloads[mid]) for mid in mids],
             communication_bytes=comm_bytes,
         )
+
+    # ----- live updates --------------------------------------------------
+    def apply_update(self, update: EdgeUpdate) -> UpdateReceipt:
+        """Apply one edge update, re-deploying only affected machines.
+
+        The index is updated incrementally; every rebuilt vector ships
+        to the machine already owning it — metered coordinator→machine
+        like any other traffic — dropped vectors (a promoted node's old
+        role) leave their owners, and only the stacked ops
+        :meth:`_restack` names are invalidated: untouched ones keep
+        serving from their cached CSC/CSR.  A hub promoted by the update
+        goes to the machine owning the fewest hubs (deterministic, ties
+        to the lowest id).  Bumps the deployment epoch when anything
+        changed.
+        """
+        new_index, receipt = apply_edge_update(self.index, update)
+        if not receipt.changed:
+            return receipt.at_epoch(self.epoch)
+        assert self.coordinator is not None
+        meter = self.coordinator.meter
+        stats = receipt.stats
+        own_kind, own_attr = self.OWN
+        owners = {
+            "hub": self._hub_owner,
+            "skel": self._hub_owner,
+            own_kind: self._own_owner,
+        }
+        stores = {
+            "hub": new_index.hub_partials,
+            "skel": new_index.skeleton_cols,
+            own_kind: getattr(new_index, own_attr),
+        }
+        touched: set[int] = set()
+        restack: set[int] = set()  # machines whose hub vectors changed
+        for key in sorted(stats.dropped_keys):
+            mid = owners[key[0]][key[1]]
+            self.machines[mid].drop(key)
+            touched.add(mid)
+            if key[0] != own_kind:
+                restack.add(mid)
+        for kind, node in sorted(stats.dropped_keys):
+            if kind != "skel":  # a hub's two vectors share one owner entry
+                owners[kind].pop(node, None)
+        for key in sorted(stats.rebuilt_keys):
+            kind, node = key
+            mid = owners[kind].get(node)
+            if mid is None:
+                if kind == own_kind:  # pragma: no cover - updates never add nodes
+                    raise ClusterError(f"no owner for rebuilt vector {key}")
+                mid = self._hub_owner[node] = min(
+                    range(self.num_machines),
+                    key=lambda m: (self._hub_load(m), m),
+                )
+            if kind != own_kind:
+                restack.add(mid)
+            machine, vec = self.machines[mid], stores[kind][node]
+            cost = new_index.build_cost.get(key, 0.0)
+            if machine.has(key):
+                machine.replace(key, vec, build_seconds=cost)
+            else:
+                machine.put(key, vec, build_seconds=cost)
+            meter.record("coordinator", f"machine-{mid}", vec.wire_bytes)
+            touched.add(mid)
+        for mid in sorted(touched):
+            meter.record("coordinator", f"machine-{mid}", UPDATE_WIRE_BYTES)
+        self.index = new_index
+        self._restack(stats, restack)
+        self.epoch += 1
+        # Drop registered machine states (and their shared arenas): the
+        # next batch re-registers against the updated deployment.
+        self._reset_exec()
+        return receipt.at_epoch(self.epoch)

@@ -40,7 +40,6 @@ from repro.exec.shm import (
     build_ops_from_view,
     stacked_ops_arrays,
 )
-from repro.kernels.dispatch import resolve_kernels
 
 __all__ = [
     "ShareHost",
@@ -176,18 +175,11 @@ def flat_share_arrays(
 
 @dataclass(frozen=True)
 class FlatShareBuilder:
-    """Picklable recipe for a worker-side :class:`FlatShare`.
-
-    ``kernel_backend`` carries the kernel choice across the process
-    boundary as a plain backend *name* (bundles hold compiled callables
-    and never pickle); ``None`` lets the worker's own capability probe
-    decide.
-    """
+    """Picklable recipe for a worker-side :class:`FlatShare`."""
 
     descriptor: ArenaDescriptor
     alpha: float
     num_nodes: int
-    kernel_backend: str | None = None
 
     def __call__(self) -> ShareHost:
         view = self.descriptor.attach()
@@ -199,7 +191,6 @@ class FlatShareBuilder:
                 view.arrays["all_hubs"],
                 lambda _hub, u: own.get(u),
                 self.alpha,
-                self.kernel_backend,
             )
         )
 
@@ -221,15 +212,13 @@ def hgpa_share_arrays(
 
 @dataclass(frozen=True)
 class HGPAShareBuilder:
-    """Picklable recipe for a worker-side :class:`HGPAShare`
-    (``kernel_backend`` as in :class:`FlatShareBuilder`)."""
+    """Picklable recipe for a worker-side :class:`HGPAShare`."""
 
     descriptor: ArenaDescriptor
     sids: tuple[int, ...]
     hierarchy: HierarchyHandle
     alpha: float
     num_nodes: int
-    kernel_backend: str | None = None
 
     def __call__(self) -> ShareHost:
         view = self.descriptor.attach()
@@ -247,7 +236,6 @@ class HGPAShareBuilder:
                 lambda _hub, u: own.get(u),
                 self.alpha,
                 self.num_nodes,
-                self.kernel_backend,
             )
         )
 
@@ -275,7 +263,6 @@ def engine_builder(query_backend: Any, exec_backend: Any) -> Any:
     ):
         return None
     share = engine._share()
-    kernel_backend = resolve_kernels(engine.kernels).backend
     if isinstance(share, FlatShare):
         descriptor = exec_backend.memo_arena(
             engine,
@@ -283,9 +270,7 @@ def engine_builder(query_backend: Any, exec_backend: Any) -> Any:
                 share.ops, share.all_hubs, engine.node_partials
             ),
         )
-        return FlatShareBuilder(
-            descriptor, share.alpha, share.num_nodes, kernel_backend
-        )
+        return FlatShareBuilder(descriptor, share.alpha, share.num_nodes)
     sids = tuple(sg.node_id for sg in engine.hierarchy.subgraphs if sg.hubs.size)
     descriptor = exec_backend.memo_arena(
         engine,
@@ -299,5 +284,4 @@ def engine_builder(query_backend: Any, exec_backend: Any) -> Any:
         HierarchyHandle(engine.hierarchy),
         share.alpha,
         share.num_nodes,
-        kernel_backend,
     )

@@ -9,9 +9,12 @@ every dispatching call site funnels through:
 
 * ``None``     → the process-wide default from the capability probe
   (``REPRO_KERNELS`` / auto-detection — one switch flips the stack);
-* a string     → that backend by name (strings thread through the
-  picklable distributed machine builders);
-* a bundle     → used as-is (an index's ``kernels`` field).
+* a string     → that backend by name;
+* a bundle     → used as-is.
+
+Nothing above the dispatching leaf functions carries a ``kernels``
+argument: indexes, runtimes, shards and the service all run on the
+process default, which forked workers inherit.
 
 Bundles are cached per backend; building the numba bundle compiles the
 kernels once and silently downgrades to scipy (reason recorded in the

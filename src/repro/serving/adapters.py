@@ -147,7 +147,6 @@ class QueryBackend:
             self.num_nodes,
             batch,
             threshold,
-            kernels=getattr(self.engine, "kernels", None),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

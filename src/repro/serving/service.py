@@ -37,7 +37,6 @@ from repro.errors import (
     ShardingError,
     TransientFault,
 )
-from repro.kernels.dispatch import KernelsLike
 from repro.serving.adapters import as_backend
 from repro.serving.cache import PPVCache
 
@@ -239,7 +238,6 @@ class PPVService:
         clock: Any = None,
         sparse: bool = False,
         collect_stats: bool = True,
-        kernels: KernelsLike = None,
         slo_seconds: float | None = None,
         degrade: bool = False,
         shed_above: int | None = None,
@@ -272,10 +270,6 @@ class PPVService:
         # then falls back to the backend's batch-level epoch (identical
         # unless a staggered rollout serves mixed epochs mid-flight).
         self.collect_stats = bool(collect_stats)
-        #: Kernel bundle / backend name the frontend's own top-k
-        #: reductions dispatch to (``None`` = the process default); the
-        #: wrapped engine keeps whatever ``kernels=`` it was built with.
-        self.kernels: KernelsLike = kernels
         #: Per-request latency target for the SLO counters in
         #: :class:`ServiceStats` (``None`` = don't classify).
         self.slo_seconds = slo_seconds
@@ -569,15 +563,10 @@ class PPVService:
         vec = self.query(u)
         if isinstance(vec, SparseVec):
             ids, scores = topk_rows_sparse(
-                rows_matrix([vec], self.backend.num_nodes),
-                k,
-                threshold=threshold,
-                kernels=self.kernels,
+                rows_matrix([vec], self.backend.num_nodes), k, threshold=threshold
             )
         else:
-            ids, scores = topk_rows(
-                vec[np.newaxis], k, threshold=threshold, kernels=self.kernels
-            )
+            ids, scores = topk_rows(vec[np.newaxis], k, threshold=threshold)
         return ids[0], scores[0]
 
     def serve(

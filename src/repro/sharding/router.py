@@ -33,11 +33,10 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.flat_index import DEFAULT_BATCH, validate_batch
+from repro.core.flat_index import validate_batch
 from repro.core.updates import EdgeUpdate, UpdateReceipt
 from repro.distributed.network import NetworkMeter
 from repro.errors import QueryError, ShardingError
-from repro.kernels.dispatch import KernelsLike
 from repro.serving.adapters import QueryBackend
 from repro.serving.cache import CacheStats, PPVCache
 from repro.serving.service import SystemClock
@@ -132,7 +131,6 @@ class ShardRouter(QueryBackend):
         cache_weight: Callable[..., float] | None = None,
         clock: Any = None,
         backend: ExecutionBackend | None = None,
-        kernels: KernelsLike = None,
         resilience: RetryPolicy | None = None,
     ) -> None:
         if not shard_engines:
@@ -151,10 +149,6 @@ class ShardRouter(QueryBackend):
         # then finish in order) runs shard replicas concurrently in
         # worker processes; the default None serves inline as before.
         self.exec_backend = backend
-        #: Kernel bundle / backend name every shard's top-k reduction
-        #: dispatches to (``None`` = the process default) — one switch
-        #: flips the whole fleet.
-        self.kernels: KernelsLike = kernels
         self.shards: list[Shard] = []
         for sid, group in enumerate(shard_engines):
             if not isinstance(group, (list, tuple)):
@@ -172,7 +166,6 @@ class ShardRouter(QueryBackend):
                     meter=self.meter,
                     clock=self.clock,
                     backend=backend,
-                    kernels=kernels,
                     resilience=resilience,
                     res_stats=self.res_stats,
                 )
@@ -263,6 +256,42 @@ class ShardRouter(QueryBackend):
         if self.fault_injector is not None:
             self.fault_injector.pump()
 
+    def _fan_out(
+        self,
+        nodes: np.ndarray,
+        submit: Callable[[Shard, np.ndarray], Any],
+        finish: Callable[[Shard, Any], tuple[Any, ...]],
+        merge: Callable[..., None],
+    ) -> list[RouteInfo]:
+        """Route a validated batch, call its shards, merge their answers.
+
+        Two phases: ``submit`` every shard's share before ``finish``-ing
+        any, so a process-pool backend computes the shards in parallel;
+        shards finish in ascending id order, so the merge is
+        deterministic.  ``finish`` returns the shard's result followed
+        by its :class:`RouteInfo` list; ``merge(rows, *result)`` places
+        the result (``rows``: the share's positions in the batch) and the
+        infos are scattered back into batch order.  An empty batch
+        touches nothing.
+        """
+        infos: list[Any] = [None] * nodes.size  # every slot filled below
+        if nodes.size == 0:
+            return infos
+        self._pump_faults()
+        assigned = self.policy.assign(nodes, self)
+        self.batches += 1
+        plans = []
+        for sid in np.unique(assigned).tolist():
+            rows = np.nonzero(assigned == sid)[0]
+            shard = self.shards[sid]
+            plans.append((shard, rows, submit(shard, nodes[rows])))
+        for shard, rows, plan in plans:
+            *result, shard_infos = finish(shard, plan)
+            merge(rows, *result)
+            for r, info in zip(rows.tolist(), shard_infos):
+                infos[r] = info
+        return infos
+
     def query_many(
         self,
         nodes: Sequence[int] | np.ndarray,
@@ -281,24 +310,16 @@ class ShardRouter(QueryBackend):
         del collect_stats  # see docstring
         nodes = validate_batch(nodes, self.num_nodes)
         out = np.empty((nodes.size, self.num_nodes))
-        infos: list[RouteInfo | None] = [None] * nodes.size
-        if nodes.size == 0:
-            return out, []
-        self._pump_faults()
-        assigned = self.policy.assign(nodes, self)
-        self.batches += 1
-        # Two-phase fan-out: submit every shard's share before finishing
-        # any, so a process-pool backend computes the shards in parallel.
-        sids = np.unique(assigned).tolist()
-        plans = []
-        for sid in sids:
-            rows = np.nonzero(assigned == sid)[0]
-            plans.append((sid, rows, self.shards[sid].query_many_submit(nodes[rows])))
-        for sid, rows, plan in plans:
-            dense, shard_infos = self.shards[sid].query_many_finish(plan)
+
+        def place(rows: np.ndarray, dense: np.ndarray) -> None:
             out[rows] = dense
-            for r, info in zip(rows.tolist(), shard_infos):
-                infos[r] = info
+
+        infos = self._fan_out(
+            nodes,
+            lambda shard, part: shard.query_many_submit(part),
+            lambda shard, plan: shard.query_many_finish(plan),
+            place,
+        )
         return out, infos
 
     def query_many_sparse(
@@ -318,32 +339,24 @@ class ShardRouter(QueryBackend):
         """
         del collect_stats  # see query_many
         nodes = validate_batch(nodes, self.num_nodes)
-        if nodes.size == 0:
-            return sp.csr_matrix((0, self.num_nodes)), []
-        infos: list[RouteInfo | None] = [None] * nodes.size
-        self._pump_faults()
-        assigned = self.policy.assign(nodes, self)
-        self.batches += 1
         parts: list[Any] = []
         positions: list[np.ndarray] = []
-        # Two-phase fan-out, as in query_many: submit all, then finish
-        # in shard order so the merge stays deterministic.
-        plans = []
-        for sid in np.unique(assigned).tolist():
-            rows = np.nonzero(assigned == sid)[0]
-            plans.append(
-                (sid, rows, self.shards[sid].query_many_sparse_submit(nodes[rows]))
-            )
-        for sid, rows, plan in plans:
-            mat, shard_infos = self.shards[sid].query_many_sparse_finish(plan)
+
+        def collect(rows: np.ndarray, mat: Any) -> None:
             parts.append(mat)
             positions.append(rows)
-            for r, info in zip(rows.tolist(), shard_infos):
-                infos[r] = info
+
+        infos = self._fan_out(
+            nodes,
+            lambda shard, part: shard.query_many_sparse_submit(part),
+            lambda shard, plan: shard.query_many_sparse_finish(plan),
+            collect,
+        )
+        if not parts:
+            return sp.csr_matrix((0, self.num_nodes)), infos
         stacked = parts[0] if len(parts) == 1 else sp.vstack(parts, format="csr")
-        cat = np.concatenate(positions)
         inv = np.empty(nodes.size, dtype=np.int64)
-        inv[cat] = np.arange(nodes.size)
+        inv[np.concatenate(positions)] = np.arange(nodes.size)
         return stacked[inv], infos
 
     def query_many_topk(
@@ -351,7 +364,6 @@ class ShardRouter(QueryBackend):
         nodes: Sequence[int] | np.ndarray,
         k: int,
         *,
-        batch: int = DEFAULT_BATCH,
         threshold: float | None = None,
         sparse: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, list[RouteInfo]]:
@@ -365,21 +377,19 @@ class ShardRouter(QueryBackend):
         k_eff = min(k, self.num_nodes)
         ids = np.empty((nodes.size, k_eff), dtype=np.int64)
         scores = np.empty((nodes.size, k_eff))
-        infos: list[RouteInfo | None] = [None] * nodes.size
-        if nodes.size == 0:
-            return ids, scores, []
-        self._pump_faults()
-        assigned = self.policy.assign(nodes, self)
-        self.batches += 1
-        for sid in np.unique(assigned).tolist():
-            rows = np.nonzero(assigned == sid)[0]
-            s_ids, s_scores, shard_infos = self.shards[sid].query_many_topk(
-                nodes[rows], k, batch=batch, threshold=threshold, sparse=sparse
-            )
+
+        def place(rows: np.ndarray, s_ids: np.ndarray, s_scores: np.ndarray) -> None:
             ids[rows] = s_ids
             scores[rows] = s_scores
-            for r, info in zip(rows.tolist(), shard_infos):
-                infos[r] = info
+
+        infos = self._fan_out(
+            nodes,
+            lambda shard, part: part,  # one blocking call per shard
+            lambda shard, part: shard.query_many_topk(
+                part, k, threshold=threshold, sparse=sparse
+            ),
+            place,
+        )
         return ids, scores, infos
 
     # ----- reporting ----------------------------------------------------

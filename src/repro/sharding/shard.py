@@ -19,10 +19,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.flat_index import DEFAULT_BATCH, topk_in_batches, validate_batch
+from repro.core.flat_index import topk_in_batches, validate_batch
 from repro.core.sparse_ops import row_sparsevec, rows_matrix
 from repro.core.sparsevec import WIRE_ENTRY_BYTES, WIRE_HEADER_BYTES, SparseVec
-from repro.kernels.dispatch import KernelsLike
 from repro.core.updates import UPDATE_WIRE_BYTES, EdgeUpdate, UpdateReceipt
 from repro.distributed.network import NetworkMeter
 from repro.errors import (
@@ -123,7 +122,6 @@ class Shard:
         meter: NetworkMeter | None = None,
         clock: Any = None,
         backend: ExecutionBackend | None = None,
-        kernels: KernelsLike = None,
         resilience: RetryPolicy | None = None,
         res_stats: ResilienceStats | None = None,
     ) -> None:
@@ -150,9 +148,6 @@ class Shard:
         # an ExecutionBackend offloads replica compute, with WorkerDied
         # triggering mark_down failover to a sibling replica.
         self.exec_backend = backend
-        #: Kernel bundle / backend name the shard's top-k reduction
-        #: dispatches to (``None`` = the process default).
-        self.kernels: KernelsLike = kernels
         self.queries = 0  # rows served, cached or computed
         self.batches = 0
         self._held: set[int] | None = None
@@ -825,7 +820,6 @@ class Shard:
         nodes: Sequence[int] | np.ndarray,
         k: int,
         *,
-        batch: int = DEFAULT_BATCH,
         threshold: float | None = None,
         sparse: bool = False,
     ) -> tuple[np.ndarray, np.ndarray, list[RouteInfo]]:
@@ -853,8 +847,7 @@ class Shard:
         # Rows via cache + chosen replica, unmetered: only the k-cut ships.
         ids, scores, infos = topk_in_batches(
             lambda chunk: self._finish(self._plan(chunk, sparse=sparse)),
-            nodes, k, self.num_nodes, batch, threshold,
-            kernels=self.kernels,
+            nodes, k, self.num_nodes, threshold=threshold,
         )
         self.batches += 1
         try:

@@ -8,6 +8,7 @@ loudly.
 
 from __future__ import annotations
 
+import dataclasses
 import glob
 import multiprocessing as mp
 
@@ -110,3 +111,50 @@ def dense_ppv_matrix(graph: DiGraph, alpha: float = 0.15) -> np.ndarray:
         if succ.size:
             w[u, succ] = 1.0 / succ.size
     return alpha * np.linalg.inv(np.eye(n) - (1 - alpha) * w.T)
+
+
+def _meta_fields(meta) -> dict:
+    """A ``QueryStats`` / ``QueryReport`` as a dict, measured walls aside."""
+    fields = dataclasses.asdict(meta)
+    fields.pop("wall_seconds", None)
+    return fields
+
+
+def sixty_four_nodes(hubs, n: int, seed: int = 41) -> np.ndarray:
+    """A 64-node batch whose probed positions (every fifth) include hub
+    queries — the rows with the ``f_u(h)`` adjustment and no port repair
+    at their own level."""
+    nodes = np.random.default_rng(seed).integers(0, n, 64)
+    nodes[[0, 5, 10]] = np.asarray(hubs)[:3]
+    return nodes
+
+
+def assert_one_row_equals_batches(engine, nodes, *, meta=True) -> None:
+    """A node's answer must not depend on whether it arrived alone.
+
+    One-row requests take the single-row body (``HubShare.row``), larger
+    ones the batch bodies: for both result forms the one-row answer has
+    to equal — bitwise, CSR arrays included — the node's row inside a
+    2-row and a 64-row batch, and (``meta``) so does every field of its
+    ``QueryStats`` / ``QueryReport`` except the measured wall.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    assert nodes.size == 64
+    for verb in ("query_many", "query_many_sparse"):
+        ask = getattr(engine, verb)
+        big, big_meta = ask(nodes)
+        for k in range(0, 64, 5):
+            one, one_meta = ask(nodes[k : k + 1])
+            pair, pair_meta = ask(nodes[[k, (k + 9) % 64]])
+            assert one.shape == (1, big.shape[1])
+            for got, got_meta, row in ((pair, pair_meta, 0), (big, big_meta, k)):
+                if verb == "query_many":
+                    assert np.array_equal(one[0], got[row])
+                else:
+                    lo, hi = got.indptr[row], got.indptr[row + 1]
+                    assert one.indptr.tolist() == [0, hi - lo]
+                    assert np.array_equal(one.indices, got.indices[lo:hi])
+                    assert np.array_equal(one.data, got.data[lo:hi])
+                if meta:
+                    assert len(one_meta) == 1
+                    assert _meta_fields(one_meta[0]) == _meta_fields(got_meta[row])

@@ -241,14 +241,33 @@ class TestOwnershipPrecompute:
             assert owners.min() >= 0 and owners.max() < runtime.num_machines
         for h, mid in dist_gpa._hub_owner.items():
             assert dist_gpa.owner_map()[h] == mid
-        for u, mid in dist_hgpa._leaf_owner.items():
+        for u, mid in dist_hgpa._own_owner.items():
             assert dist_hgpa.owner_map()[u] == mid
 
 
 def _assert_shares_sum_to(shares, index, nodes):
     """The shares' rows sum to the index's rows (bitwise when there is one
     share), their ``entries`` sum to the index's ``entries_processed``,
-    and each share's sparse form equals its own dense form."""
+    and each share's sparse form equals its own dense form — for a batch
+    and, through ``row``, for every node of it asked alone."""
+    for u in nodes.tolist():
+        rows = [share.row(u, True) for share in shares]
+        _, stats = index.query_detailed(u)
+        np.testing.assert_allclose(
+            sum(vec for vec, _ in rows), index.query(u), rtol=0, atol=1e-12
+        )
+        entries = sum(int(counters[0]) for _, counters in rows)
+        assert entries == stats.entries_processed
+        for share, (vec, counters) in zip(shares, rows):
+            for sparse in (False, True):
+                block, counted = share.evaluate(
+                    [u], sparse=sparse, collect_stats=True
+                )
+                if sparse:
+                    block = block.toarray()
+                assert np.array_equal(block, vec[None])
+                form = [0, 1, 3 if sparse else 2]  # lookups differ by form
+                assert counted[:, 0].tolist() == counters[form].tolist()
     dense, stats = index.query_many(nodes)
     parts = [share.evaluate(nodes, sparse=False, collect_stats=True) for share in shares]
     total = sum(rows for rows, _ in parts)

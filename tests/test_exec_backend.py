@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import datasets
-from repro.core import build_gpa_index, build_hgpa_index
+from repro.core import build_gpa_index, build_hgpa_ad_index, build_hgpa_index
 from repro.core.updates import EdgeUpdate
 from repro.distributed import DistributedGPA, DistributedHGPA
 from repro.errors import ExecutionError, ShardingError, WorkerDied
@@ -37,6 +37,8 @@ from repro.exec import (
 from repro.exec.shm import build_ops_from_view
 from repro.graph import hierarchical_community_digraph
 from repro.sharding.router import ShardRouter
+
+from conftest import assert_one_row_equals_batches, sixty_four_nodes
 
 
 def _shm_segments() -> list[str]:
@@ -321,6 +323,27 @@ class TestRuntimeBitwise:
             for a, b in zip(rep0, rep1):
                 assert a.per_machine_entries == b.per_machine_entries
                 assert a.communication_bytes == b.communication_bytes
+
+    @pytest.mark.parametrize("family", ["gpa", "hgpa", "hgpa_ad"])
+    def test_one_row_equals_its_row_in_a_batch(self, request, small_graph, family):
+        """Index shares in pool workers and machine shares on either
+        backend answer a lone node exactly as they answer it in a batch."""
+        if family == "hgpa_ad":
+            index = build_hgpa_ad_index(small_graph, tol=1e-6, seed=0)
+        else:
+            index = request.getfixturevalue(f"{family}_small")
+        runtime_cls = DistributedGPA if family == "gpa" else DistributedHGPA
+        hubs = sorted(index.hub_partials)
+        nodes = sixty_four_nodes(hubs, index.graph.num_nodes)
+        with ProcessPoolBackend(2) as pool:
+            for backend in (None, pool):
+                for machines in (1, 4):
+                    runtime = runtime_cls(index, machines, backend=backend)
+                    assert_one_row_equals_batches(runtime, nodes)
+            router = ShardRouter([[index, index]] * 2, backend=pool)
+            # RouteInfo names the replica round-robin picked: not compared.
+            assert_one_row_equals_batches(router, nodes, meta=False)
+            router.close()
 
     def test_router_matches_serial(self, gpa_small):
         nodes = _query_nodes(gpa_small.graph.num_nodes, size=30, seed=1)

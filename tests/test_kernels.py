@@ -494,28 +494,31 @@ class TestEndToEnd:
         g = DiGraph.from_arrays(n, src[keep], dst[keep])
         return g.with_dangling_policy("self_loop")
 
-    def test_gpa_index_equality(self, backend):
-        graph = self._graph()
-        base = build_gpa_index(graph, 3, seed=1, kernels="scipy")
-        fast = build_gpa_index(graph, 3, seed=1, kernels=backend)
-        nodes = np.arange(0, graph.num_nodes, 7)
-        base_mat, _ = base.query_many_sparse(nodes)
-        fast_mat, _ = fast.query_many_sparse(nodes)
-        np.testing.assert_array_equal(fast_mat.toarray(), base_mat.toarray())
-        base_ids, base_scores, _ = base.query_many_topk(nodes, 5)
-        fast_ids, fast_scores, _ = fast.query_many_topk(nodes, 5)
-        np.testing.assert_array_equal(fast_ids, base_ids)
-        np.testing.assert_array_equal(fast_scores, base_scores)
+    @staticmethod
+    def _answers(fresh_probe, backend, build, nodes, k):
+        """Index build, sparse batch and top-k with the whole process
+        switched to ``backend`` — the one switch there is."""
+        fresh_probe.setenv(ENV_VAR, backend)
+        assert probe(refresh=True).backend == backend
+        index = build()
+        mat, _ = index.query_many_sparse(nodes)
+        ids, scores, _ = index.query_many_topk(nodes, k)
+        return mat.toarray(), ids, scores
 
-    def test_hgpa_index_equality(self, backend):
+    def test_gpa_index_equality(self, backend, fresh_probe):
         graph = self._graph()
-        base = build_hgpa_index(graph, max_levels=3, seed=1, kernels="scipy")
-        fast = build_hgpa_index(graph, max_levels=3, seed=1, kernels=backend)
+        nodes = np.arange(0, graph.num_nodes, 7)
+        build = lambda: build_gpa_index(graph, 3, seed=1)  # noqa: E731
+        base = self._answers(fresh_probe, "scipy", build, nodes, 5)
+        fast = self._answers(fresh_probe, backend, build, nodes, 5)
+        for got, want in zip(fast, base):
+            np.testing.assert_array_equal(got, want)
+
+    def test_hgpa_index_equality(self, backend, fresh_probe):
+        graph = self._graph()
         nodes = np.arange(0, graph.num_nodes, 11)
-        base_mat, _ = base.query_many_sparse(nodes)
-        fast_mat, _ = fast.query_many_sparse(nodes)
-        np.testing.assert_array_equal(fast_mat.toarray(), base_mat.toarray())
-        base_ids, base_scores, _ = base.query_many_topk(nodes, 4)
-        fast_ids, fast_scores, _ = fast.query_many_topk(nodes, 4)
-        np.testing.assert_array_equal(fast_ids, base_ids)
-        np.testing.assert_array_equal(fast_scores, base_scores)
+        build = lambda: build_hgpa_index(graph, max_levels=3, seed=1)  # noqa: E731
+        base = self._answers(fresh_probe, "scipy", build, nodes, 4)
+        fast = self._answers(fresh_probe, backend, build, nodes, 4)
+        for got, want in zip(fast, base):
+            np.testing.assert_array_equal(got, want)

@@ -8,6 +8,9 @@ per shard is updating — and per-shard caches drop exactly the affected
 rows, never the whole store.
 """
 
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,24 @@ def _local_insert(graph, rng, *, tries=60):
         if w != u and not graph.has_edge(u, int(w))
     )
     return u, int(v)
+
+
+def _promoting_insert(index, rng):
+    """A missing edge between two non-hub nodes on different sides of a
+    separator: inserting it must promote its source into the hub set."""
+    if hasattr(index, "partition"):
+        return _missing_edge(
+            index.graph, rng, cross=True, partition=index.partition
+        )
+    h = index.hierarchy
+    side_a, side_b = (h.subgraphs[c].nodes for c in h.root.children[:2])
+    return next(
+        (int(u), int(v))
+        for u in side_a
+        for v in side_b
+        if not (h.is_hub(int(u)) or h.is_hub(int(v)))
+        and not index.graph.has_edge(int(u), int(v))
+    )
 
 
 def _rebuild_oracle(index):
@@ -171,6 +192,97 @@ class TestDistributedLiveUpdates:
             want, _ = fresh.query_many(nodes)
             np.testing.assert_allclose(got, want, atol=ATOL, rtol=0)
             dep.validate_deployment()
+
+    def test_shared_apply_update_places_meters_and_answers(
+        self, runtime_cls, gpa_live, hgpa_live
+    ):
+        """Both families ride ``ClusterBase.apply_update``: an insert that
+        promotes a hub, a delete and a no-op.  The meter arithmetic: every
+        rebuilt vector ships once, at its wire size, to the machine that
+        holds it, then each touched machine gets one 24-byte update
+        message — ``Σ wire_bytes(rebuilt) + 24 · touched`` bytes in
+        ``|rebuilt| + touched`` messages."""
+        rng = np.random.default_rng(11)
+        index = self._engine(runtime_cls, gpa_live, hgpa_live)
+        dep = runtime_cls(index, 3)
+        meter = dep.coordinator.meter
+        nodes = np.arange(0, index.graph.num_nodes, 7)
+        dep.query_many(nodes)  # stack some ops for the update to invalidate
+        u, v = _promoting_insert(index, rng)
+        steps = [
+            (EdgeUpdate.insert(u, v), u),
+            (EdgeUpdate.delete(*_deletable_edge(index.graph, rng)), None),
+            (EdgeUpdate.insert(u, v), None),  # now a no-op
+        ]
+        for step, (update, promoted) in enumerate(steps):
+            held = {key: m.machine_id for m in dep.machines for key in m.store}
+            bytes0, messages0, epoch0 = (
+                meter.total_bytes, meter.total_messages, dep.epoch
+            )
+            receipt = dep.apply_update(update)
+            dep.validate_deployment()
+            stats = receipt.stats
+            assert receipt.changed == (step < 2) and stats.promoted_hub == promoted
+            assert dep.epoch == receipt.epoch == epoch0 + receipt.changed
+            holds = {key: m.machine_id for m in dep.machines for key in m.store}
+            stores = {
+                "hub": dep.index.hub_partials,
+                "skel": dep.index.skeleton_cols,
+                dep.OWN[0]: getattr(dep.index, dep.OWN[1]),
+            }
+            rebuilt = sum(
+                stores[kind][node].wire_bytes for kind, node in stats.rebuilt_keys
+            )
+            touched = {holds[key] for key in stats.rebuilt_keys} | {
+                held[key] for key in stats.dropped_keys
+            }
+            assert meter.total_bytes - bytes0 == rebuilt + 24 * len(touched)
+            assert meter.total_messages - messages0 == len(
+                stats.rebuilt_keys
+            ) + len(touched)
+            assert not any(key in holds for key in stats.dropped_keys)
+            if promoted is not None:
+                assert holds[("hub", u)] == holds[("skel", u)] == dep.owner_map()[u]
+            fresh = runtime_cls(_rebuild_oracle(dep.index), 3)
+            np.testing.assert_allclose(
+                dep.query_many(nodes)[0], fresh.query_many(nodes)[0],
+                atol=ATOL, rtol=0,
+            )
+            np.testing.assert_allclose(
+                dep.query(u)[0], fresh.query(u)[0], atol=ATOL, rtol=0
+            )
+
+    def test_first_query_wall_excludes_stacking(
+        self, runtime_cls, gpa_live, hgpa_live, monkeypatch
+    ):
+        """A cold deployment stacks its ops on first use; ``query`` must do
+        that before it starts a machine's timer, or the one-time build
+        lands in the first report's ``wall_seconds``."""
+        from repro.distributed import cluster
+
+        events = []
+
+        class Spied(runtime_cls):
+            def _stack_ops(self, mid, owned):
+                events.append("stack")
+                return super()._stack_ops(mid, owned)
+
+        def perf_counter():
+            events.append("tick")
+            return time.perf_counter()
+
+        clock = types.SimpleNamespace(perf_counter=perf_counter)
+        monkeypatch.setattr(cluster, "time", clock)
+        dep = Spied(self._engine(runtime_cls, gpa_live, hgpa_live), 3)
+        dep.query(5)
+        assert "stack" in events  # it was cold
+        # Timers come in start/stop pairs (one per machine, then the
+        # coordinator's): nothing may be stacked while one is running.
+        running = False
+        for event in events:
+            assert not (running and event == "stack")
+            running = (not running) if event == "tick" else running
+        assert not running
 
     def test_noop_update_keeps_epoch(self, runtime_cls, gpa_live, hgpa_live):
         index = self._engine(runtime_cls, gpa_live, hgpa_live)

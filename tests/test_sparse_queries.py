@@ -31,6 +31,8 @@ from repro.graph import hierarchical_community_digraph
 from repro.serving import PPVCache, PPVService, SimulatedClock, as_backend
 from repro.sharding import ShardRouter, owner_map_from_partition
 
+from conftest import assert_one_row_equals_batches, sixty_four_nodes
+
 
 def _mixed_queries(hubs, n, count=14, seed=29):
     """Random nodes plus a few hubs and one duplicate."""
@@ -96,6 +98,13 @@ class TestEngineEquivalence:
         sparse, sparse_stats = index.query_many_sparse(queries)
         _assert_exact(sparse, dense)
         _assert_stats_equal(sparse_stats, dense_stats)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_row_equals_its_row_in_a_batch(self, request, family):
+        index = request.getfixturevalue(family)
+        assert_one_row_equals_batches(
+            index, sixty_four_nodes(_hubs_of(index), index.graph.num_nodes)
+        )
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_collect_stats_off_same_matrix(self, request, family):
