@@ -42,7 +42,6 @@ class VirtualSubgraph:
     __slots__ = (
         "graph",
         "nodes",
-        "_local_of_global",
         "_indptr",
         "_indices",
         "_transition_T",
@@ -56,8 +55,7 @@ class VirtualSubgraph:
         self.graph = graph
         self.nodes = nodes
         local = np.full(graph.num_nodes, -1, dtype=np.int64)
-        local[nodes] = np.arange(nodes.size)
-        self._local_of_global = local
+        local[nodes] = np.arange(nodes.size)  # dropped on return: views are cached
         # Induced CSR in local ids, built by slicing only the subset's CSR
         # rows (O(sum of subset degrees), not O(m) — HGPA creates thousands
         # of these views per hierarchy).
@@ -99,21 +97,18 @@ class VirtualSubgraph:
 
     def contains(self, global_node: int) -> bool:
         """Whether the global node id is part of this subgraph."""
-        return 0 <= global_node < self.graph.num_nodes and (
-            self._local_of_global[global_node] >= 0
-        )
+        pos = int(np.searchsorted(self.nodes, global_node))
+        return pos < self.nodes.size and int(self.nodes[pos]) == global_node
 
     def to_local(self, global_nodes: np.ndarray | Sequence[int] | int) -> np.ndarray | int:
         """Map global node id(s) to local id(s); raises if not contained."""
-        if np.isscalar(global_nodes):
-            loc = int(self._local_of_global[int(global_nodes)])
-            if loc < 0:
+        arr = np.asarray(global_nodes, dtype=np.int64)
+        pos = np.searchsorted(self.nodes, arr)
+        if not np.all(pos < self.nodes.size) or np.any(self.nodes[pos] != arr):
+            if np.isscalar(global_nodes):
                 raise GraphError(f"node {global_nodes} not in subgraph")
-            return loc
-        arr = self._local_of_global[np.asarray(global_nodes, dtype=np.int64)]
-        if np.any(arr < 0):
             raise GraphError("some nodes not in subgraph")
-        return arr
+        return int(pos) if np.isscalar(global_nodes) else pos
 
     def to_global(self, local_nodes: np.ndarray | Sequence[int] | int) -> np.ndarray | int:
         """Map local id(s) back to global node id(s)."""
@@ -132,10 +127,6 @@ class VirtualSubgraph:
     def internal_out_degrees(self) -> np.ndarray:
         """Number of out-edges staying inside the subset, per local node."""
         return np.diff(self._indptr)
-
-    def local_successors(self, local_u: int) -> np.ndarray:
-        """Local ids of ``local_u``'s successors that stay in the subset."""
-        return self._indices[self._indptr[local_u] : self._indptr[local_u + 1]]
 
     def internal_edges_local(self) -> tuple[np.ndarray, np.ndarray]:
         """All internal edges as parallel local-id arrays ``(src, dst)``."""
@@ -169,7 +160,16 @@ class VirtualSubgraph:
         """``Wᵀ`` of :meth:`transition` — used by walk-mass propagation
         (power iteration and the selective expansion of Eq. 9)."""
         if self._transition_T is None:
-            self._transition_T = self.transition().T.tocsr()
+            # A stable sort by target lists each column of W in source
+            # order: the arrays scipy's CSC -> CSR counting sort yields.
+            src, dst = self.internal_edges_local()
+            order = np.argsort(dst, kind="stable")
+            indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+            np.cumsum(np.bincount(dst, minlength=self.num_nodes), out=indptr[1:])
+            self._transition_T = sp.csr_matrix(
+                (self.transition().data[order], src[order], indptr),
+                shape=(self.num_nodes, self.num_nodes),
+            )
         return self._transition_T
 
     def escape_mass(self) -> np.ndarray:

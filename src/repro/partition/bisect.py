@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from repro.partition.matching import CoarseLevel, coarsen, heavy_edge_matching
-from repro.partition.refine import fm_refine, partition_weights
+from repro.partition.refine import fm_refine
 from repro.partition.ugraph import UGraph
 
 __all__ = ["multilevel_bisect", "region_grow_bisect"]
@@ -33,9 +33,10 @@ def region_grow_bisect(
     if n == 0:
         return labels
     target_w0 = target_frac * ug.total_vweight
-    seen = np.zeros(n, dtype=bool)
+    indptr, indices, vweights = ug.indptr.tolist(), ug.indices.tolist(), ug.vweights.tolist()
+    seen = [False] * n
     w0 = 0.0
-    order = rng.permutation(n)
+    order = rng.permutation(n).tolist()
     cursor = 0
     queue: deque[int] = deque()
     while w0 < target_w0:
@@ -45,13 +46,12 @@ def region_grow_bisect(
                 cursor += 1
             if cursor >= n:
                 break
-            queue.append(int(order[cursor]))
+            queue.append(order[cursor])
             seen[order[cursor]] = True
         u = queue.popleft()
         labels[u] = 0
-        w0 += float(ug.vweights[u])
-        for v in ug.neighbors(u):
-            v = int(v)
+        w0 += float(vweights[u])
+        for v in indices[indptr[u] : indptr[u + 1]]:
             if not seen[v]:
                 seen[v] = True
                 queue.append(v)
@@ -100,14 +100,3 @@ def multilevel_bisect(
         labels = fm_refine(finer, labels, target_frac=target_frac, balance=balance)
     return labels
 
-
-def bisect_balance_report(ug: UGraph, labels: np.ndarray) -> dict[str, float]:
-    """Small diagnostics bundle used by tests and benches."""
-    w0, w1 = partition_weights(ug, labels)
-    total = max(1.0, float(ug.total_vweight))
-    return {
-        "cut": ug.cut_weight(labels),
-        "w0": w0,
-        "w1": w1,
-        "imbalance": abs(w0 - w1) / total,
-    }

@@ -25,25 +25,23 @@ def heavy_edge_matching(ug: UGraph, rng: np.random.Generator) -> np.ndarray:
     different matchings.
     """
     n = ug.num_nodes
-    match = np.full(n, -1, dtype=np.int64)
-    degrees = ug.degrees()
-    order = np.argsort(degrees + rng.random(n), kind="stable")
-    indptr, indices, ew = ug.indptr, ug.indices, ug.eweights
-    for u in order:
-        u = int(u)
+    match = [-1] * n
+    order = np.argsort(ug.degrees() + rng.random(n), kind="stable")
+    indptr, indices, ew = ug.indptr.tolist(), ug.indices.tolist(), ug.eweights.tolist()
+    for u in order.tolist():
         if match[u] >= 0:
             continue
         best, best_w = -1, 0.0
         for k in range(indptr[u], indptr[u + 1]):
-            v = int(indices[k])
+            v = indices[k]
             if v != u and match[v] < 0 and ew[k] > best_w:
-                best, best_w = v, float(ew[k])
+                best, best_w = v, ew[k]
         if best >= 0:
             match[u] = best
             match[best] = u
         else:
             match[u] = u
-    return match
+    return np.asarray(match, dtype=np.int64)
 
 
 class CoarseLevel:
@@ -59,17 +57,10 @@ class CoarseLevel:
 def coarsen(ug: UGraph, match: np.ndarray) -> CoarseLevel:
     """Collapse matched pairs into coarse vertices."""
     n = ug.num_nodes
-    coarse_of = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for u in range(n):
-        if coarse_of[u] >= 0:
-            continue
-        v = int(match[u])
-        coarse_of[u] = next_id
-        if v != u:
-            coarse_of[v] = next_id
-        next_id += 1
-    n_coarse = next_id
+    # A pair's id is the rank of its smaller endpoint: ids are handed out in
+    # the order pairs are first met by a scan over 0..n-1.
+    reps, coarse_of = np.unique(np.minimum(np.arange(n), match), return_inverse=True)
+    n_coarse = reps.size
     src = np.repeat(np.arange(n, dtype=np.int64), ug.degrees())
     cs, cd = coarse_of[src], coarse_of[ug.indices]
     vw = np.zeros(n_coarse, dtype=np.int64)

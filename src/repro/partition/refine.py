@@ -27,12 +27,9 @@ def _gains(ug: UGraph, labels: np.ndarray) -> np.ndarray:
     """gain(u) = external weight − internal weight (cut delta of moving u)."""
     n = ug.num_nodes
     src = np.repeat(np.arange(n, dtype=np.int64), ug.degrees())
-    ext = np.zeros(n)
     same = labels[src] == labels[ug.indices]
-    np.add.at(ext, src[~same], ug.eweights[~same])
-    internal = np.zeros(n)
-    np.add.at(internal, src[same], ug.eweights[same])
-    return ext - internal
+    # Weights are integers or halves, so this signed sum is exact in any order.
+    return np.bincount(src, weights=np.where(same, -ug.eweights, ug.eweights), minlength=n)
 
 
 def fm_refine(
@@ -57,12 +54,17 @@ def fm_refine(
     slack = max(balance * total, max_vw)
     target_w0 = target_frac * total
 
+    # Python lists, not numpy scalars, in the heap loop: the same floats in
+    # the same order, so pops, ties, moves and rollback are unchanged.
+    indptr, indices = ug.indptr.tolist(), ug.indices.tolist()
+    eweights, vweights = ug.eweights.tolist(), ug.vweights.tolist()
     for _ in range(max_passes):
-        gains = _gains(ug, labels)
+        gains = _gains(ug, labels).tolist()
         w0, _ = partition_weights(ug, labels)
-        heap: list[tuple[float, int]] = [(-gains[u], u) for u in range(ug.num_nodes)]
+        lab = labels.tolist()
+        heap: list[tuple[float, int]] = [(-g, u) for u, g in enumerate(gains)]
         heapq.heapify(heap)
-        locked = np.zeros(ug.num_nodes, dtype=bool)
+        locked = [False] * ug.num_nodes
         moves: list[int] = []
         cum = 0.0
         best_cum, best_prefix = 0.0, 0
@@ -71,32 +73,31 @@ def fm_refine(
             if locked[u] or -neg_gain != gains[u]:
                 continue  # stale heap entry
             # Balance check: would moving u keep part 0 within the slack?
-            delta_w0 = -float(ug.vweights[u]) if labels[u] == 0 else float(ug.vweights[u])
+            delta_w0 = -float(vweights[u]) if lab[u] == 0 else float(vweights[u])
             if abs((w0 + delta_w0) - target_w0) > slack and abs(w0 - target_w0) <= slack:
                 continue  # move would break an already feasible balance
             # Apply the move.
             locked[u] = True
             cum += gains[u]
             w0 += delta_w0
-            labels[u] = 1 - labels[u]
+            lab[u] = 1 - lab[u]
             moves.append(u)
             if cum > best_cum + 1e-12 and abs(w0 - target_w0) <= slack:
                 best_cum, best_prefix = cum, len(moves)
             # Update neighbour gains (2 * w towards/away from the cut).
-            lo, hi = ug.indptr[u], ug.indptr[u + 1]
-            for k in range(lo, hi):
-                v = int(ug.indices[k])
+            for k in range(indptr[u], indptr[u + 1]):
+                v = indices[k]
                 if locked[v] or v == u:
                     continue
-                w = float(ug.eweights[k])
-                if labels[v] == labels[u]:
-                    gains[v] -= 2.0 * w  # u joined v's side: edge left the cut
+                if lab[v] == lab[u]:
+                    gains[v] -= 2.0 * eweights[k]  # u joined v's side: edge left the cut
                 else:
-                    gains[v] += 2.0 * w
+                    gains[v] += 2.0 * eweights[k]
                 heapq.heappush(heap, (-gains[v], v))
         # Roll back every move after the best prefix.
         for u in moves[best_prefix:]:
-            labels[u] = 1 - labels[u]
+            lab[u] = 1 - lab[u]
+        labels[:] = lab
         if best_cum <= 1e-12:
             break
     return labels

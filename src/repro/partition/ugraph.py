@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import PartitionError
 from repro.graph.digraph import DiGraph
@@ -79,23 +78,30 @@ def ugraph_from_coo(
     """Build a symmetric :class:`UGraph` from (possibly directed) edge COO.
 
     Parallel/duplicate entries are summed; self loops are dropped (they never
-    affect a cut).
+    affect a cut).  The arrays are canonical CSR: sorted column indices, no
+    explicit zeros.  Edge weights are integers or halves of them, so every
+    sum is exact whatever order it is taken in.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    if weights is None:
-        weights = np.ones(rows.size, dtype=np.float64)
+    w = np.ones(rows.size) if weights is None else np.asarray(weights, dtype=np.float64)
     keep = rows != cols
-    rows, cols, weights = rows[keep], cols[keep], np.asarray(weights, dtype=np.float64)[keep]
-    mat = sp.coo_matrix((weights, (rows, cols)), shape=(num_nodes, num_nodes))
-    sym = (mat + mat.T).tocsr()
-    sym.sum_duplicates()
+    rows, cols, w = rows[keep], cols[keep], w[keep]
+    keys, slot = np.unique(
+        np.concatenate((rows * num_nodes + cols, cols * num_nodes + rows)),
+        return_inverse=True,
+    )
+    eweights = np.bincount(slot, np.concatenate((w, w)), keys.size).astype(np.float64)
+    nonzero = eweights != 0
+    keys, eweights = keys[nonzero], eweights[nonzero]
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // max(num_nodes, 1), minlength=num_nodes), out=indptr[1:])
     if vweights is None:
         vweights = np.ones(num_nodes, dtype=np.int64)
     return UGraph(
-        indptr=sym.indptr.astype(np.int64),
-        indices=sym.indices.astype(np.int64),
-        eweights=sym.data.astype(np.float64),
+        indptr=indptr,
+        indices=keys % max(num_nodes, 1),
+        eweights=eweights,
         vweights=np.asarray(vweights, dtype=np.int64),
     )
 

@@ -3,6 +3,9 @@ k-way)."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.graph import DiGraph, hierarchical_community_digraph, ring_digraph
@@ -18,6 +21,13 @@ from repro.partition import (
     ugraph_from_digraph,
 )
 from repro.partition.refine import partition_weights
+from repro.partition.ugraph import UGraph
+
+PROP_SETTINGS = dict(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @pytest.fixture()
@@ -173,3 +183,101 @@ class TestKway:
         ug = ugraph_from_coo(3, np.array([0, 1]), np.array([1, 2]))
         labels = partition_kway_local(ug, 3)
         assert sorted(labels.tolist()) == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the scipy / loop bodies the numpy rewrites replaced.  The
+# partition labels depend on these arrays, so "equal" means array-equal.
+
+
+def scipy_ugraph(num_nodes, rows, cols, weights=None, vweights=None):
+    """``ugraph_from_coo`` as it was: scipy ``coo + coo.T``."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if weights is None:
+        weights = np.ones(rows.size, dtype=np.float64)
+    keep = rows != cols
+    rows, cols, weights = rows[keep], cols[keep], np.asarray(weights, dtype=np.float64)[keep]
+    mat = sp.coo_matrix((weights, (rows, cols)), shape=(num_nodes, num_nodes))
+    sym = (mat + mat.T).tocsr()
+    sym.sum_duplicates()
+    if vweights is None:
+        vweights = np.ones(num_nodes, dtype=np.int64)
+    return UGraph(
+        indptr=sym.indptr.astype(np.int64),
+        indices=sym.indices.astype(np.int64),
+        eweights=sym.data.astype(np.float64),
+        vweights=np.asarray(vweights, dtype=np.int64),
+    )
+
+
+def loop_coarse_of(match):
+    """``coarsen``'s numbering as it was: a scan handing out ids in order."""
+    coarse_of = np.full(match.size, -1, dtype=np.int64)
+    next_id = 0
+    for u in range(match.size):
+        if coarse_of[u] >= 0:
+            continue
+        coarse_of[u] = coarse_of[match[u]] = next_id
+        next_id += 1
+    return coarse_of
+
+
+@st.composite
+def coo_cases(draw):
+    """Random directed COO: duplicates, self loops, integer or half weights."""
+    n = draw(st.integers(0, 14))
+    m = 0 if n == 0 else draw(st.integers(0, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = rng.integers(0, max(n, 1), m), rng.integers(0, max(n, 1), m)
+    kind = draw(st.sampled_from(["none", "integer", "half"]))
+    weights = None if kind == "none" else rng.integers(1, 9, m).astype(np.float64)
+    if kind == "half":
+        weights /= 2.0
+    return n, rows, cols, weights
+
+
+def random_matching(n, rng):
+    """A random involution: some disjoint pairs, everyone else single."""
+    match = np.arange(n, dtype=np.int64)
+    perm = rng.permutation(n)
+    pairs = rng.integers(0, n // 2 + 1)
+    a, b = perm[:pairs], perm[pairs : 2 * pairs]
+    match[a], match[b] = b, a
+    return match
+
+
+class TestOracles:
+    @settings(**PROP_SETTINGS)
+    @given(case=coo_cases())
+    def test_ugraph_from_coo_equals_scipy(self, case):
+        n, rows, cols, weights = case
+        vweights = np.arange(n) + 1
+        got = ugraph_from_coo(n, rows, cols, weights, vweights=vweights)
+        want = scipy_ugraph(n, rows, cols, weights, vweights=vweights)
+        for name in ("indptr", "indices", "eweights", "vweights"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_ugraph_from_coo_trivial_sizes(self, n):
+        empty = np.empty(0, dtype=np.int64)
+        loops = np.zeros(3 * n, dtype=np.int64)
+        for rows, cols in ((empty, empty), (loops, loops)):
+            got, want = ugraph_from_coo(n, rows, cols), scipy_ugraph(n, rows, cols)
+            for name in ("indptr", "indices", "eweights", "vweights"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.indptr.tolist() == [0] * (n + 1)
+
+    @settings(**PROP_SETTINGS)
+    @given(case=coo_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_coarsen_numbering_equals_loop(self, case, seed):
+        ug = ugraph_from_coo(*case)
+        rng = np.random.default_rng(seed)
+        for match in (random_matching(ug.num_nodes, rng), heavy_edge_matching(ug, rng)):
+            level = coarsen(ug, match)
+            want = loop_coarse_of(match)
+            np.testing.assert_array_equal(level.coarse_of, want)
+            assert level.ugraph.num_nodes == (want.max() + 1 if want.size else 0)
+            assert level.ugraph.total_vweight == ug.total_vweight

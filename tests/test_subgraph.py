@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graph import DiGraph, VirtualSubgraph
@@ -96,3 +98,65 @@ class TestEdgeCases:
         v = VirtualSubgraph(g, [0])
         assert v.num_internal_edges == 1
         assert v.escape_mass()[0] == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: scipy's transpose, and the dense global -> local map views used
+# to keep.
+
+PROP_SETTINGS = dict(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def view_cases(draw):
+    """A view of a random graph whose rows hold duplicates and self loops
+    in unsorted order, over a random (possibly empty) node subset."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    degrees = rng.integers(0, 6, n)
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
+    graph = DiGraph(indptr, rng.integers(0, n, int(indptr[-1])))
+    nodes = rng.choice(n, size=draw(st.integers(0, n)), replace=False)
+    return VirtualSubgraph(graph, nodes), rng
+
+
+class TestOracles:
+    @settings(**PROP_SETTINGS)
+    @given(case=view_cases())
+    def test_transition_T_equals_scipy_transpose(self, case):
+        view, _ = case
+        got, want = view.transition_T(), view.transition().T.tocsr()
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @settings(**PROP_SETTINGS)
+    @given(case=view_cases())
+    def test_to_local_and_contains_equal_dense_map(self, case):
+        view, rng = case
+        n = view.graph.num_nodes
+        dense = np.full(n, -1, dtype=np.int64)
+        dense[view.nodes] = np.arange(view.num_nodes)
+        for g in range(-2, n + 2):
+            inside = 0 <= g < n and dense[g] >= 0
+            assert view.contains(g) == inside
+            if inside:
+                assert view.to_local(g) == dense[g]
+                assert view.to_local(np.int64(g)) == dense[g]
+            else:
+                with pytest.raises(GraphError):
+                    view.to_local(g)
+        probe = rng.integers(-2, n + 2, rng.integers(0, 8))
+        if np.all((probe >= 0) & (probe < n)) and np.all(dense[probe.clip(0, n - 1)] >= 0):
+            got = view.to_local(probe)
+            np.testing.assert_array_equal(got, dense[probe])
+            assert got.dtype == np.int64
+        else:
+            with pytest.raises(GraphError):
+                view.to_local(probe)
+            with pytest.raises(GraphError):
+                view.to_local(probe.tolist())
