@@ -27,7 +27,6 @@ from repro.core.gpa import GPAIndex, build_gpa_index
 from repro.core.hgpa import HGPAIndex, build_hgpa_index
 from repro.core.jw import JWIndex, build_jw_index
 from repro.approx.fastppv import FastPPVIndex, build_fastppv_index
-from repro.kernels import active_kernels
 
 __all__ = [
     "ExperimentTable",
@@ -101,19 +100,13 @@ class ExperimentTable:
 
 
 def kernel_backend_info() -> dict[str, object]:
-    """The active kernel backend + capability probe, for bench payloads.
+    """The ``kernel_backend`` field of bench payloads.
 
-    Every ``results/BENCH_*.json`` carries these two keys so recorded
-    numbers are attributable: ``kernel_backend`` names what actually
-    dispatched (after any silent downgrade) and ``kernel_report`` holds
-    the full probe — requested backend, per-capability availability and
-    downgrade notes.
+    Every leaf operation runs its numpy/scipy body, so this is always
+    ``"scipy"``; the key stays so payloads recorded before and after
+    compare field for field.
     """
-    kern = active_kernels()
-    return {
-        "kernel_backend": kern.backend,
-        "kernel_report": kern.report.as_dict(),
-    }
+    return {"kernel_backend": "scipy"}
 
 
 def _fmt(value: object) -> str:

@@ -23,12 +23,10 @@ views in *local* coordinates; callers translate to global ids.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConvergenceError
 from repro.graph.digraph import DiGraph
 from repro.graph.subgraph import VirtualSubgraph
-from repro.kernels.dispatch import KernelsLike, resolve_kernels
 
 __all__ = [
     "as_view",
@@ -63,7 +61,6 @@ def partial_vectors(
     tol: float = 1e-4,
     max_iter: int = 100_000,
     per_column: bool = False,
-    kernels: KernelsLike = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Partial vectors for many sources at once via selective expansion.
 
@@ -104,27 +101,6 @@ def partial_vectors(
     wt = view.transition_T()
     expandable = np.ones(n, dtype=bool)
     expandable[np.asarray(hub_local, dtype=np.int64)] = False
-    if per_column:
-        # Per-column mode is column-independent by contract, so the
-        # kernel backend may solve each source on its own — replaying the
-        # numpy loop below bitwise per column (see pykernels).
-        kern = resolve_kernels(kernels).percol_solve
-        if kern is not None and sp.issparse(wt) and wt.format == "csr":
-            d, e, ok = kern(
-                np.asarray(wt.indptr, dtype=np.int64),
-                np.asarray(wt.indices, dtype=np.int64),
-                np.asarray(wt.data, dtype=np.float64),
-                expandable,
-                sources,
-                alpha,
-                tol,
-                max_iter,
-            )
-            if not ok:
-                raise ConvergenceError(
-                    f"partial_vectors: no convergence in {max_iter} iterations"
-                )
-            return d, e
     d = np.zeros((n, num_src))
     e = np.zeros((n, num_src))
     frozen = np.nonzero(~expandable)[0]

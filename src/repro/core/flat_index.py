@@ -38,7 +38,6 @@ from repro.core.sparse_ops import (
     weight_row_stats,
 )
 from repro.core.sparsevec import SparseVec
-from repro.kernels.dispatch import KernelsLike, resolve_kernels
 from repro.errors import QueryError
 from repro.metrics.ranking import top_k_nodes
 from repro.graph.digraph import DiGraph
@@ -185,7 +184,6 @@ def topk_rows(
     k: int,
     *,
     threshold: float | None = None,
-    kernels: KernelsLike = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-k of a ``(rows, n)`` matrix: ``(ids, scores)`` pairs.
 
@@ -217,16 +215,6 @@ def topk_rows(
             np.empty((rows, max(k, 0)), dtype=np.int64),
             np.empty((rows, max(k, 0))),
         )
-    kern = resolve_kernels(kernels).topk_dense
-    if kern is not None:
-        ids, scores = kern(
-            np.ascontiguousarray(dense, dtype=np.float64), k
-        )
-        if threshold is not None:
-            dropped = scores <= threshold
-            ids[dropped] = -1
-            scores[dropped] = 0.0
-        return ids, scores
     part = np.argpartition(-dense, k - 1, axis=1)
     kth = np.take_along_axis(dense, part[:, k - 1 : k], axis=1)
     greater = dense > kth

@@ -17,11 +17,9 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ConvergenceError, QueryError
 from repro.graph.digraph import DiGraph
-from repro.kernels.dispatch import KernelsLike, resolve_kernels
 
 __all__ = ["power_iteration_ppv", "power_iteration_reference", "preference_vector"]
 
@@ -55,7 +53,6 @@ def power_iteration_ppv(
     alpha: float = 0.15,
     tol: float = 1e-4,
     max_iter: int = 100_000,
-    kernels: KernelsLike = None,
 ) -> np.ndarray:
     """PPV by power iteration, converged when ``max |x_new − x| ≤ tol``.
 
@@ -65,22 +62,6 @@ def power_iteration_ppv(
     """
     u = preference_vector(graph, preference)
     wt = graph.transition_T()
-    kern = resolve_kernels(kernels).power_solve
-    if kern is not None and sp.issparse(wt) and wt.format == "csr":
-        x, iters = kern(
-            np.asarray(wt.indptr, dtype=np.int64),
-            np.asarray(wt.indices, dtype=np.int64),
-            np.asarray(wt.data, dtype=np.float64),
-            u,
-            alpha,
-            tol,
-            max_iter,
-        )
-        if iters < 0:
-            raise ConvergenceError(
-                f"power iteration: no convergence in {max_iter} iterations"
-            )
-        return x
     x = u.copy()
     for _ in range(max_iter):
         nxt = (1.0 - alpha) * (wt @ x) + alpha * u

@@ -29,7 +29,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.sparsevec import SparseVec
-from repro.kernels.dispatch import KernelsLike, resolve_kernels
 
 __all__ = [
     "assemble_columns",
@@ -112,92 +111,23 @@ def scaled_transpose_csc(w: sp.csr_matrix, factor: float) -> sp.csc_matrix:
     return sp.csc_matrix((w.data * factor, w.indices, w.indptr), shape=(h, g))
 
 
-def _as_int64(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.int64)
-
-
-def _as_float64(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64)
-
-
 def spgemm_scaled(
-    part_csc: sp.csc_matrix,
-    w: sp.csr_matrix,
-    factor: float,
-    *,
-    kernels: KernelsLike = None,
+    part_csc: sp.csc_matrix, w: sp.csr_matrix, factor: float
 ) -> sp.csc_matrix:
     """``part_csc @ (w * factor).T`` as a *canonical* (sorted) CSC — the
     level-term product every sparse batch path computes per subgraph.
 
-    The kernel path replays scipy's CSC @ CSC scatter (per output column,
-    B's stored entries in stored order, each scattering A's column) so
-    the accumulated values are bitwise identical; it emits columns
-    row-sorted directly, where scipy emits touch order and the call sites
-    sorted afterwards — same canonical matrix either way, which is why
-    this wrapper always returns sorted indices and callers drop their
-    ``sort_indices()``.
+    scipy emits each output column in touch order; sorting here once
+    means no caller sorts again.
     """
-    b = scaled_transpose_csc(w, factor)
-    kern = resolve_kernels(kernels).spgemm_csc
-    if kern is not None and part_csc.format == "csc":
-        n_rows, _ = part_csc.shape
-        n_cols = b.shape[1]
-        indptr, indices, data = kern(
-            _as_int64(part_csc.indptr),
-            _as_int64(part_csc.indices),
-            _as_float64(part_csc.data),
-            _as_int64(b.indptr),
-            _as_int64(b.indices),
-            _as_float64(b.data),
-            n_rows,
-            n_cols,
-        )
-        out = sp.csc_matrix((data, indices, indptr), shape=(n_rows, n_cols))
-        out.has_sorted_indices = True
-        out.has_canonical_format = True
-        return out
-    out = part_csc @ b
+    out = part_csc @ scaled_transpose_csc(w, factor)
     out.sort_indices()
     return out
 
 
-def sparse_add(
-    a: sp.spmatrix, b: sp.spmatrix, *, kernels: KernelsLike = None
-) -> sp.spmatrix:
-    """``a + b`` through the kernel seam — the level-merge / accumulator
-    fold of the sparse batch paths.
-
-    The kernel is a two-pointer merge over canonical same-format inputs
-    that computes each overlapping entry as the single ``a + b`` scipy's
-    canonical binop computes (dropping exact-zero results exactly as
-    scipy does); anything not eligible — mixed formats, unsorted or
-    non-canonical operands — falls through to scipy's own ``a + b``.
-    """
-    kern = resolve_kernels(kernels).cs_add
-    if (
-        kern is not None
-        and a.format == b.format
-        and a.format in ("csr", "csc")
-        and a.shape == b.shape
-        and a.has_sorted_indices
-        and a.has_canonical_format
-        and b.has_sorted_indices
-        and b.has_canonical_format
-    ):
-        indptr, indices, data = kern(
-            _as_int64(a.indptr),
-            _as_int64(a.indices),
-            _as_float64(a.data),
-            _as_int64(b.indptr),
-            _as_int64(b.indices),
-            _as_float64(b.data),
-        )
-        cls = sp.csr_matrix if a.format == "csr" else sp.csc_matrix
-        out = cls((data, indices, indptr), shape=a.shape)
-        out.has_sorted_indices = True
-        out.has_canonical_format = True
-        return out
+def sparse_add(a: sp.spmatrix, b: sp.spmatrix) -> sp.spmatrix:
+    """``a + b`` — the level-merge / accumulator fold of the sparse batch
+    paths, named so the fold has one place to time and to change."""
     return a + b
 
 
@@ -333,7 +263,6 @@ def topk_rows_sparse(
     k: int,
     *,
     threshold: float | None = None,
-    kernels: KernelsLike = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-k of a sparse ``(rows, n)`` matrix — exact mirror of
     the dense :func:`repro.core.flat_index.topk_rows` contract.
@@ -354,20 +283,6 @@ def topk_rows_sparse(
             np.empty((rows, max(k, 0)), dtype=np.int64),
             np.empty((rows, max(k, 0))),
         )
-    kern = resolve_kernels(kernels).topk_sparse
-    if kern is not None:
-        ids, scores = kern(
-            _as_int64(mat.indptr),
-            _as_int64(mat.indices),
-            _as_float64(mat.data),
-            n,
-            k,
-        )
-        if threshold is not None:
-            dropped = scores <= threshold
-            ids[dropped] = -1
-            scores[dropped] = 0.0
-        return ids, scores
     ids = np.empty((rows, k), dtype=np.int64)
     scores = np.empty((rows, k))
     indptr, indices, data = mat.indptr, mat.indices, mat.data

@@ -25,7 +25,7 @@ from repro.core.flat_index import (
     topk_rows,
     topk_rows_reference,
 )
-from repro.core.sparse_ops import topk_rows_sparse
+from repro.core.sparse_ops import spgemm_scaled, topk_rows_sparse
 from repro.distributed import DistributedGPA, DistributedHGPA
 from repro.graph import hierarchical_community_digraph
 from repro.serving import PPVCache, PPVService, SimulatedClock, as_backend
@@ -439,6 +439,20 @@ class TestShardedSparse:
         # Cache accounting: every entry at its true-nnz wire size.
         assert svc_sparse.cache.current_bytes == sum(
             e.wire_bytes for e in svc_sparse.cache._store.values()
+        )
+
+
+def test_spgemm_scaled_is_sorted_and_equals_the_dense_product():
+    """The level-term product: canonical CSC, bitwise the CSC @ dense
+    product the dense paths compute."""
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        part = sp.random(int(rng.integers(1, 9)), 30, density=0.3, format="csc", rng=rng)
+        w = sp.random(25, 30, density=0.2, format="csr", rng=rng)
+        out = spgemm_scaled(part, w, 1.0 / 0.15)
+        assert out.format == "csc" and out.has_sorted_indices
+        np.testing.assert_array_equal(
+            out.toarray(), part @ (w.toarray() * (1.0 / 0.15)).T
         )
 
 
