@@ -95,9 +95,7 @@ def _run(index, stream, arrivals, plan=None):
     )
     if plan is not None:
         FaultInjector(plan).attach(router)
-    service = PPVService(
-        router, window=WINDOW_S, clock=clock, slo_seconds=SLO_S, degrade=True
-    )
+    service = PPVService(router, window=WINDOW_S, clock=clock, slo_seconds=SLO_S)
     tickets = service.replay(zip(arrivals.tolist(), stream.tolist()))
     return tickets, service, router
 

@@ -10,10 +10,11 @@ unbatched serving.
   several window sizes (window 0 = one backend call per request); wider
   windows form bigger ``query_many`` batches and amortise the skeleton
   slicing.  Expected: micro-batching beats unbatched serving by ≥ 2×.
-* **Cache hit rate** — the LRU result cache against the stream's
-  intrinsic repeat fraction (the upper bound: every first occurrence is
-  a compulsory miss).  An unbounded budget should sit near that bound;
-  a tight budget trades hits for memory.
+* **Cache hit rate** — the LRU result cache, held by a one-shard
+  :class:`repro.sharding.ShardRouter` behind the service, against the
+  stream's intrinsic repeat fraction (the upper bound: every first
+  occurrence is a compulsory miss).  An unbounded budget should sit near
+  that bound; a tight budget trades hits for memory.
 
 Smoke mode (``REPRO_SMOKE=1``) shrinks the dataset and stream and skips
 the throughput assertion, so CI exercises the full serving path on every
@@ -26,7 +27,8 @@ import time
 import numpy as np
 
 from repro.bench import ExperimentTable, gpa_index, zipf_stream
-from repro.serving import PPVCache, PPVService, SimulatedClock
+from repro.serving import PPVService, SimulatedClock
+from repro.sharding import ShardRouter
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 DATASET = "email" if SMOKE else "web"
@@ -39,15 +41,22 @@ ARRIVAL_SPACING = 1e-4  # 10k requests/second
 WINDOWS_MS = (0.0, 1.0, 5.0, 20.0)
 
 
-def _serve_wall_seconds(index, stream, arrivals, window_s, cache=None) -> tuple:
+def _serve_wall_seconds(
+    index, stream, arrivals, window_s, cache_bytes=None
+) -> tuple:
     """One replay of the stream; returns (wall, service) — wall is real
-    compute time, the arrival process advances only the simulated clock."""
+    compute time, the arrival process advances only the simulated clock.
+    With ``cache_bytes`` the index sits in a one-shard router whose
+    shard caches rows under that budget."""
+    clock = SimulatedClock()
+    engine = index
+    if cache_bytes is not None:
+        engine = ShardRouter([[index]], cache_bytes=cache_bytes, clock=clock)
     service = PPVService(
-        index,
+        engine,
         window=window_s,
         max_batch=MAX_BATCH,
-        cache=cache,
-        clock=SimulatedClock(),
+        clock=clock,
     )
     t0 = time.perf_counter()
     out = service.serve(stream, arrivals)
@@ -126,10 +135,10 @@ def test_serving_cache_hit_rate():
     )
     hit_rates = {}
     for budget_rows in (unique + 1, max(2, unique // 8)):
-        cache = PPVCache(budget_rows * row_bytes)
         _, service = _serve_wall_seconds(
-            index, stream, arrivals, 0.005, cache=cache
+            index, stream, arrivals, 0.005, cache_bytes=budget_rows * row_bytes
         )
+        cache = service.backend.shards[0].cache
         hit_rates[budget_rows] = cache.stats.hit_rate
         table.add(
             budget_rows,
@@ -140,7 +149,8 @@ def test_serving_cache_hit_rate():
         )
     table.note(
         "hit rate is bounded by the repeat fraction (first occurrences are "
-        "compulsory misses; same-window repeats dedupe inside the batch)"
+        "compulsory misses; same-window repeats dedupe inside the batch, "
+        "before the shard cache sees them)"
     )
     table.emit()
 

@@ -51,9 +51,7 @@ def build_service(index, plan=None):
     )
     if plan is not None:
         FaultInjector(plan).attach(router)
-    service = PPVService(
-        router, window=0.005, clock=clock, slo_seconds=0.1, degrade=True
-    )
+    service = PPVService(router, window=0.005, clock=clock, slo_seconds=0.1)
     return service, router
 
 

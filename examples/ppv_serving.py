@@ -4,7 +4,8 @@
 Shapes the index as a production query service:
 
 1. build a GPA index on the Email stand-in dataset,
-2. stand up a ``PPVService`` with a 5 ms batch window and an LRU cache,
+2. stand up a ``PPVService`` with a 5 ms batch window in front of a
+   one-shard ``ShardRouter`` that holds the LRU result cache,
 3. replay a Zipf-skewed request stream (hot users dominate),
 4. inspect batching and cache statistics,
 5. answer top-k queries without materialising full dense PPVs.
@@ -18,7 +19,8 @@ import numpy as np
 
 from repro import datasets
 from repro.core import build_gpa_index
-from repro.serving import PPVCache, PPVService, SimulatedClock
+from repro.serving import PPVService, SimulatedClock
+from repro.sharding import ShardRouter
 
 
 def main() -> None:
@@ -30,17 +32,14 @@ def main() -> None:
     print(f"graph: {graph}")
 
     # 2. The serving frontend: requests wait at most 5 ms, batches are
-    # answered by one query_many call, results land in a 4 MB LRU cache.
-    service = PPVService(
-        index,
-        window=0.005,
-        max_batch=128,
-        cache=PPVCache(4 << 20),
-        # Deterministic replay of the arrival stream below; a live
-        # deployment keeps the default SystemClock and calls poll() as
-        # requests come in (no arrivals replay).
-        clock=SimulatedClock(),
-    )
+    # answered by one query_many call.  The cache lives behind it, in the
+    # one shard of a router around the index: a 4 MB LRU of result rows.
+    # A SimulatedClock replays the arrival stream below deterministically;
+    # a live deployment keeps the default SystemClock and calls poll() as
+    # requests come in (no arrivals replay).
+    clock = SimulatedClock()
+    router = ShardRouter([[index]], cache_bytes=4 << 20, clock=clock)
+    service = PPVService(router, window=0.005, max_batch=128, clock=clock)
 
     # 3. Zipf traffic: popularity of the rank-r node ∝ r^-1.2.
     rng = np.random.default_rng(7)
@@ -53,7 +52,7 @@ def main() -> None:
 
     # 4. What the window and the cache bought.
     stats = service.stats
-    cache_stats = service.cache.stats
+    cache_stats = router.shards[0].cache.stats
     print(
         f"batches: {stats.batches} (mean size {stats.mean_batch_size:.1f}), "
         f"cache hit rate: {cache_stats.hit_rate:.2f}, "

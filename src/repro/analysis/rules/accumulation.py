@@ -1,4 +1,4 @@
-"""RPR004 — float-accumulation-order hazards in ``core`` and ``kernels``.
+"""RPR004 — float-accumulation-order hazards in ``core``.
 
 Floating-point addition is not associative: summing the same values in
 two different orders yields two (slightly) different results, and the
@@ -30,7 +30,7 @@ class FloatAccumulationOrderRule(Rule):
         "container first (sum over sorted(...)), or accumulate over an "
         "ordered container"
     )
-    segments = ("core", "kernels")
+    segments = ("core",)
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         findings: list[Finding] = []

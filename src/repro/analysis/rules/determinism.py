@@ -52,7 +52,7 @@ class NondeterministicIterationRule(Rule):
         "(np.random.default_rng(seed)); avoid wall-clock reads outside "
         "bench/ — determinism is the repo's exactness contract"
     )
-    segments = ("core", "distributed", "sharding", "exec", "kernels")
+    segments = ("core", "distributed", "sharding", "exec")
 
     def check(self, ctx: ModuleContext) -> list[Finding]:
         findings: list[Finding] = []

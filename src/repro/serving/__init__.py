@@ -6,8 +6,10 @@ traffic — single-node requests, heavy skew, top-k answers:
 
 * :class:`PPVService` — accepts requests, micro-batches them inside a
   configurable window, answers each batch with one ``query_many`` call;
-* :class:`PPVCache` — byte-budgeted LRU over dense PPV rows with
-  hit/miss/eviction accounting and read-only entries;
+  it keeps no results, and a flush the backend fails sheds its tickets;
+* :class:`PPVCache` — byte-budgeted LRU over PPV rows with
+  hit/miss/eviction accounting and read-only entries, one per shard of
+  a :class:`~repro.sharding.ShardRouter` (``cache_bytes=``);
 * :func:`as_backend` — one interface over every index family and both
   simulated distributed runtimes.
 """
@@ -18,7 +20,6 @@ from repro.serving.adapters import (
     as_backend,
     as_mutable_backend,
 )
-from repro.serving.admission import FrequencySketch
 from repro.serving.cache import CacheStats, PPVCache
 from repro.serving.service import (
     PPVService,
@@ -33,7 +34,6 @@ __all__ = [
     "MutableBackend",
     "as_backend",
     "as_mutable_backend",
-    "FrequencySketch",
     "CacheStats",
     "PPVCache",
     "PPVService",

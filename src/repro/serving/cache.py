@@ -3,7 +3,8 @@
 The serving workload of a PPR system is heavily skewed — a small set of
 hot users accounts for most queries (the traffic shape Lin's distributed
 fully-personalized-PPR work designs for) — so answering repeats from a
-result cache removes most of the backend load.  The budget is expressed
+result cache removes most of the backend load.  Each shard of a
+:class:`~repro.sharding.ShardRouter` owns one.  The budget is expressed
 in *bytes* because the operator sizes the cache against machine memory,
 not entry counts: a dense row costs its ``8n`` buffer, a sparse
 :class:`~repro.core.sparsevec.SparseVec` row costs its wire size
@@ -18,18 +19,16 @@ writeable flag guarantees no caller can corrupt the shared entry.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.sparsevec import SparseVec
 from repro.errors import ServingError
-from repro.serving.admission import FrequencySketch
 
-__all__ = ["CacheStats", "PPVCache", "DEFAULT_EVICTION_SAMPLE", "entry_bytes"]
+__all__ = ["CacheStats", "PPVCache", "entry_bytes"]
 
 
 def entry_bytes(entry: np.ndarray | SparseVec) -> int:
@@ -39,16 +38,12 @@ def entry_bytes(entry: np.ndarray | SparseVec) -> int:
         return entry.wire_bytes
     return entry.nbytes
 
-DEFAULT_EVICTION_SAMPLE = 8
-"""LRU-end candidates examined per cost-aware eviction (Redis-style)."""
-
 
 @dataclass
 class CacheStats:
     """Hit/miss/eviction counters of one :class:`PPVCache`.
 
-    ``admission_rejects`` counts inserts the TinyLFU doorkeeper turned
-    away; ``invalidations`` counts rows dropped by targeted
+    ``invalidations`` counts rows dropped by targeted
     :meth:`PPVCache.invalidate` calls (live graph updates).
     """
 
@@ -56,7 +51,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
     inserts: int = 0
-    admission_rejects: int = 0
     invalidations: int = 0
 
     @property
@@ -84,60 +78,15 @@ class PPVCache:
     needed.  A vector larger than the whole budget is rejected outright
     instead of evicting everything for an entry that cannot help future
     queries.
-
-    ``weight`` turns eviction cost-aware: a ``weight(u, vec) -> float``
-    callable scores each entry at insert time (e.g. by its backend
-    rebuild cost — what a sharded deployment loses when the row must be
-    recomputed), and eviction removes the *cheapest* of the ``sample``
-    least-recently-used entries instead of blindly the oldest.  Without
-    ``weight`` the cache is exactly the original pure-LRU byte-budgeted
-    store.  Note ``vec`` is whatever form was inserted: a read-only
-    dense row on the dense serving paths, a :class:`SparseVec` on the
-    sparse ones — hooks serving both pipelines should key on ``u`` or
-    handle both types.
-
-    ``admission`` adds a TinyLFU doorkeeper (``"tinylfu"`` for defaults,
-    or a pre-sized :class:`~repro.serving.admission.FrequencySketch`):
-    every *lookup* counts into the sketch — exactly once per access, the
-    canonical TinyLFU accounting; the serving flows always probe before
-    inserting — and an insert that would evict is admitted only if the
-    candidate's estimated frequency *beats* the would-be victim's — scan
-    resistance under adversarial one-shot streams, with rejects counted
-    in ``stats.admission_rejects``.
     """
 
-    def __init__(
-        self,
-        max_bytes: int,
-        *,
-        weight: Callable[[int, np.ndarray | SparseVec], float] | None = None,
-        sample: int = DEFAULT_EVICTION_SAMPLE,
-        admission: FrequencySketch | str | None = None,
-    ) -> None:
+    def __init__(self, max_bytes: int) -> None:
         if max_bytes <= 0:
             raise ServingError(f"cache budget must be positive, got {max_bytes}")
-        if weight is not None and not callable(weight):
-            raise ServingError("weight must be a callable (u, vec) -> float")
-        if sample < 1:
-            raise ServingError(f"eviction sample must be >= 1, got {sample}")
-        if isinstance(admission, str):
-            if admission != "tinylfu":
-                raise ServingError(
-                    f"unknown admission policy {admission!r} (known: 'tinylfu')"
-                )
-            admission = FrequencySketch()
-        if admission is not None and not isinstance(admission, FrequencySketch):
-            raise ServingError(
-                "admission must be 'tinylfu' or a FrequencySketch instance"
-            )
         self.max_bytes = int(max_bytes)
         self.current_bytes = 0
-        self.weight = weight
-        self.sample = int(sample)
-        self.admission = admission
         self.stats = CacheStats()
         self._store: OrderedDict[int, np.ndarray | SparseVec] = OrderedDict()
-        self._weights: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -153,8 +102,6 @@ class PPVCache:
         The entry comes back in the form it was inserted — dense row or
         :class:`SparseVec`; mixed-mode readers convert on their side.
         """
-        if self.admission is not None:
-            self.admission.increment(u)
         arr = self._store.get(u)
         if arr is None:
             self.stats.misses += 1
@@ -168,9 +115,9 @@ class PPVCache:
 
         ``vec`` is either a dense row or a
         :class:`~repro.core.sparsevec.SparseVec`.  Already-read-only
-        float64 arrays are stored as-is (the service shares one buffer
-        between the cache and every resolved request); anything writeable
-        is defensively copied first; ``SparseVec`` entries are immutable
+        float64 arrays are stored as-is (the shard hands over a fresh
+        read-only copy of each computed row); anything writeable is
+        defensively copied first; ``SparseVec`` entries are immutable
         and stored directly at their wire size.
         """
         if isinstance(vec, SparseVec):
@@ -188,83 +135,17 @@ class PPVCache:
         nbytes = entry_bytes(arr)
         if nbytes > self.max_bytes:
             return False
-        if self.admission is not None:
-            if (
-                u not in self._store
-                and self.current_bytes + nbytes > self.max_bytes
-                and len(self._store) > 0
-            ):
-                # Admission duel: the candidate must beat the entry its
-                # insert would evict, else it bounces off the full cache.
-                victim = self._peek_victim()
-                if self.admission.estimate(u) <= self.admission.estimate(victim):
-                    self.stats.admission_rejects += 1
-                    return False
-        if self.weight is not None:
-            w = float(self.weight(u, arr))
-            if not math.isfinite(w):
-                raise ServingError(
-                    f"weight({u}, ...) returned non-finite {w!r}"
-                )
         old = self._store.pop(u, None)
         if old is not None:
             self.current_bytes -= entry_bytes(old)
         self._store[u] = arr
-        if self.weight is not None:
-            self._weights[u] = w
         self.current_bytes += nbytes
         self.stats.inserts += 1
         while self.current_bytes > self.max_bytes:
-            evicted = self._evict_one()
+            _, evicted = self._store.popitem(last=False)
             self.current_bytes -= entry_bytes(evicted)
             self.stats.evictions += 1
         return True
-
-    def _evict_one(self) -> np.ndarray | SparseVec:
-        """Remove and return one entry under the configured policy.
-
-        Pure LRU without a ``weight`` hook; with one, the lightest of the
-        ``sample`` least-recently-used entries goes (ties keep eviction
-        order deterministic: the least recent of the tied candidates).
-        The most-recent entry is never a candidate — it is the row being
-        inserted right now, and evicting it would make ``put`` a lie —
-        matching the structural protection of the pure-LRU path.
-        """
-        if self.weight is None:
-            _, evicted = self._store.popitem(last=False)
-            return evicted
-        victim = None
-        victim_w = math.inf
-        candidates = min(self.sample, len(self._store) - 1)
-        for i, u in enumerate(self._store):
-            if i >= candidates:
-                break
-            w = self._weights[u]
-            if w < victim_w:
-                victim, victim_w = u, w
-        self._weights.pop(victim, None)
-        return self._store.pop(victim)
-
-    def _peek_victim(self) -> int:
-        """The key :meth:`_evict_one` would remove next, without removing.
-
-        Mirrors the eviction policy exactly — pure LRU takes the least
-        recent entry, cost-aware takes the lightest of the ``sample``
-        least-recent candidates — so the admission duel compares the
-        candidate against the true would-be victim.
-        """
-        if self.weight is None:
-            return next(iter(self._store))
-        victim = None
-        victim_w = math.inf
-        candidates = min(self.sample, len(self._store))
-        for i, u in enumerate(self._store):
-            if i >= candidates:
-                break
-            w = self._weights[u]
-            if w < victim_w:
-                victim, victim_w = u, w
-        return victim
 
     def invalidate(self, nodes: Iterable[int] | np.ndarray) -> int:
         """Drop exactly the given rows (a live update's affected sources).
@@ -278,7 +159,6 @@ class PPVCache:
             arr = self._store.pop(u, None)
             if arr is not None:
                 self.current_bytes -= entry_bytes(arr)
-                self._weights.pop(u, None)
                 dropped += 1
         self.stats.invalidations += dropped
         return dropped
@@ -286,5 +166,4 @@ class PPVCache:
     def clear(self) -> None:
         """Drop every entry (stats are kept — they describe the workload)."""
         self._store.clear()
-        self._weights.clear()
         self.current_bytes = 0

@@ -6,9 +6,10 @@ single queries (one stacked sparse matmul amortises the skeleton-row
 slicing across the whole batch — the PR 1 ``query_many`` win).
 :class:`PPVService` bridges the two: requests are queued, held for at
 most one *batch window* (a few milliseconds), deduplicated, answered by
-a single ``query_many`` call, and optionally remembered in an LRU
-:class:`~repro.serving.cache.PPVCache` so the skewed tail of repeat
-queries never reaches the backend at all.
+a single ``query_many`` call.  The service keeps no results of its
+own: rows are cached, and stale rows served, behind it in the shards of
+a :class:`~repro.sharding.ShardRouter` (a one-shard router over a bare
+engine is the cached deployment of that engine).
 
 Time is injected through a clock object so tests and simulations are
 deterministic: :class:`SystemClock` follows ``time.monotonic`` for real
@@ -38,7 +39,6 @@ from repro.errors import (
     TransientFault,
 )
 from repro.serving.adapters import as_backend
-from repro.serving.cache import PPVCache
 
 __all__ = [
     "SystemClock",
@@ -88,9 +88,11 @@ class Ticket:
 
     ``status`` is the degradation contract surfaced per request:
     ``"ok"`` answers are fresh and exact; ``"degraded"`` answers were
-    served stale from a cache while their partition was unreachable
-    (exact values, unconfirmed freshness); ``"shed"`` requests got no
-    answer at all — reading :attr:`result` raises
+    served stale from a shard cache while their partition was
+    unreachable (exact values, unconfirmed freshness); ``"shed"``
+    requests got no answer at all — refused on arrival, shed by the
+    backend, or caught in a flush the backend failed — and reading
+    :attr:`result` raises
     :class:`~repro.errors.DegradedResult` so a shed zero row can never
     be mistaken for a real PPV.  ``latency_seconds`` is the request's
     modeled latency: clock time from submit to resolve plus any
@@ -99,7 +101,6 @@ class Ticket:
 
     __slots__ = (
         "node",
-        "cached",
         "epoch",
         "status",
         "submitted_at",
@@ -110,7 +111,6 @@ class Ticket:
 
     def __init__(self, node: int) -> None:
         self.node = node
-        self.cached = False
         self.epoch: int | None = None
         self.status = "ok"
         self.submitted_at: float | None = None
@@ -176,7 +176,6 @@ class ServiceStats:
     """
 
     requests: int = 0
-    cache_hits: int = 0
     batches: int = 0
     batched_queries: int = 0  # deduplicated nodes sent to the backend
     updates: int = 0  # edge updates applied through the service
@@ -213,19 +212,29 @@ class PPVService:
     :class:`Ticket`; the queue is flushed into one backend
     ``query_many`` call when the oldest pending request has waited
     ``window`` seconds (checked by :meth:`poll`) or ``max_batch``
-    requests are pending (checked eagerly).  With a cache attached,
-    hits resolve immediately and never reach the backend.
+    requests are pending (checked eagerly).  Each flush deduplicates its
+    nodes, so repeats inside one window cost one backend row.
 
-    Results are read-only arrays shared between the cache and every
-    ticket of the same node — exact to the backend's ``query_many``,
-    which each index family keeps within 1e-12 of its per-node ``query``.
-    With ``sparse=True`` batches run through the backend's
-    ``query_many_sparse`` instead: tickets resolve to immutable
+    The service holds no result cache and serves no stale row: caching
+    and serve-stale degradation live in the shards of a
+    :class:`~repro.sharding.ShardRouter` (``cache_bytes=``,
+    ``RetryPolicy(degrade=True)``), whose per-row ``epoch``, ``status``
+    and ``latency_seconds`` the tickets carry.  When the backend raises
+    a :class:`~repro.errors.ShardingError` or
+    :class:`~repro.errors.TransientFault` during a flush, every ticket
+    of that flush is resolved ``"shed"`` and the error re-raised — a
+    failed flush never leaves a ticket pending forever, and never
+    answers one with an invented row.
+
+    Results are read-only rows — exact to the backend's ``query_many``,
+    which each index family keeps within 1e-12 of its per-node
+    ``query``.  With ``sparse=True`` batches run through the backend's
+    ``query_many_sparse`` instead and tickets resolve to immutable
     :class:`~repro.core.sparsevec.SparseVec` rows with exactly the dense
-    values, and the cache charges each row its true-nnz wire size, so a
-    pruned-index deployment fits ~10–100× more entries in the same
-    budget.  ``collect_stats=False`` skips engine-level per-query
-    metadata on every flush (the hot-path fast mode).
+    values.  ``collect_stats`` is passed to the backend and nothing
+    else: no service output reads engine stats.  It remains only because
+    the end-to-end benchmark harness passes it, and goes when that
+    harness stops passing it.
     """
 
     def __init__(
@@ -234,12 +243,10 @@ class PPVService:
         *,
         window: float = 0.01,
         max_batch: int = DEFAULT_BATCH,
-        cache: PPVCache | int | None = None,
         clock: Any = None,
         sparse: bool = False,
         collect_stats: bool = True,
         slo_seconds: float | None = None,
-        degrade: bool = False,
         shed_above: int | None = None,
     ) -> None:
         if window < 0:
@@ -257,28 +264,15 @@ class PPVService:
         self.backend = as_backend(engine)
         self.window = float(window)
         self.max_batch = int(max_batch)
-        if isinstance(cache, int):
-            cache = PPVCache(cache)
-        self.cache = cache
         self.clock = clock if clock is not None else SystemClock()
-        # Sparse mode: batches go through the backend's query_many_sparse,
-        # tickets resolve to SparseVec rows and the cache stores them at
-        # their true-nnz byte cost (values agree with dense mode exactly).
+        # Sparse mode: batches go through the backend's query_many_sparse
+        # and tickets resolve to SparseVec rows (values agree with dense
+        # mode exactly).
         self.sparse = bool(sparse)
-        # collect_stats=False asks engines to skip per-query metadata
-        # bookkeeping — the serving hot-path fast mode.  Epoch tagging
-        # then falls back to the backend's batch-level epoch (identical
-        # unless a staggered rollout serves mixed epochs mid-flight).
         self.collect_stats = bool(collect_stats)
         #: Per-request latency target for the SLO counters in
         #: :class:`ServiceStats` (``None`` = don't classify).
         self.slo_seconds = slo_seconds
-        # Graceful degradation: when the backend itself fails a flush
-        # (every replica of a partition gone), serve-stale from the
-        # service cache / shed instead of raising — each answer
-        # explicitly marked.  Markers the backend already produced (a
-        # resilient ShardRouter with degrade=True) propagate regardless.
-        self.degrade = bool(degrade)
         # Admission control: with more than `shed_above` requests
         # already queued, new submits are shed on arrival — an
         # overloaded service answers fewer requests rather than all of
@@ -287,7 +281,6 @@ class PPVService:
         self.stats = ServiceStats()
         self._pending: list[Ticket] = []
         self._deadline: float | None = None
-        self._cache_epoch = self.epoch
 
     # ------------------------------------------------------------------
     @property
@@ -300,27 +293,15 @@ class PPVService:
         """The backend's current graph version (0 for static backends)."""
         return int(getattr(self.backend, "epoch", 0))
 
-    def _sync_cache_epoch(self) -> None:
-        """Drop the whole cache if the backend's epoch moved behind our
-        back — an update applied directly to the backend (e.g. a
-        ``ShardRouter`` rollout driven outside this service) never told
-        us which rows it affected, so only a full drop is safe.  Updates
-        routed through :meth:`apply_update` invalidate precisely and keep
-        this a no-op.
-        """
-        if self.cache is not None and self.epoch != self._cache_epoch:
-            self.cache.clear()
-            self._cache_epoch = self.epoch
-
     def apply_update(self, update: EdgeUpdate) -> UpdateReceipt:
         """Apply one live edge update at a batch boundary.
 
         Pending requests are flushed *first* — they were submitted
         against the current epoch and are answered at it — then the
-        update goes through the backend (which must be mutable: an
+        update goes through the backend, which must be mutable: an
         :func:`~repro.serving.adapters.as_mutable_backend` wrapper, a
-        distributed runtime, or a shard router) and exactly the affected
-        rows are dropped from the service cache.  The returned receipt
+        distributed runtime, or a shard router (which drops exactly the
+        affected rows from its shard caches).  The returned receipt
         carries the epoch subsequent answers are tagged with.
         """
         apply = getattr(self.backend, "apply_update", None)
@@ -330,16 +311,12 @@ class PPVService:
                 "with as_mutable_backend()"
             )
         self.flush()
-        self._sync_cache_epoch()
         receipt = apply(update)
-        if self.cache is not None and receipt.changed:
-            self.cache.invalidate(receipt.affected_sources)
-        self._cache_epoch = self.epoch
         self.stats.updates += 1
         return receipt
 
     def submit(self, u: int) -> Ticket:
-        """Enqueue one request; resolves on cache hit or at the flush.
+        """Enqueue one request; it resolves at the flush of its batch.
 
         Only genuine integer ids are accepted — truncating ``3.7`` to
         node 3 would serve the wrong PPV without any error (the same
@@ -358,16 +335,8 @@ class PPVService:
         # without ever driving poll() themselves.
         self.poll()
         self.stats.requests += 1
-        self._sync_cache_epoch()
         ticket = Ticket(u)
         ticket.submitted_at = self.clock.now()
-        if self.cache is not None:
-            hit = self.cache.get(u)
-            if hit is not None:
-                self.stats.cache_hits += 1
-                ticket.cached = True
-                self._finish_ticket(ticket, self._coerce(hit), self.epoch)
-                return ticket
         if self.shed_above is not None and len(self._pending) >= self.shed_above:
             # Admission control: the queue is past the shedding mark —
             # refuse on arrival instead of answering everyone late.
@@ -395,22 +364,6 @@ class PPVService:
         if not self._pending:
             return 0
         return self._flush()
-
-    def _coerce(self, entry: np.ndarray | SparseVec) -> np.ndarray | SparseVec:
-        """A cache entry in this service's result form (dense or sparse).
-
-        Entries are stored in the mode that inserted them; a service of
-        the other mode converts on read — same values either way.
-        """
-        if self.sparse:
-            if isinstance(entry, SparseVec):
-                return entry
-            return SparseVec.from_dense(entry)
-        if isinstance(entry, SparseVec):
-            row = entry.to_dense(self.backend.num_nodes)
-            row.flags.writeable = False
-            return row
-        return entry
 
     def _zero_row(self) -> np.ndarray | SparseVec:
         """The explicit payload of a shed request (its ticket raises
@@ -455,28 +408,9 @@ class PPVService:
             else:
                 stats.slo_missed += 1
 
-    def _flush_degraded(self, tickets: list[Ticket]) -> None:
-        """The backend failed the whole flush: serve-stale what the
-        service cache still holds (exact rows, explicitly marked
-        ``degraded``) and shed the rest — never raise at the frontend,
-        never invent a value."""
-        base = self.epoch
-        for ticket in tickets:
-            hit = self.cache.get(ticket.node) if self.cache is not None else None
-            if hit is not None:
-                self._finish_ticket(
-                    ticket, self._coerce(hit), base, status="degraded"
-                )
-            else:
-                self._finish_ticket(
-                    ticket, self._zero_row(), base, status="shed"
-                )
-        self.stats.batches += 1
-
     def _flush(self) -> int:
         tickets, self._pending = self._pending, []
         self._deadline = None
-        self._sync_cache_epoch()
         unique = np.unique(
             np.asarray([t.node for t in tickets], dtype=np.int64)
         )
@@ -490,16 +424,16 @@ class PPVService:
                     unique, collect_stats=self.collect_stats
                 )
         except (ShardingError, TransientFault):
-            if not self.degrade:
-                raise
-            self._flush_degraded(tickets)
-            return len(tickets)
+            # The backend failed the whole flush: no ticket of it gets an
+            # answer, and none may stay queued behind a batch that is gone.
+            zero, epoch = self._zero_row(), self.epoch
+            for ticket in tickets:
+                self._finish_ticket(ticket, zero, epoch, status="shed")
+            raise
+        # Per-row metadata from a router carries each row's epoch (mixed
+        # mid-rollout), status and modeled serving delay; engine stats
+        # carry none of them and fall back to the batch-level values.
         base = self.epoch
-        # Mid-rollout a sharded backend serves mixed epochs: per-row
-        # metadata carries the truth, and nothing may enter the cache
-        # (epoch-untagged rows from ahead-of-epoch replicas would be
-        # served as the completed version later).
-        mixed = bool(getattr(self.backend, "rollout_in_progress", False))
         rows: dict[int, np.ndarray | SparseVec] = {}
         epochs: dict[int, int] = {}
         statuses: dict[int, str] = {}
@@ -517,10 +451,6 @@ class PPVService:
             delays[u] = (
                 float(getattr(info, "latency_seconds", 0.0)) if info else 0.0
             )
-            # Only fresh exact rows may enter the cache: a degraded row's
-            # freshness is unconfirmed and a shed row is an explicit zero.
-            if self.cache is not None and not mixed and statuses[u] == "ok":
-                self.cache.put(u, row)
         for ticket in tickets:
             u = ticket.node
             self._finish_ticket(
@@ -552,8 +482,8 @@ class PPVService:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` of the served PPV: ``(ids, scores)``, best first.
 
-        Served through the same cache/batch path as :meth:`query` — the
-        full row is what the cache stores, the reduction is per-request
+        Served through the same batch path as :meth:`query` — the full
+        row is what a shard cache stores, the reduction is per-request
         (sparse mode reduces the sparse row directly, same result).
         ``threshold`` drops entries with ``score <= threshold`` before
         the k-cut (tail padded with id ``-1`` / score ``0.0``).

@@ -8,8 +8,10 @@ that round at the serving tier.  A :class:`ShardRouter` — itself a
 pluggable :class:`~repro.sharding.routing.RoutingPolicy` (partition-owner
 affinity, round-robin, least-loaded), merges per-shard answers back into
 batch order, and meters every router↔shard byte.  Per-shard
-:class:`~repro.serving.cache.PPVCache` instances, deterministic replica
-failover (mark down / reroute / timed recovery under a
+:class:`~repro.serving.cache.PPVCache` instances (the stack's only
+result cache: a service over a bare engine that wants one puts the
+engine in a one-shard router), deterministic replica failover (mark
+down / reroute / timed recovery under a
 :class:`~repro.serving.service.SimulatedClock`) and a :class:`ShardStats`
 report round out the subsystem.
 
@@ -18,7 +20,9 @@ bounded retries with deterministic-jitter backoff, per-attempt
 deadlines, tail-latency hedging, per-replica circuit breakers and —
 with ``degrade=True`` — graceful degradation (explicitly marked
 ``"degraded"``/``"shed"`` rows instead of errors when a whole partition
-is unreachable).  See :mod:`repro.sharding.resilience` and the chaos
+is unreachable).  This is the stack's one serve-stale path: the service
+in front only passes the markers on, and sheds a flush its backend
+fails outright.  See :mod:`repro.sharding.resilience` and the chaos
 harness in :mod:`repro.faults`.
 """
 

@@ -112,10 +112,10 @@ class ShardRouter(QueryBackend):
     ``owner_map``), ``"round_robin"``, ``"least_loaded"`` or any
     :class:`~repro.sharding.routing.RoutingPolicy` instance.
 
-    ``cache_bytes`` gives every shard its own
-    :class:`~repro.serving.cache.PPVCache` (``cache_weight`` forwards
-    the cost-aware eviction hook); per-shard traffic is metered through
-    one shared :class:`~repro.distributed.network.NetworkMeter`.
+    ``cache_bytes`` gives every shard its own LRU
+    :class:`~repro.serving.cache.PPVCache` — the stack's one result
+    cache; per-shard traffic is metered through one shared
+    :class:`~repro.distributed.network.NetworkMeter`.
     Answers are exact — byte-identical routing policies aside, every
     query is answered by a full replica of its shard, so the router
     matches an unsharded backend to 1e-12.
@@ -128,7 +128,6 @@ class ShardRouter(QueryBackend):
         policy: RoutingPolicy | str = "round_robin",
         owner_map: np.ndarray | None = None,
         cache_bytes: int | None = None,
-        cache_weight: Callable[..., float] | None = None,
         clock: Any = None,
         backend: ExecutionBackend | None = None,
         resilience: RetryPolicy | None = None,
@@ -153,11 +152,7 @@ class ShardRouter(QueryBackend):
         for sid, group in enumerate(shard_engines):
             if not isinstance(group, (list, tuple)):
                 group = [group]
-            cache = (
-                PPVCache(cache_bytes, weight=cache_weight)
-                if cache_bytes is not None
-                else None
-            )
+            cache = PPVCache(cache_bytes) if cache_bytes is not None else None
             self.shards.append(
                 Shard(
                     sid,
@@ -193,12 +188,6 @@ class ShardRouter(QueryBackend):
                 replica.reset_exec()
 
     # ----- live updates -------------------------------------------------
-    @property
-    def rollout_in_progress(self) -> bool:
-        """Whether a staggered rollout is mid-flight (answers may mix
-        epochs; frontends must not cache epoch-untagged rows)."""
-        return self._rollout is not None and not self._rollout.done
-
     def apply_update(self, update: EdgeUpdate) -> UpdateReceipt:
         """Fan one edge update to every replica of every shard at once.
 

@@ -1,6 +1,6 @@
-"""Bad: hash-ordered iteration/accumulation in a kernel (RPR001/RPR004).
+"""Bad: hash-ordered iteration/accumulation in a core loop (RPR001/RPR004).
 
-A kernel that visits stored entries in set order, or sums partial
+A core loop that visits stored entries in set order, or sums partial
 products over an unordered container, silently breaks the bitwise
 replay contract — the result becomes a function of PYTHONHASHSEED.
 """

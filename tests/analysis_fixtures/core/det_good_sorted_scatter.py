@@ -1,4 +1,4 @@
-"""Good: kernels accumulate in explicitly sorted, replayable order."""
+"""Good: core loops accumulate in explicitly sorted, replayable order."""
 
 
 def scatter_columns(touched: set, acc, out):

@@ -78,9 +78,7 @@ def _run(engine, plan=None, *, stream_seed=0, pool=None, degrade=True, **policy)
     """One full service run over the canned arrival stream; returns the
     resolved tickets plus the service and router for their stats."""
     router, clock = _router(engine, plan, degrade=degrade, **policy)
-    service = PPVService(
-        router, window=0.01, clock=clock, slo_seconds=0.1, degrade=degrade
-    )
+    service = PPVService(router, window=0.01, clock=clock, slo_seconds=0.1)
     nodes, arrivals = _stream(engine.graph.num_nodes, seed=stream_seed, pool=pool)
     tickets = service.replay(zip(arrivals.tolist(), nodes.tolist()))
     return tickets, service, router
@@ -455,11 +453,11 @@ class TestGracefulDegradationFrontend:
 
     def test_slo_accounting_classifies_answered_requests(self, gpa_small):
         clock = SimulatedClock()
+        router = ShardRouter([[gpa_small]], cache_bytes=1 << 20, clock=clock)
         service = PPVService(
-            gpa_small,
+            router,
             window=0.05,
             clock=clock,
-            cache=1 << 20,
             slo_seconds=0.04,
         )
         first = service.submit(1)
@@ -467,10 +465,37 @@ class TestGracefulDegradationFrontend:
         service.poll()
         assert first.latency_seconds == pytest.approx(0.2)
         assert service.stats.slo_missed == 1
-        hit = service.submit(1)  # cache hit resolves within the SLO
-        assert hit.cached and service.stats.slo_met == 1
+        hit = service.submit(1)  # a shard-cache hit resolves within the SLO
+        service.flush()
+        cache = router.shards[0].cache
+        assert cache.stats.hits == 1 and hit.latency_seconds == 0.0
+        assert service.stats.slo_met == 1
         assert service.stats.max_latency_seconds == pytest.approx(0.2)
         assert service.stats.mean_latency_seconds == pytest.approx(0.1)
+
+    def test_failed_flush_sheds_every_ticket_and_reraises(self, gpa_small):
+        """A bare engine that raises mid-flush: every ticket of the batch
+        resolves ``"shed"`` (none is left neither pending nor done), the
+        error reaches the caller, and availability counts the loss."""
+
+        class Unreachable:
+            graph = gpa_small.graph
+
+            def query_many(self, nodes):
+                raise ReplicaUnavailable("every replica is down")
+
+        service = PPVService(Unreachable(), window=1.0, clock=SimulatedClock())
+        tickets = [service.submit(u) for u in (4, 9, 4)]
+        with pytest.raises(ReplicaUnavailable):
+            service.flush()
+        assert service.pending == 0
+        for ticket in tickets:
+            assert ticket.done and ticket.status == "shed"
+            with pytest.raises(DegradedResult, match="was shed"):
+                ticket.result
+        assert service.stats.shed == 3
+        assert service.stats.availability == 0.0
+        assert service.stats.batches == 0
 
     def test_service_validates_degradation_knobs(self, gpa_small):
         with pytest.raises(Exception, match="slo_seconds"):

@@ -123,13 +123,11 @@ class TestFixtures:
         assert result.findings == []
         assert result.errors and "syntax error" in result.errors[0]
 
-    def test_kernels_segment_in_scope(self):
-        """The fast-kernel package is guarded by the determinism and
-        accumulation-order rules — a hash-ordered loop in kernel code
-        would break the bitwise replay contract silently."""
-        for rule_id in ("RPR001", "RPR004"):
-            rule = next(r for r in ALL_RULES if r.rule_id == rule_id)
-            assert "kernels" in rule.segments, rule_id
+    def test_core_segment_guards_scatter_loops(self):
+        """The numeric leaf functions live in ``core``, which the
+        determinism and accumulation-order rules guard — a hash-ordered
+        scatter loop there would break the bitwise replay contract
+        silently.  The retired ``kernels`` segment scopes no rule."""
         source = (
             "def scatter(touched: set, acc):\n"
             "    total = 0.0\n"
@@ -137,8 +135,10 @@ class TestFixtures:
             "        total += acc[col]\n"
             "    return total\n"
         )
-        findings = analyze_source(source, "kernels/mod.py").findings
+        findings = analyze_source(source, "core/mod.py").findings
         assert {f.rule for f in findings} == {"RPR001", "RPR004"}
+        assert not any("kernels" in r.segments for r in ALL_RULES)
+        assert analyze_source(source, "kernels/mod.py").findings == []
 
 
 class TestBaseline:

@@ -23,7 +23,6 @@ from repro.core import (
 from repro.distributed import DistributedGPA, DistributedHGPA
 from repro.errors import ServingError, ShardingError
 from repro.serving import (
-    PPVCache,
     PPVService,
     SimulatedClock,
     as_backend,
@@ -383,15 +382,18 @@ class TestZeroCopyStores:
 
 # ----------------------------------------------------------------------
 class TestServiceLiveUpdates:
+    @staticmethod
+    def _cached(index):
+        """A service over a one-shard cached router around ``index``;
+        returns the service and the shard (its cache and engine)."""
+        clock = SimulatedClock()
+        router = ShardRouter([[index]], cache_bytes=1 << 22, clock=clock)
+        svc = PPVService(router, window=0.005, max_batch=4, clock=clock)
+        return svc, router.shards[0]
+
     def test_epoch_tagged_tickets_and_exact_answers(self, gpa_live):
         rng = np.random.default_rng(6)
-        svc = PPVService(
-            as_mutable_backend(gpa_live),
-            window=0.005,
-            max_batch=4,
-            cache=PPVCache(1 << 22),
-            clock=SimulatedClock(),
-        )
+        svc, shard = self._cached(gpa_live)
         t0 = svc.submit(3)
         svc.flush()
         assert t0.epoch == 0
@@ -401,20 +403,15 @@ class TestServiceLiveUpdates:
         t1 = svc.submit(u)
         svc.flush()
         assert t1.epoch == 1
-        oracle = _rebuild_oracle(svc.backend.engine)
+        oracle = _rebuild_oracle(shard.replicas[0].backend.engine)
         np.testing.assert_allclose(
             t1.result, oracle.query(u), atol=ATOL, rtol=0
         )
 
     def test_cache_keeps_unaffected_rows_across_update(self, gpa_live):
         rng = np.random.default_rng(7)
-        svc = PPVService(
-            as_mutable_backend(gpa_live),
-            window=0.005,
-            max_batch=4,
-            cache=PPVCache(1 << 22),
-            clock=SimulatedClock(),
-        )
+        svc, shard = self._cached(gpa_live)
+        cache = shard.cache
         u, v = _local_insert(gpa_live.graph, rng)
         _, receipt = apply_edge_update(gpa_live, EdgeUpdate.insert(u, v))
         affected = set(receipt.affected_sources.tolist())
@@ -425,13 +422,16 @@ class TestServiceLiveUpdates:
             svc.query(w)
         live = svc.apply_update(EdgeUpdate.insert(u, v))
         assert set(live.affected_sources.tolist()) == affected
-        assert svc.cache.stats.invalidations >= 1
+        assert cache.stats.invalidations >= 1
+        assert unaffected in cache and u not in cache
+        hits = cache.stats.hits
         t_unaffected = svc.submit(unaffected)
-        assert t_unaffected.cached and t_unaffected.epoch == 1
         t_affected = svc.submit(u)
-        assert not t_affected.done  # dropped from the cache, recomputed
         svc.flush()
-        oracle = _rebuild_oracle(svc.backend.engine)
+        # One hit (the unaffected row); the affected row was recomputed.
+        assert cache.stats.hits == hits + 1
+        assert t_unaffected.epoch == t_affected.epoch == 1
+        oracle = _rebuild_oracle(shard.replicas[0].backend.engine)
         np.testing.assert_allclose(
             t_unaffected.result, oracle.query(unaffected), atol=ATOL, rtol=0
         )
@@ -454,13 +454,7 @@ class TestServiceLiveUpdates:
         events += [(0.03 + 0.001 * i, q) for i, q in enumerate(qs[6:])]
 
         def run():
-            svc = PPVService(
-                as_mutable_backend(gpa_live),
-                window=0.005,
-                max_batch=4,
-                cache=PPVCache(1 << 22),
-                clock=SimulatedClock(),
-            )
+            svc, _ = self._cached(gpa_live)
             return svc.replay(events)
 
         out_a, out_b = run(), run()
@@ -638,19 +632,13 @@ class TestStaggeredRollout:
             rollout.step()
 
     def test_cached_service_over_router_survives_rollout(self, gpa_live):
-        """Regression: a PPVService with its *own* cache wrapping the
-        router must not serve stale pre-update rows tagged with the new
-        epoch after a rollout driven directly on the router."""
+        """Regression: a PPVService over a cached router must not serve
+        stale pre-update rows tagged with the new epoch after a rollout
+        driven directly on the router."""
         rng = np.random.default_rng(14)
         clock = SimulatedClock()
         router = self._router(gpa_live, clock)
-        service = PPVService(
-            router,
-            window=0.005,
-            max_batch=4,
-            cache=PPVCache(1 << 22),
-            clock=clock,
-        )
+        service = PPVService(router, window=0.005, max_batch=4, clock=clock)
         u, v = _missing_edge(gpa_live.graph, rng)
         t_before = service.submit(u)
         service.flush()
@@ -659,40 +647,38 @@ class TestStaggeredRollout:
         assert router.epoch == 1
         new_index = router.shards[0].replicas[0].backend.engine
         oracle = _rebuild_oracle(new_index)
+        hits = sum(shard.cache.stats.hits for shard in router.shards)
         ticket = service.submit(u)
         service.flush()
-        assert ticket.epoch == 1 and not ticket.cached
+        assert ticket.epoch == 1
+        assert sum(shard.cache.stats.hits for shard in router.shards) == hits
         np.testing.assert_allclose(
             ticket.result, oracle.query(u), atol=ATOL, rtol=0
         )
 
     def test_service_tickets_tagged_per_row_mid_rollout(self, gpa_live):
         """Mid-rollout the router serves mixed epochs; service tickets
-        must carry each answer's true epoch, and nothing may enter the
-        service cache until the rollout completes."""
+        must carry each answer's true epoch, and no affected row may
+        enter a shard cache until the rollout completes."""
         rng = np.random.default_rng(15)
         clock = SimulatedClock()
         router = self._router(gpa_live, clock)
-        service = PPVService(
-            router,
-            window=0.005,
-            max_batch=4,
-            cache=PPVCache(1 << 22),
-            clock=clock,
-        )
+        service = PPVService(router, window=0.005, max_batch=4, clock=clock)
         u, v = _missing_edge(gpa_live.graph, rng)
         upd = EdgeUpdate.insert(u, v)
-        new_index, _ = apply_edge_update(gpa_live, upd)
+        new_index, receipt = apply_edge_update(gpa_live, upd)
+        held = set(receipt.affected_sources.tolist())
+        assert u in held
         old_oracle, new_oracle = _rebuild_oracle(gpa_live), _rebuild_oracle(
             new_index
         )
         rollout = router.begin_rollout(upd, update_seconds=1.0)
         rollout.step()
         clock.advance(1.0)  # wave-0 replicas recover: both epochs serve
-        inserts_before = service.cache.stats.inserts
         tickets = [service.submit(int(w)) for w in (u, v, 3)]
         service.flush()
-        assert service.cache.stats.inserts == inserts_before
+        for w in held:
+            assert all(w not in shard.cache for shard in router.shards)
         for t in tickets:
             oracle = new_oracle if t.epoch == 1 else old_oracle
             np.testing.assert_allclose(

@@ -14,13 +14,13 @@ from repro.distributed import DistributedGPA, DistributedHGPA
 from repro.errors import QueryError, ServingError
 from repro.metrics import top_k_nodes
 from repro.serving import (
-    FrequencySketch,
     PPVCache,
     PPVService,
     QueryBackend,
     SimulatedClock,
     as_backend,
 )
+from repro.sharding import ShardRouter
 
 ATOL = 1e-12
 
@@ -44,6 +44,15 @@ def dist_hgpa(request):
 def _ppv_row(n):
     rng = np.random.default_rng(0)
     return rng.random(n)
+
+
+def _cached_service(engine, cache_bytes, **kwargs):
+    """A service whose engine sits in a one-shard router with an LRU
+    cache of ``cache_bytes`` — the cached deployment of a bare engine.
+    Returns the service and the shard's cache."""
+    clock = kwargs.setdefault("clock", SimulatedClock())
+    router = ShardRouter([[engine]], cache_bytes=cache_bytes, clock=clock)
+    return PPVService(router, **kwargs), router.shards[0].cache
 
 
 # ----------------------------------------------------------------------
@@ -127,58 +136,12 @@ class TestPPVCache:
         assert 0 in cache and 1 not in cache
         assert cache.stats.hits == 0 and cache.stats.misses == 0
 
-    def test_cost_aware_eviction_keeps_expensive_rows(self):
-        """With a weight hook, the cheapest of the LRU-end candidates is
-        evicted, not blindly the oldest."""
-        row_bytes = _ppv_row(10).nbytes
-        cache = PPVCache(3 * row_bytes, weight=lambda u, vec: float(u))
-        for u in (5, 1, 9):  # 1 is cheapest but not oldest
-            cache.put(u, _ppv_row(10))
-        cache.put(7, _ppv_row(10))
-        assert 1 not in cache and 5 in cache and 9 in cache and 7 in cache
-        assert cache.stats.evictions == 1
-
     def test_default_weightless_is_pure_lru(self):
         row_bytes = _ppv_row(10).nbytes
         cache = PPVCache(2 * row_bytes)
         for u in (5, 1, 9):
             cache.put(u, _ppv_row(10))
         assert 5 not in cache  # oldest goes, regardless of id
-
-    def test_weight_sample_bounds_candidates(self):
-        """Only the `sample` least-recently-used entries are candidates:
-        a cheap but recently-used row outside the window survives."""
-        row_bytes = _ppv_row(10).nbytes
-        cache = PPVCache(
-            4 * row_bytes, weight=lambda u, vec: float(u), sample=2
-        )
-        for u in (8, 6, 0, 9):  # 0 is cheapest but outside the LRU-2 window
-            cache.put(u, _ppv_row(10))
-        cache.put(3, _ppv_row(10))
-        assert 0 in cache and 6 not in cache  # 6 is min-weight of {8, 6}
-        assert cache.stats.evictions == 1
-
-    def test_weighted_eviction_never_victimises_new_entry(self):
-        """The row being inserted must survive its own eviction pass even
-        when it is the cheapest in a small (< sample) store."""
-        row_bytes = _ppv_row(10).nbytes
-        cache = PPVCache(3 * row_bytes, weight=lambda u, vec: float(u))
-        for u in (5, 9, 7):
-            cache.put(u, _ppv_row(10))
-        assert cache.put(1, _ppv_row(10))  # cheapest of all, newest
-        assert 1 in cache and 5 not in cache
-        assert cache.current_bytes <= cache.max_bytes
-
-    def test_non_finite_weight_rejected(self):
-        cache = PPVCache(1 << 20, weight=lambda u, vec: float("nan"))
-        with pytest.raises(ServingError, match="non-finite"):
-            cache.put(0, _ppv_row(4))
-
-    def test_bad_weight_config_rejected(self):
-        with pytest.raises(ServingError):
-            PPVCache(1 << 20, weight=42)
-        with pytest.raises(ServingError):
-            PPVCache(1 << 20, sample=0)
 
 
 # ----------------------------------------------------------------------
@@ -207,94 +170,6 @@ class TestCacheInvalidate:
         cache.put(7, _ppv_row(8))
         assert cache.invalidate(7) == 1
         assert cache.invalidate(np.empty(0, dtype=np.int64)) == 0
-
-
-# ----------------------------------------------------------------------
-class TestTinyLFUAdmission:
-    def _full_cache(self, rows=4, n=32, **kwargs):
-        """A cache exactly full with ``rows`` hot entries."""
-        cache = PPVCache(rows * n * 8, admission="tinylfu", **kwargs)
-        for u in range(rows):
-            cache.put(u, _ppv_row(n))
-        return cache, n
-
-    def test_one_shot_scan_cannot_flush_hot_entries(self):
-        cache, n = self._full_cache()
-        for _ in range(5):  # make the resident set hot
-            for u in range(4):
-                cache.get(u)
-        for w in range(100, 140):  # adversarial one-shot stream
-            cache.get(w)
-            cache.put(w, _ppv_row(n))
-        for u in range(4):
-            assert u in cache  # scan resistance: hot set survives
-        assert cache.stats.admission_rejects == 40
-        assert cache.stats.evictions == 0
-
-    def test_frequent_candidate_beats_cold_victim(self):
-        cache, n = self._full_cache()
-        hot = 77
-        for _ in range(3):
-            cache.get(hot)  # builds frequency before ever being admitted
-        assert cache.put(hot, _ppv_row(n))
-        assert hot in cache
-        assert cache.stats.evictions == 1
-
-    def test_admission_only_guards_evictions(self):
-        cache = PPVCache(1 << 20, admission="tinylfu")
-        assert cache.put(5, _ppv_row(8))  # plenty of room: always admitted
-        assert cache.put(5, _ppv_row(8))  # replacing a resident key too
-        assert cache.stats.admission_rejects == 0
-
-    def test_works_with_cost_aware_eviction(self):
-        n = 16
-        cache = PPVCache(
-            2 * n * 8, admission="tinylfu", weight=lambda u, vec: float(u)
-        )
-        cache.put(9, _ppv_row(n))
-        cache.put(4, _ppv_row(n))
-        for _ in range(4):
-            cache.get(9), cache.get(4)
-        cache.get(50)
-        assert not cache.put(50, _ppv_row(n))  # duel vs the *cheapest* entry
-        assert cache.stats.admission_rejects == 1
-
-    def test_custom_sketch_and_bad_policy(self):
-        sketch = FrequencySketch(64, depth=2, reset_interval=16)
-        cache = PPVCache(1 << 20, admission=sketch)
-        cache.get(3)
-        assert sketch.estimate(3) == 1
-        with pytest.raises(ServingError, match="unknown admission"):
-            PPVCache(1 << 20, admission="lfu")
-        with pytest.raises(ServingError):
-            PPVCache(1 << 20, admission=object())
-
-    def test_sketch_aging_halves_counters(self):
-        sketch = FrequencySketch(16, reset_interval=8)
-        for _ in range(7):
-            sketch.increment(1)
-        assert sketch.estimate(1) == 7
-        sketch.increment(1)  # 8th increment triggers the halving
-        assert sketch.resets == 1
-        assert sketch.estimate(1) == 4
-
-    def test_sketch_estimate_upper_bounds_truth(self):
-        sketch = FrequencySketch(256)
-        rng = np.random.default_rng(0)
-        truth: dict[int, int] = {}
-        for key in rng.integers(0, 50, size=400).tolist():
-            sketch.increment(key)
-            truth[key] = truth.get(key, 0) + 1
-        for key, count in truth.items():
-            assert sketch.estimate(key) >= count
-
-    def test_bad_sketch_config_rejected(self):
-        with pytest.raises(ServingError):
-            FrequencySketch(0)
-        with pytest.raises(ServingError):
-            FrequencySketch(16, depth=9)
-        with pytest.raises(ServingError):
-            FrequencySketch(16, reset_interval=0)
 
 
 # ----------------------------------------------------------------------
@@ -504,12 +379,8 @@ class TestPPVService:
     def test_micro_batched_matches_direct(self, request, backend):
         engine = request.getfixturevalue(backend)
         ref = self._reference(engine)
-        service = PPVService(
-            engine,
-            window=0.005,
-            max_batch=4,
-            cache=PPVCache(1 << 22),
-            clock=SimulatedClock(),
+        service, _ = _cached_service(
+            engine, 1 << 22, window=0.005, max_batch=4
         )
         stream = np.asarray([3, 40, 77, 3, 110, 40, 9, 199])
         out = service.serve(stream)
@@ -518,13 +389,12 @@ class TestPPVService:
             assert np.abs(out[i] - ref(u)).max() <= ATOL
 
     def test_cached_matches_fresh(self, jw_small):
-        service = PPVService(
-            jw_small, cache=PPVCache(1 << 22), clock=SimulatedClock()
-        )
+        service, cache = _cached_service(jw_small, 1 << 22)
         fresh = service.query(42)
         cached = service.query(42)
-        assert service.stats.cache_hits == 1
-        assert cached is fresh  # the very same read-only buffer
+        assert cache.stats.hits == 1
+        assert np.array_equal(cached, fresh)  # bitwise the computed row
+        assert not cached.flags.writeable
         np.testing.assert_allclose(fresh, jw_small.query(42), atol=ATOL, rtol=0)
 
     def test_results_read_only(self, jw_small):
@@ -607,14 +477,14 @@ class TestPPVService:
             service.serve(np.asarray([1, 2]), np.asarray([0.0, 1.0]))
 
     def test_service_topk_matches_index(self, hgpa_small):
-        service = PPVService(hgpa_small, cache=PPVCache(1 << 22), clock=SimulatedClock())
+        service, cache = _cached_service(hgpa_small, 1 << 22)
         ids, scores = service.query_topk(42, 15)
         ref_ids, ref_scores = hgpa_small.query_topk(42, 15)
         assert ids.tolist() == ref_ids.tolist()
         np.testing.assert_allclose(scores, ref_scores, atol=ATOL, rtol=0)
         # second call is served from cache, still identical
         ids2, _ = service.query_topk(42, 15)
-        assert service.stats.cache_hits == 1
+        assert cache.stats.hits == 1
         assert ids2.tolist() == ref_ids.tolist()
 
     def test_empty_stream(self, jw_small):
@@ -645,20 +515,12 @@ class TestPPVService:
         with pytest.raises(ServingError):
             PPVService(jw_small, max_batch=0)
 
-    def test_int_cache_shorthand(self, jw_small):
-        service = PPVService(jw_small, cache=1 << 22, clock=SimulatedClock())
-        assert isinstance(service.cache, PPVCache)
-        service.query(3)
-        assert len(service.cache) == 1
-
     def test_eviction_under_pressure_stays_exact(self, jw_small):
         n = jw_small.graph.num_nodes
         # Budget for only two rows: constant churn, never a wrong answer.
-        service = PPVService(
-            jw_small, max_batch=4, cache=PPVCache(2 * n * 8), clock=SimulatedClock()
-        )
+        service, cache = _cached_service(jw_small, 2 * n * 8, max_batch=4)
         stream = np.asarray([1, 2, 3, 4, 1, 2, 3, 4, 1])
         out = service.serve(stream)
         for i, u in enumerate(stream.tolist()):
             np.testing.assert_allclose(out[i], jw_small.query(u), atol=ATOL, rtol=0)
-        assert service.cache.stats.evictions > 0
+        assert cache.stats.evictions > 0

@@ -350,16 +350,3 @@ class TestConstruction:
     def test_unservable_replica_rejected(self):
         with pytest.raises(ServingError):
             ShardRouter([[object()]])
-
-    def test_cache_weight_forwarded(self, gpa_small):
-        weights = []
-
-        def weight(u, vec):
-            weights.append(u)
-            return 1.0
-
-        router = ShardRouter(
-            [[gpa_small]], cache_bytes=1 << 22, cache_weight=weight
-        )
-        router.query_many([3, 5])
-        assert weights == [3, 5]

@@ -413,13 +413,10 @@ class TestShardedSparse:
 
     def test_service_sparse_mode_matches_dense(self, setup):
         index, make, stream = setup
-        svc_dense = PPVService(
-            make(), window=0.005, cache=1 << 20, clock=SimulatedClock()
-        )
+        svc_dense = PPVService(make(), window=0.005, clock=SimulatedClock())
         svc_sparse = PPVService(
             make(),
             window=0.005,
-            cache=1 << 20,
             clock=SimulatedClock(),
             sparse=True,
             collect_stats=False,
@@ -436,10 +433,11 @@ class TestShardedSparse:
         ids_s, scores_s = svc_sparse.query_topk(int(stream[0]), 9)
         assert np.array_equal(ids_s, ids_d)
         assert np.array_equal(scores_s, scores_d)
-        # Cache accounting: every entry at its true-nnz wire size.
-        assert svc_sparse.cache.current_bytes == sum(
-            e.wire_bytes for e in svc_sparse.cache._store.values()
-        )
+        # Cache accounting: every shard entry at its true-nnz wire size.
+        for shard in svc_sparse.backend.shards:
+            assert shard.cache.current_bytes == sum(
+                e.wire_bytes for e in shard.cache._store.values()
+            )
 
 
 def test_spgemm_scaled_is_sorted_and_equals_the_dense_product():
