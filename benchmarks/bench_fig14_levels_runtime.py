@@ -2,39 +2,30 @@
 
 Paper: runtime grows slightly with more levels (Eq. 7 visits one subgraph
 per level), e.g. Email 5→10 ms over levels 1→5.  Expected shape here: a
-mild increase in query work from the shallowest to the deepest hierarchy.
+mild increase in query work from shallow to deep hierarchies, and the
+default depth faster than the unbounded tree (leaves edge-free).
 """
 
-from repro.bench import ExperimentTable, bench_queries, hgpa_index, time_queries
+from level_sweep import level_table
 
-SWEEPS = {
-    "email": (1, 2, 3, 4, 5),
-    "web": (2, 4, 6, 8),
-    "youtube": (3, 5, 7, 9),
-}
+from repro.bench import bench_queries, hgpa_index, time_queries
 
 
 def test_fig14_levels_runtime(benchmark):
-    table = ExperimentTable(
+    table, values = level_table(
         "Fig 14",
-        "HGPA query runtime (ms, wall) vs number of partitioning levels",
-        ["dataset"] + ["level " + str(i) for i in range(1, 6)],
+        "HGPA query runtime (ms, wall; median over 100 one-row queries, best of 5"
+        " rounds) vs levels",
+        lambda name, index: time_queries(index.query, bench_queries(name, 100)) * 1000,
+        rounds=5,
     )
-    for name, levels in SWEEPS.items():
-        queries = bench_queries(name, 10)
-        row = [name]
-        walls = []
-        for lv in levels:
-            index = hgpa_index(name, max_levels=lv)
-            wall = time_queries(index.query, queries) * 1000
-            walls.append(wall)
-            row.append(round(wall, 3))
-        while len(row) < 6:
-            row.append("-")
-        table.add(*row)
     table.note("paper shape: runtime increases slightly with more levels")
     table.emit()
+    for name, walls in values.items():
+        assert walls[-2] < walls[-1], (
+            f"{name}: the default depth must answer faster than the unbounded tree"
+        )
 
-    index = hgpa_index("email", max_levels=5)
+    index = hgpa_index("email")
     q0 = int(bench_queries("email", 1)[0])
     benchmark(lambda: index.query(q0))

@@ -3,39 +3,27 @@
 Paper: space drops sharply as levels increase (leaf subgraphs shrink
 exponentially, so leaf-level PPVs dominate less), then flattens once leaves
 are near edge-free.  Expected shape here: strictly smaller storage from the
-shallowest to the deepest hierarchy.
+shallowest to the deepest fixed depth.
 """
 
-from repro.bench import ExperimentTable, hgpa_index
+from level_sweep import LEVELS, level_table
 
-SWEEPS = {
-    "email": (1, 2, 3, 4, 5),
-    "web": (2, 4, 6, 8),
-    "youtube": (3, 5, 7, 9),
-}
+from repro.bench import hgpa_index
 
 
 def test_fig15_levels_space(benchmark):
-    table = ExperimentTable(
+    table, values = level_table(
         "Fig 15",
         "HGPA index space (MB) vs number of partitioning levels",
-        ["dataset"] + ["level " + str(i) for i in range(1, 6)],
+        lambda name, index: index.total_bytes() / 1e6,
     )
-    for name, levels in SWEEPS.items():
-        row = [name]
-        sizes = []
-        for lv in levels:
-            index = hgpa_index(name, max_levels=lv)
-            sizes.append(index.total_bytes() / 1e6)
-            row.append(round(sizes[-1], 2))
-        while len(row) < 6:
-            row.append("-")
-        table.add(*row)
-        assert sizes[-1] < sizes[0], (
-            f"{name}: deeper hierarchies must need less space "
-            f"({sizes[0]:.2f} → {sizes[-1]:.2f} MB)"
-        )
     table.note("paper shape: space drops sharply with levels, then flattens")
     table.emit()
+    deepest = len(LEVELS) - 1
+    for name, sizes in values.items():
+        assert sizes[deepest] < sizes[0], (
+            f"{name}: deeper hierarchies must need less space "
+            f"({sizes[0]:.2f} → {sizes[deepest]:.2f} MB)"
+        )
 
-    benchmark(lambda: hgpa_index("email", max_levels=5).total_bytes())
+    benchmark(lambda: hgpa_index("email").total_bytes())

@@ -1,39 +1,27 @@
 """Figure 16: HGPA pre-computation time vs number of partitioning levels.
 
 Paper: offline time decreases with more levels — iterations run inside
-exponentially smaller subgraphs.  Expected shape here: deepest hierarchy
-pre-computes faster than the shallowest.
+exponentially smaller subgraphs.  Expected shape here: the deepest fixed
+depth pre-computes no slower than the shallowest.
 """
 
-from repro.bench import ExperimentTable, hgpa_index
+from level_sweep import LEVELS, level_table
 
-SWEEPS = {
-    "email": (1, 2, 3, 4, 5),
-    "web": (2, 4, 6, 8),
-    "youtube": (3, 5, 7, 9),
-}
+from repro.bench import hgpa_index
 
 
 def test_fig16_levels_offline(benchmark):
-    table = ExperimentTable(
+    table, values = level_table(
         "Fig 16",
         "HGPA pre-computation time (s, one machine) vs partitioning levels",
-        ["dataset"] + ["level " + str(i) for i in range(1, 6)],
+        lambda name, index: index.offline_seconds(),
     )
-    for name, levels in SWEEPS.items():
-        row = [name]
-        offline = []
-        for lv in levels:
-            index = hgpa_index(name, max_levels=lv)
-            offline.append(index.offline_seconds())
-            row.append(round(offline[-1], 3))
-        while len(row) < 6:
-            row.append("-")
-        table.add(*row)
-        assert offline[-1] < offline[0] * 1.3, (
-            f"{name}: deeper hierarchies should not pre-compute slower"
-        )
     table.note("paper shape: offline time decreases as subgraphs shrink")
     table.emit()
+    deepest = len(LEVELS) - 1
+    for name, offline in values.items():
+        assert offline[deepest] < offline[0] * 1.3, (
+            f"{name}: deeper hierarchies should not pre-compute slower"
+        )
 
-    benchmark(lambda: hgpa_index("email", max_levels=5).offline_seconds())
+    benchmark(lambda: hgpa_index("email").offline_seconds())

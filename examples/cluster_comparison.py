@@ -30,9 +30,7 @@ def main() -> None:
     query = int(datasets.query_nodes(graph, 1)[0])
     print(f"graph: {graph}, query node {query}, {MACHINES} machines, ε={TOL}\n")
 
-    index = build_hgpa_index(
-        graph, max_levels=datasets.spec("web").hgpa_levels, tol=TOL, seed=0
-    )
+    index = build_hgpa_index(graph, tol=TOL, seed=0)
     cluster = DistributedHGPA(index, MACHINES)
     hgpa_vec, hgpa_rep = cluster.query(query)
     print(

@@ -51,7 +51,7 @@ def main() -> None:
     block = 1200 // 2**depth
     print(f"graph: {graph} with {2**depth} planted communities of ≈{block}")
 
-    index = build_hgpa_index(graph, max_levels=6, tol=1e-5, seed=0)
+    index = build_hgpa_index(graph, tol=1e-5, seed=0)
 
     rng = np.random.default_rng(1)
     recovered = []

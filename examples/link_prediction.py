@@ -39,7 +39,7 @@ def main() -> None:
     train, hidden = hide_edges(graph, fraction=0.1, rng=rng)
     print(f"graph: {graph}, hidden test edges: {len(hidden)}")
 
-    index = build_hgpa_index(train, max_levels=6, tol=1e-5, seed=0)
+    index = build_hgpa_index(train, tol=1e-5, seed=0)
     print(f"index built: {index.hierarchy.hub_nodes().size} hubs, "
           f"{index.total_bytes() / 1e6:.1f} MB")
 

@@ -32,7 +32,7 @@ def main() -> None:
     print(f"graph: {graph}")
 
     # 2. Pre-compute the HGPA index (Section 4 of the paper).
-    index = build_hgpa_index(graph, max_levels=5, tol=1e-6, seed=0)
+    index = build_hgpa_index(graph, tol=1e-6, seed=0)
     hier = index.hierarchy
     print(
         f"hierarchy: {hier.depth} levels, {len(hier.subgraphs)} subgraphs, "

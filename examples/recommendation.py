@@ -50,7 +50,7 @@ def main() -> None:
     graph, user_cluster = build_user_item_graph(num_users, num_items, seed=5)
     print(f"graph: {graph} ({num_users} users, {num_items} items)")
 
-    index = build_hgpa_index(graph, max_levels=6, tol=1e-5, seed=0)
+    index = build_hgpa_index(graph, tol=1e-5, seed=0)
     print(f"index: {index.hierarchy.hub_nodes().size} hubs, "
           f"{index.total_bytes() / 1e6:.1f} MB\n")
 

@@ -14,7 +14,7 @@ Quickstart::
     from repro.core import build_hgpa_index, power_iteration_ppv
 
     graph = datasets.load("email")
-    index = build_hgpa_index(graph, max_levels=5, tol=1e-6)
+    index = build_hgpa_index(graph, tol=1e-6)
     ppv = index.query(42)                      # exact PPV of node 42
     ref = power_iteration_ppv(graph, 42, tol=1e-6)
 """

@@ -132,11 +132,9 @@ def hgpa_index(
     prune: float | None = None,
     seed: int = 0,
 ) -> HGPAIndex:
-    graph = datasets.load(dataset)
-    if max_levels is None:
-        max_levels = datasets.spec(dataset).hgpa_levels
     return build_hgpa_index(
-        graph, max_levels=max_levels, fanout=fanout, tol=tol, prune=prune, seed=seed
+        datasets.load(dataset),
+        max_levels=max_levels, fanout=fanout, tol=tol, prune=prune, seed=seed,
     )
 
 

@@ -52,10 +52,9 @@ class DatasetSpec:
     paper_name: str
     paper_nodes: int
     paper_edges: int
-    paper_hgpa_levels: int
+    paper_levels: int  # HGPA hierarchy depth the paper built
     base_nodes: int
     builder: Callable[[int], DiGraph]
-    hgpa_levels: int
     description: str
 
     def build(self) -> DiGraph:
@@ -125,27 +124,27 @@ def _register(spec_: DatasetSpec) -> None:
 
 _register(DatasetSpec(
     "email", "Email (email-EuAll)", 265_214, 420_045, 5,
-    base_nodes=1500, builder=_email, hgpa_levels=5,
+    base_nodes=1500, builder=_email,
     description="European research institution email graph",
 ))
 _register(DatasetSpec(
     "web", "Web (web-Google)", 875_713, 5_105_039, 12,
-    base_nodes=4000, builder=_web, hgpa_levels=8,
+    base_nodes=4000, builder=_web,
     description="Google programming contest web graph",
 ))
 _register(DatasetSpec(
     "youtube", "Youtube (com-Youtube)", 1_134_890, 2_987_624, 15,
-    base_nodes=4500, builder=_youtube, hgpa_levels=9,
+    base_nodes=4500, builder=_youtube,
     description="Youtube social graph",
 ))
 _register(DatasetSpec(
     "pld", "PLD (Common Crawl sample)", 3_000_000, 18_185_350, 15,
-    base_nodes=6000, builder=_pld, hgpa_levels=9,
+    base_nodes=6000, builder=_pld,
     description="pay-level-domain hyperlink sample",
 ))
 _register(DatasetSpec(
     "pld_full", "PLD_full (Appendix B)", 101_000_000, 1_940_000_000, 15,
-    base_nodes=15_000, builder=_pld_full, hgpa_levels=10,
+    base_nodes=15_000, builder=_pld_full,
     description="full hyperlink graph (Amazon EC2 experiment)",
 ))
 for i, (paper_n, paper_m) in enumerate(
@@ -160,7 +159,7 @@ for i, (paper_n, paper_m) in enumerate(
 ):
     _register(DatasetSpec(
         f"meetup_m{i}", f"Meetup M{i}", paper_n, paper_m, 0,
-        base_nodes=600 + 150 * (i - 1), builder=_meetup(i), hgpa_levels=6,
+        base_nodes=600 + 150 * (i - 1), builder=_meetup(i),
         description="event co-attendance social graph (scalability study)",
     ))
 

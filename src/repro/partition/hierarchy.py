@@ -3,9 +3,9 @@
 Level 0 is the whole graph.  Each internal subgraph is split into ``fanout``
 balanced parts; a minimum (or approximate) vertex cover of the cut edges
 becomes the subgraph's hub set ``H(G)``; hubs and their edges are removed
-from all deeper levels.  Recursion stops at ``max_levels`` or when a subgraph
-has no internal edges left — the paper's default, since further splitting
-"cannot gain more improvement".
+from all deeper levels.  Recursion stops at ``max_levels`` (by default
+``max(1, ⌈log₂ n⌉ − 4)``, where the paper fixes a count per dataset) or,
+earlier, at a subgraph with no internal edges left or that cannot be split.
 
 The resulting tree drives HGPA: partial vectors of hubs are computed inside
 the subgraph whose hub set they belong to, skeleton columns per hub likewise,
@@ -24,7 +24,9 @@ from repro.graph.subgraph import VirtualSubgraph
 from repro.partition.kway import partition_kway_local, ugraph_of_subgraph
 from repro.partition.vertex_cover import cover_cut_edges
 
-__all__ = ["SubgraphNode", "PartitionHierarchy", "build_hierarchy"]
+__all__ = ["LEAF_NODES", "SubgraphNode", "PartitionHierarchy", "build_hierarchy"]
+
+LEAF_NODES = 16  # default depth: bisect ⌈log₂(n / LEAF_NODES)⌉ times, to leaves this small
 
 
 @dataclass
@@ -187,8 +189,9 @@ def build_hierarchy(
         Parts per split (the paper defaults to 2-way; Fig. 17 sweeps
         2/4/8/16/64).
     max_levels:
-        Stop after this many levels; ``None`` recurses until every leaf has
-        no internal edges (the paper's default stopping rule).
+        Stop after this many levels; ``None`` means ``max(1, ⌈log₂ n⌉ − 4)``
+        (see ``LEAF_NODES``).  ``graph.num_nodes`` never binds: leaves end
+        edge-free or unsplittable, as in the paper.
     balance, seed:
         Forwarded to the multilevel partitioner.
     cover_method:
@@ -197,6 +200,8 @@ def build_hierarchy(
     """
     if fanout < 2:
         raise PartitionError(f"fanout must be >= 2, got {fanout}")
+    if max_levels is None:  # ⌈log₂ ⌈n / LEAF_NODES⌉⌉ = ⌈log₂(n / LEAF_NODES)⌉
+        max_levels = max(1, (-(-graph.num_nodes // LEAF_NODES) - 1).bit_length())
     all_nodes = np.arange(graph.num_nodes, dtype=np.int64)
     root = SubgraphNode(node_id=0, level=0, nodes=all_nodes)
     subgraphs = [root]
@@ -204,9 +209,7 @@ def build_hierarchy(
     while stack:
         sid = stack.pop()
         sg = subgraphs[sid]
-        if max_levels is not None and sg.level >= max_levels:
-            continue
-        if sg.num_nodes < 2:
+        if sg.level >= max_levels or sg.num_nodes < 2:
             continue
         view = VirtualSubgraph(graph, sg.nodes)
         if view.num_internal_edges == 0:

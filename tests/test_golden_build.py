@@ -2,9 +2,17 @@
 
 The partitioner is free to get faster, never to move a label: a hierarchy
 with one node on the other side of one cut is a different HGPA index.  The
-digests below were computed before the partitioner's numpy rewrite and are
-compared exactly — there is no tolerance to loosen.  If a change is *meant*
-to build a different index, recompute them and say why in the change.
+digests below are compared exactly — there is no tolerance to loosen.  If a
+change is *meant* to build a different index, recompute them and say why in
+the change.
+
+``HIERARCHY_DIGESTS`` and ``VECTOR_DIGESTS`` were computed before the
+partitioner's numpy rewrite, on hierarchies that recurse until every leaf is
+edge-free; they are checked on builds with ``max_levels=graph.num_nodes``,
+a cap that never binds.  The ``DEFAULT_*`` digests pin the default depth,
+``max(1, ⌈log₂ n⌉ − 4)`` levels, which is a shallower, different index on
+``web`` (8 levels, not 18) and ``community_fanout2`` (6, not 11), and the
+same one on ``community_fanout4``, whose unbounded tree is 6 levels deep.
 """
 
 from __future__ import annotations
@@ -29,6 +37,14 @@ HIERARCHY_DIGESTS = {
 VECTOR_DIGESTS = {
     "hgpa_web": "4be2d9fa5350de818e722c877b7ed804b2a25ff86a79355d34c32dcce0872c35",
     "gpa_web": "c62fd8d77831b7be6d10aea05558806a5cf3e047fc57b25a4c4ca96a42838999",
+}
+DEFAULT_HIERARCHY_DIGESTS = {
+    "web": "2a77e91bcff95c4e6be796dddd4965719d5daa3a7f41a4d0d3d96c135f8533ce",
+    "community_fanout2": "169c6ec4fa35ebf7d37cff10e7e680f1d875be06060361ac08c8d2464b581442",
+    "community_fanout4": "31569bc606caf0553d474128c7cba9c3a19fb3ad8bfdc5647777ec2e599edf70",
+}
+DEFAULT_VECTOR_DIGESTS = {
+    "hgpa_web": "9c7d797fd83a710d626e93b3f55d3f547a7d458bfeb546bb2e29a9410007d41b",
 }
 
 
@@ -74,12 +90,20 @@ def web() -> DiGraph:
 
 
 def test_web_hgpa_hierarchy_and_vectors(web):
-    # build_hgpa_index partitions with build_hierarchy's defaults, so its
-    # hierarchy is build_hierarchy(web).
-    index = build_hgpa_index(web, prune=1e-3)
+    # build_hgpa_index partitions with build_hierarchy(web, max_levels=...).
+    index = build_hgpa_index(web, prune=1e-3, max_levels=web.num_nodes)
+    assert index.hierarchy.depth == 18
     assert hierarchy_digest(index.hierarchy) == HIERARCHY_DIGESTS["web"]
     digest = stores_digest(index.hub_partials, index.skeleton_cols, index.leaf_ppv)
     assert digest == VECTOR_DIGESTS["hgpa_web"]
+
+
+def test_web_hgpa_default_depth(web):
+    index = build_hgpa_index(web, prune=1e-3)
+    assert index.hierarchy.depth == 8
+    assert hierarchy_digest(index.hierarchy) == DEFAULT_HIERARCHY_DIGESTS["web"]
+    digest = stores_digest(index.hub_partials, index.skeleton_cols, index.leaf_ppv)
+    assert digest == DEFAULT_VECTOR_DIGESTS["hgpa_web"]
 
 
 def test_web_gpa_vectors(web):
@@ -93,8 +117,11 @@ def test_web_gpa_vectors(web):
     ("community_fanout4", 22, 4),
 ])
 def test_generator_hierarchies(name, seed, fanout):
-    h = build_hierarchy(community_graph(seed), fanout=fanout, seed=seed)
-    assert hierarchy_digest(h) == HIERARCHY_DIGESTS[name]
+    g = community_graph(seed)
+    unbounded = build_hierarchy(g, fanout=fanout, max_levels=g.num_nodes, seed=seed)
+    assert hierarchy_digest(unbounded) == HIERARCHY_DIGESTS[name]
+    default = build_hierarchy(g, fanout=fanout, seed=seed)
+    assert hierarchy_digest(default) == DEFAULT_HIERARCHY_DIGESTS[name]
 
 
 def test_digest_sees_one_moved_label():

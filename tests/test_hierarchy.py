@@ -1,7 +1,10 @@
 """Unit and property tests for the partition hierarchy (Section 4.2)."""
 
+import math
+
 import numpy as np
 import pytest
+from test_golden_build import hierarchy_digest, web_graph
 
 from repro.errors import PartitionError
 from repro.graph import (
@@ -13,11 +16,21 @@ from repro.graph import (
 from repro.partition import build_hierarchy, flat_partition
 
 
+def community_300() -> DiGraph:
+    g = hierarchical_community_digraph(300, avg_out_degree=3, seed=8)
+    return g.with_dangling_policy("self_loop")
+
+
+def rule_levels(n: int) -> int:
+    return max(1, math.ceil(math.log2(n)) - 4)
+
+
 @pytest.fixture(scope="module")
 def hierarchy():
-    g = hierarchical_community_digraph(300, avg_out_degree=3, seed=8)
-    g = g.with_dangling_policy("self_loop")
-    return build_hierarchy(g, fanout=2, seed=0)
+    # The paper's tree: a cap of n levels never binds, so the recursion
+    # runs until every leaf is edge-free.
+    g = community_300()
+    return build_hierarchy(g, fanout=2, max_levels=g.num_nodes, seed=0)
 
 
 class TestStructure:
@@ -85,6 +98,20 @@ class TestParameters:
         assert capped.depth <= 2
         capped.validate()
 
+    def test_explicit_max_levels_overrides_rule(self, hierarchy):
+        g = hierarchy.graph
+        rule = rule_levels(g.num_nodes)
+        assert hierarchy.depth > rule + 1
+        deeper = build_hierarchy(g, max_levels=rule + 1, seed=0)
+        deeper.validate()
+        assert deeper.depth == rule + 1
+        assert build_hierarchy(g, max_levels=1, seed=0).depth == 1
+
+    def test_num_nodes_cap_is_unbounded(self, hierarchy):
+        g = hierarchy.graph
+        no_cap = build_hierarchy(g, fanout=2, max_levels=2**62, seed=0)
+        assert hierarchy_digest(no_cap) == hierarchy_digest(hierarchy)
+
     def test_fanout_four(self):
         g = hierarchical_community_digraph(300, avg_out_degree=3, seed=8)
         h = build_hierarchy(g, fanout=4, max_levels=2, seed=0)
@@ -106,7 +133,7 @@ class TestParameters:
     def test_ring(self):
         # Edge-free leaves on a 16-cycle need ≥ 8 hubs (alternate nodes);
         # the recursive construction should land near that optimum.
-        h = build_hierarchy(ring_digraph(16), seed=0)
+        h = build_hierarchy(ring_digraph(16), max_levels=16, seed=0)
         h.validate()
         assert h.hub_nodes().size <= 10
 
@@ -118,6 +145,27 @@ class TestParameters:
         h = build_hierarchy(DiGraph.from_edges(5, []), seed=0)
         assert h.root.is_leaf
         assert h.hub_nodes().size == 0
+
+
+class TestDefaultDepth:
+    """``max_levels=None`` caps the tree at ``max(1, ⌈log₂ n⌉ − 4)`` levels."""
+
+    @pytest.mark.parametrize("make", [
+        web_graph,
+        community_300,
+        lambda: hierarchical_community_digraph(200, avg_out_degree=3, seed=1),
+        lambda: ring_digraph(16),
+        lambda: DiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    ], ids=["web", "community_300", "community_200", "ring_16", "path_5"])
+    def test_depth_at_most_rule(self, make):
+        g = make()
+        h = build_hierarchy(g, seed=0)
+        h.validate()
+        assert h.depth <= rule_levels(g.num_nodes)
+
+    def test_rule_binds_on_deep_trees(self, hierarchy):
+        g = hierarchy.graph
+        assert build_hierarchy(g, seed=0).depth == rule_levels(g.num_nodes) == 5
 
 
 class TestFlatPartition:
