@@ -1,0 +1,182 @@
+"""Batch body vs loop of ``row``: where each family's ``ROW_LOOP_BELOW`` sits.
+
+Not a paper figure — this is the crossover probe behind the one constant
+per index family that decides how a batch is evaluated
+(``HubShare.ROW_LOOP_BELOW``): a non-empty batch of fewer rows runs as a
+loop of the single-row body ``share.row``, a larger one runs the family's
+batch body (``share.dense`` / ``share.sparse``).
+
+For GPA (``web``, 8 parts) and HGPA (``web``, default depth), both pruned
+at ``1e-3``, and in both result forms, it times at 2, 4, 8, 16, 32, 64 and
+256 rows:
+
+* ``body`` — ``share.dense`` / ``share.sparse`` called directly (the
+  sparse one followed by ``finalize_csr``, as ``evaluate`` runs it),
+* ``loop`` — the row loop of ``share.evaluate``, forced at every size by a
+  copy of the share whose ``ROW_LOOP_BELOW`` no batch reaches.
+
+Each cell is the median µs per row over fresh uniform random batches,
+``collect_stats=False``; every batch is run once untimed first (lazy level
+stacking) and checked bitwise, loop against body, CSR arrays included.
+
+Expected shape: HGPA's loop beats both bodies up to 64 rows at
+``REPRO_SCALE=1`` (the sparse body closes in by 256), while at 10× its
+sparse body wins from about 32 rows — 64 sits between the two sizes; the
+dense body loses everywhere.  GPA's dense body wins from a few rows, its
+sparse body from about 64.  The full-scale run asserts the premise of
+HGPA's constant — its 16-row loop beats the body in both forms.  Smoke
+mode (``REPRO_SMOKE=1``) asserts only the bitwise equality.
+
+``REPRO_SCALE=10 ... -k hgpa`` measures the 40 000-node point (about four
+minutes to build); a non-unit scale writes ``results/batch_rows_x<scale>``.
+"""
+
+import copy
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+import numpy as np
+import pytest
+import scipy
+
+from repro import datasets
+from repro.bench import ExperimentTable, kernel_backend_info, result_path
+from repro.core import build_gpa_index, build_hgpa_index
+from repro.core.sparse_ops import finalize_csr
+
+SMOKE = os.environ.get("REPRO_SMOKE") == "1"
+SCALE = datasets.scale_factor()
+SIZES = (2, 4, 8, 16, 32, 64, 256)
+BATCHES = 2 if SMOKE else 7
+PRUNE = 1e-3
+PARTS = 8
+STEM = "batch_rows" if SCALE == 1 else f"batch_rows_x{SCALE:g}"
+ENVIRONMENT = {
+    "smoke": SMOKE,
+    "repro_scale": SCALE,
+    "cpu_count": os.cpu_count(),
+    "python": platform.python_version(),
+    "numpy": np.__version__,
+    "scipy": scipy.__version__,
+    **kernel_backend_info(),
+}
+BUILDERS = {
+    "gpa": lambda g: build_gpa_index(g, PARTS, prune=PRUNE),
+    "hgpa": lambda g: build_hgpa_index(g, prune=PRUNE),
+}
+ROWS: list[dict] = []  # every family measured by this pytest run
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.flags.c_contiguous and np.array_equal(a, b)
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("indptr", "indices", "data")
+    )
+
+
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
+def _measure(share, n: int, sparse: bool, rng) -> list[dict]:
+    loop_share = copy.copy(share)
+    loop_share.ROW_LOOP_BELOW = sys.maxsize
+
+    def body(nodes):
+        if sparse:
+            return finalize_csr(share.sparse(nodes, False)[0], (nodes.size, n))
+        return share.dense(nodes, False)[0]
+
+    def loop(nodes):
+        return loop_share.evaluate(nodes, sparse=sparse, collect_stats=False)[0]
+
+    cells = []
+    for size in SIZES:
+        body_us, loop_us = [], []
+        for _ in range(BATCHES):
+            nodes = rng.integers(0, n, size)
+            assert _same(loop(nodes), body(nodes)), (size, sparse)
+            body_us.append(_timed(lambda: body(nodes)) / size * 1e6)
+            loop_us.append(_timed(lambda: loop(nodes)) / size * 1e6)
+        cells.append(
+            {
+                "rows": size,
+                "body_us_per_row": statistics.median(body_us),
+                "loop_us_per_row": statistics.median(loop_us),
+            }
+        )
+    return cells
+
+
+def _emit() -> None:
+    table = ExperimentTable(
+        STEM.replace("_", " ").title(),
+        "µs per row, batch body / loop of row (median of "
+        f"{BATCHES} random batches)",
+        ["index", "form", "switch at", *(f"{s} rows" for s in SIZES)],
+    )
+    for row in ROWS:
+        table.add(
+            row["index"],
+            row["form"],
+            row["row_loop_below"],
+            *(
+                f"{c['body_us_per_row']:.0f} / {c['loop_us_per_row']:.0f}"
+                for c in row["cells"]
+            ),
+        )
+    table.note(
+        "body = share.dense / share.sparse (+ finalize_csr); loop = "
+        "share.evaluate's row loop forced at every size; collect_stats=False"
+    )
+    table.note(
+        "switch at = the family's ROW_LOOP_BELOW: batches with fewer rows "
+        "run the loop"
+    )
+    table.note(
+        f"environment: {'smoke' if SMOKE else 'full'} scale, "
+        f"REPRO_SCALE={SCALE:g}, nproc={ENVIRONMENT['cpu_count']}, "
+        f"Python {ENVIRONMENT['python']}, numpy {ENVIRONMENT['numpy']}, "
+        f"scipy {ENVIRONMENT['scipy']}"
+    )
+    table.emit()
+    out = result_path(f"BENCH_{STEM}", ".json")
+    payload = {**ENVIRONMENT, "sizes": list(SIZES), "batches": BATCHES, "rows": ROWS}
+    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+
+
+@pytest.mark.parametrize("family", ["gpa", "hgpa"])
+def test_batch_rows(family):
+    graph = datasets.load("web")
+    t0 = time.perf_counter()
+    index = BUILDERS[family](graph)
+    build_s = time.perf_counter() - t0
+    share = index._share()
+    label = f"{family.upper()} web ({graph.num_nodes} nodes)"
+    rng = np.random.default_rng(7)
+    measured = {}
+    for form in ("sparse", "dense"):
+        measured[form] = _measure(share, graph.num_nodes, form == "sparse", rng)
+        ROWS.append(
+            {
+                "index": label,
+                "form": form,
+                "row_loop_below": share.ROW_LOOP_BELOW,
+                "build_s": build_s,
+                "cells": measured[form],
+            }
+        )
+    _emit()
+    if family == "hgpa" and not SMOKE:
+        for form, cells in measured.items():
+            at16 = next(c for c in cells if c["rows"] == 16)
+            assert at16["loop_us_per_row"] < at16["body_us_per_row"], (form, at16)

@@ -346,12 +346,13 @@ class HubShare:
     array, or a CSR that never densifies — and, when ``collect_stats``,
     a ``(3, batch)`` int64 block of ``entries_processed`` /
     ``vectors_used`` / ``skeleton_lookups`` (else ``None``).  The two
-    forms agree bitwise; dense is quicker on small batches, sparse on
-    large ones, and the caller's requested result form picks.  ``row``
-    is the same algebra for one node — a skeleton-row slice and one
-    ``CSC @ vector`` product — which beats both batch bodies at one row
-    and is what every single-row read runs.
+    forms agree bitwise, and the caller's requested result form picks.
+    ``row`` is the same algebra for one node (a skeleton-row slice and
+    one ``CSC @ vector`` product); batches under ``ROW_LOOP_BELOW`` rows,
+    a measured per-family threshold, run as a loop of it.
     """
+
+    ROW_LOOP_BELOW = 2  # only one-row reads; see benchmarks/bench_batch_rows.py
 
     def __init__(self, num_nodes: int, own: OwnLookup, alpha: float) -> None:
         self.num_nodes = int(num_nodes)
@@ -390,23 +391,28 @@ class HubShare:
 
         ``batch`` bounds the intermediates at ``batch × n`` floats per
         buffer (``None`` = one product for the whole request).  A sparse
-        result is canonical: sorted, explicit zeros dropped.  A request
-        of one node is :meth:`row` in the requested form — same bits,
+        result is canonical: sorted, explicit zeros dropped.  Fewer than
+        ``ROW_LOOP_BELOW`` nodes run :meth:`row` per node — same bits,
         same counters, without the batch bodies' fixed cost.
         """
         n = self.num_nodes
         nodes = validate_batch(nodes, n)
-        if nodes.size == 1:
-            vec, counted = self.row(int(nodes[0]), collect_stats)
-            if counted is not None:
-                counted = counted[[0, 1, 3 if sparse else 2], np.newaxis]
+        counters: np.ndarray | None = None
+        if 0 < nodes.size < self.ROW_LOOP_BELOW:
+            vecs: list[Any] = []
+            per_row: list[Any] = []
+            for u in nodes.tolist():
+                vec, row_counters = self.row(u, collect_stats)
+                vecs.append(SparseVec.from_dense(vec) if sparse else vec)
+                per_row.append(row_counters)
+            if collect_stats:
+                counters = np.stack(per_row, axis=1)[[0, 1, 3 if sparse else 2]]
             if sparse:
-                return rows_matrix([SparseVec.from_dense(vec)], n), counted
-            return vec[np.newaxis], counted
+                return rows_matrix(vecs, n), counters
+            return (vecs[0][np.newaxis] if len(vecs) == 1 else np.stack(vecs)), counters
         body = self.sparse if sparse else self.dense
         step = max(1, nodes.size if batch is None else batch)
         out: Any
-        counters: np.ndarray | None
         if nodes.size <= step:
             out, counters = body(nodes, collect_stats)
         else:

@@ -72,8 +72,11 @@ class HGPAShare(HubShare):
     product.  The port repair (see :meth:`HGPAIndex.query_detailed`)
     splits over shares: each zeroes its own level term at the level's hub
     coordinates and re-adds the raw skeleton values at the hubs it owns —
-    the centralized overwrite when it owns them all.
+    the centralized overwrite when it owns them all.  Chains share little
+    below the root, so under 64 rows a loop of :meth:`row` is quicker.
     """
+
+    ROW_LOOP_BELOW = 64
 
     def __init__(
         self,
@@ -323,16 +326,13 @@ class HGPAIndex:
         *,
         collect_stats: bool = True,
     ) -> tuple[np.ndarray, list[QueryStats]]:
-        """Batched exact PPVs (Eq. 6): one sparse matmul per level group.
-
-        Queries are grouped by the hierarchy subgraphs their chains
-        traverse; each group's skeleton weights come from one CSR row
-        slice and its level term from one ``CSC @ weights`` product, so
-        the per-hub work is shared across the whole batch.  Returns a
-        dense ``(len(nodes), n)`` matrix plus per-query work counters.
-        ``collect_stats=False`` skips the per-query counter bookkeeping
-        (pure overhead on the serving hot path) and returns an empty
-        metadata list; the result matrix is identical.
+        """Batched exact PPVs (Eq. 6): a dense ``(len(nodes), n)`` matrix
+        plus per-query work counters (``collect_stats=False``: none, same
+        matrix).  From ``HGPAShare.ROW_LOOP_BELOW`` (64) rows the batch
+        body groups queries by the subgraphs their chains traverse, one
+        ``CSC @ weights`` product per level group; smaller batches run
+        :meth:`query`'s body per node, since chains share little below
+        the root and the per-group set-up would dominate.
         """
         out, counters = self._share().evaluate(
             nodes, sparse=False, collect_stats=collect_stats
@@ -345,20 +345,14 @@ class HGPAIndex:
         *,
         collect_stats: bool = True,
     ) -> tuple[sp.csr_matrix, list[QueryStats]]:
-        """Batched exact PPVs as a CSR ``(len(nodes), n)`` matrix.
+        """:meth:`query_many` as a CSR ``(len(nodes), n)`` matrix.
 
-        The sparse accumulation mode of the batch path: each level
-        group's term is a sparse×sparse ``part_csc @ sparse_weights``
-        CSR block, the port repair is a structural zero-out plus a
-        scattered skeleton-value add, and blocks are merged per chain
-        group by sparse addition — the dense ``(n, batch)`` accumulator
-        of :meth:`query_many` never exists.  On pruned indexes
-        (``HGPA_ad``) the peak footprint is proportional to the PPVs'
-        true support, which is what lets batched HGPA *beat* its
-        per-query matmul path instead of matching it.  Agrees with the
-        dense path exactly (``toarray()`` equality); counters match the
-        dense path except ``skeleton_lookups``, which charges the actual
-        nnz skeleton entries read per level rather than full hub scans.
+        The batch body keeps each level term sparse (``part_csc @
+        sparse_weights``, a structural port repair, sparse adds per chain
+        group), so no dense ``(n, batch)`` accumulator exists and on
+        pruned indexes (``HGPA_ad``) its peak follows the PPVs' support.
+        Equal to the dense path exactly, counters too, except
+        ``skeleton_lookups``: the nnz skeleton entries read per level.
         """
         out, counters = self._share().evaluate(
             nodes, sparse=True, collect_stats=collect_stats

@@ -133,21 +133,25 @@ def assert_one_row_equals_batches(engine, nodes, *, meta=True) -> None:
     """A node's answer must not depend on whether it arrived alone.
 
     One-row requests take the single-row body (``HubShare.row``), larger
-    ones the batch bodies: for both result forms the one-row answer has
-    to equal — bitwise, CSR arrays included — the node's row inside a
-    2-row and a 64-row batch, and (``meta``) so does every field of its
-    ``QueryStats`` / ``QueryReport`` except the measured wall.
+    ones the batch bodies or, below the family's ``ROW_LOOP_BELOW``
+    (64 for HGPA), a loop of ``row``: for both result forms the one-row
+    answer has to equal — bitwise, CSR arrays included — the node's row
+    inside a 2-row, a 63-row and a 64-row batch, and (``meta``) so does
+    every field of its ``QueryStats`` / ``QueryReport`` except the
+    measured wall.  63 and 64 rows straddle the HGPA constant.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     assert nodes.size == 64
     for verb in ("query_many", "query_many_sparse"):
         ask = getattr(engine, verb)
         big, big_meta = ask(nodes)
+        mid, mid_meta = ask(nodes[:63])
         for k in range(0, 64, 5):
             one, one_meta = ask(nodes[k : k + 1])
             pair, pair_meta = ask(nodes[[k, (k + 9) % 64]])
             assert one.shape == (1, big.shape[1])
-            for got, got_meta, row in ((pair, pair_meta, 0), (big, big_meta, k)):
+            batches = [(pair, pair_meta, 0), (mid, mid_meta, k), (big, big_meta, k)]
+            for got, got_meta, row in batches:
                 if verb == "query_many":
                     assert np.array_equal(one[0], got[row])
                 else:

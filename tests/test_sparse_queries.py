@@ -21,10 +21,12 @@ from repro.core import (
     build_hgpa_index,
 )
 from repro.core.flat_index import (
+    FlatShare,
     topk_in_batches,
     topk_rows,
     topk_rows_reference,
 )
+from repro.core.hgpa import HGPAShare
 from repro.core.sparse_ops import spgemm_scaled, topk_rows_sparse
 from repro.distributed import DistributedGPA, DistributedHGPA
 from repro.graph import hierarchical_community_digraph
@@ -207,6 +209,40 @@ class TestEngineEquivalence:
                 assert np.array_equal(got.indptr, sparse.indptr)
                 assert np.array_equal(got.indices, sparse.indices)
                 assert np.array_equal(got.data, sparse.data)
+
+
+class TestRowLoopBelow:
+    """Which path a batch size takes: each family's ``ROW_LOOP_BELOW``."""
+
+    def test_hgpa_loops_rows_below_64(self, hgpa_small, monkeypatch):
+        def refuse(share, nodes, collect_stats):
+            raise AssertionError(f"batch body ran {nodes.size} rows")
+
+        monkeypatch.setattr(HGPAShare, "dense", refuse)
+        monkeypatch.setattr(HGPAShare, "sparse", refuse)
+        nodes = np.random.default_rng(5).integers(0, hgpa_small.graph.num_nodes, 64)
+        for size in range(2, 64):
+            hgpa_small.query_many(nodes[:size])
+            hgpa_small.query_many_sparse(nodes[:size], collect_stats=False)
+        for size in (0, 64):  # empty batches stay on the body path
+            for verb in (hgpa_small.query_many, hgpa_small.query_many_sparse):
+                with pytest.raises(AssertionError, match=f"ran {size} rows"):
+                    verb(nodes[:size])
+
+    def test_gpa_runs_its_bodies_from_two_rows(self, gpa_small, monkeypatch):
+        entered = []
+        for name in ("dense", "sparse"):
+            body = getattr(FlatShare, name)
+
+            def spy(share, nodes, collect_stats, body=body, name=name):
+                entered.append((name, nodes.size))
+                return body(share, nodes, collect_stats)
+
+            monkeypatch.setattr(FlatShare, name, spy)
+        gpa_small.query_many([3, 7])
+        gpa_small.query_many_sparse([3, 7])
+        gpa_small.query_many([3])
+        assert entered == [("dense", 2), ("sparse", 2)]
 
 
 # ----------------------------------------------------------------------
