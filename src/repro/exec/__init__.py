@@ -3,8 +3,8 @@
 :class:`SerialBackend` preserves today's in-process behavior bitwise;
 :class:`ProcessPoolBackend` runs registered states in worker processes
 that attach the stacked query buffers read-only via shared memory
-(:mod:`repro.exec.shm`), so per-query IPC carries node ids in and result
-rows out.  Both distributed runtimes and the sharding layer accept a
+(:mod:`repro.exec.shm`); node ids go in over a pipe and result blocks
+come back through a per-worker shared reply ring.  Both distributed runtimes and the sharding layer accept a
 ``backend=`` and dispatch through this seam.
 """
 

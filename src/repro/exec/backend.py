@@ -12,8 +12,10 @@ worker processes:
 * :class:`ProcessPoolBackend` runs each state in a worker process.
   Builders are picklable values carrying
   :class:`~repro.exec.shm.ArenaDescriptor` handles, so workers attach
-  the stacked buffers read-only via shared memory and the per-query pipe
-  traffic is node ids in, result rows out.  Keys are assigned to workers
+  the stacked buffers read-only via shared memory.  Node ids go in over
+  the pipe; a reply's array buffers come back through a ring of
+  ``SLOTS`` shared reply slots per worker, and only the in-band pickle
+  plus the slot spans cross the pipe.  Keys are assigned to workers
   round-robin in registration order (deterministic); a worker answers
   its tasks in FIFO order, so futures resolve by pipe order.  A dead
   worker fails its pending and future submissions with
@@ -28,8 +30,10 @@ leaves no child process and no ``/dev/shm`` segment behind.
 from __future__ import annotations
 
 import itertools
+import mmap
 import multiprocessing as mp
 import os
+import pickle
 import traceback
 import weakref
 from collections import deque
@@ -220,8 +224,38 @@ class _Lazy:
         return self.state
 
 
-def _worker_main(conn: Connection) -> None:
+# Each worker's replies rotate through SLOTS slots of an anonymous shared
+# ring mapped before the fork.  The parent reads a reply before it sends
+# the task whose reply would overwrite it (see ProcessPoolBackend.submit).
+SLOTS = 2
+SLOT_BYTES = 64 << 20  # virtual: only the pages a reply writes are touched
+
+Span = tuple[int, int]  # (ring offset, nbytes) of one out-of-band buffer
+
+
+def _to_ring(value: Any, ring: mmap.mmap, slot: int) -> tuple[bytes, list[Span]]:
+    """Pickle ``value``, copying its out-of-band buffers into ``slot``.
+
+    A buffer that does not fit the slot's remaining room stays in-band.
+    """
+    spans: list[Span] = []
+    end = (slot + 1) * SLOT_BYTES
+
+    def out_of_band(buf: pickle.PickleBuffer) -> bool:
+        raw = buf.raw()
+        start = spans[-1][0] + spans[-1][1] if spans else slot * SLOT_BYTES
+        if start + raw.nbytes > end:
+            return True
+        ring[start : start + raw.nbytes] = raw
+        spans.append((start, raw.nbytes))
+        return False
+
+    return pickle.dumps(value, protocol=5, buffer_callback=out_of_band), spans
+
+
+def _worker_main(conn: Connection, ring: mmap.mmap) -> None:
     states: dict[Any, Any] = {}
+    replies = 0
     while True:
         try:
             msg = conn.recv()
@@ -234,14 +268,15 @@ def _worker_main(conn: Connection) -> None:
             states.pop(msg[1], None)
         elif op == "submit":
             _, task_id, key, method, args = msg
+            slot = replies % SLOTS
+            replies += 1
             try:
-                state = states[key].get()
-                value = getattr(state, method)(*args)
-                conn.send(("ok", task_id, value))
+                value = getattr(states[key].get(), method)(*args)
+                reply = _to_ring(("ok", task_id, value), ring, slot)
             except BaseException as exc:  # noqa: BLE001 - report, don't die
-                conn.send(
-                    ("err", task_id, repr(exc), traceback.format_exc())
-                )
+                err = ("err", task_id, repr(exc), traceback.format_exc())
+                reply = _to_ring(err, ring, slot)
+            conn.send(reply)
         elif op == "close":
             break
     conn.close()
@@ -275,14 +310,15 @@ class _ProcFuture:
 
 
 class _Worker:
-    """One worker process plus its command pipe and FIFO of futures."""
+    """One worker process plus its command pipe, reply ring and futures."""
 
     def __init__(self, ctx: Any, index: int, timeout: float) -> None:
         self.index = index
         self.timeout = timeout
         self.conn, child_conn = ctx.Pipe(duplex=True)
+        self.ring = mmap.mmap(-1, SLOTS * SLOT_BYTES)
         self.proc = ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
+            target=_worker_main, args=(child_conn, self.ring), daemon=True
         )
         self.proc.start()
         child_conn.close()
@@ -309,10 +345,13 @@ class _Worker:
                     f"worker {self.index} timed out after {self.timeout}s"
                 )
                 return
-            msg = self.conn.recv()
+            data, spans = self.conn.recv()
         except (EOFError, OSError):
             self.fail(f"worker {self.index} died mid-batch")
             return
+        with memoryview(self.ring) as ring:
+            buffers = [bytearray(ring[o : o + n]) for o, n in spans]
+        msg = pickle.loads(data, buffers=buffers)
         fut = self.pending.popleft()
         if msg[0] == "ok":
             fut.value = msg[2]
@@ -341,17 +380,18 @@ class _Worker:
             self.proc.terminate()
             self.proc.join(timeout=grace)
         self.conn.close()
+        self.ring.close()
         self.alive = False
 
 
 class ProcessPoolBackend(ExecutionBackend):
     """Real multiprocess execution behind the seam.
 
-    ``num_workers`` worker processes are started up front (fork where
-    available, before any arena exists, so children inherit nothing they
-    should not — except the resource tracker, started first so that
-    every worker reports to the parent's).  Registered keys pin to workers round-robin in
-    registration order; all arenas created through the backend are owned
+    ``num_workers`` worker processes are forked up front, before any
+    arena exists, so children inherit nothing they should not — except
+    their reply rings and the resource tracker, started first so that
+    every worker reports to the parent's.  Registered keys pin to
+    workers round-robin in registration order; all arenas created through the backend are owned
     by it and unlinked at ``close``.  ``timeout`` bounds every wait on a
     worker reply — a hung worker is terminated and surfaces as
     :class:`~repro.errors.WorkerDied` instead of stalling the caller.
@@ -359,19 +399,10 @@ class ProcessPoolBackend(ExecutionBackend):
 
     is_local = False
 
-    def __init__(
-        self,
-        num_workers: int,
-        *,
-        mp_context: str | None = None,
-        timeout: float = 120.0,
-    ) -> None:
+    def __init__(self, num_workers: int, *, timeout: float = 120.0) -> None:
         if num_workers < 1:
             raise ExecutionError("need at least one worker")
-        if mp_context is None:
-            methods = mp.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else methods[0]
-        ctx = mp.get_context(mp_context)
+        ctx = mp.get_context("fork")  # the reply rings are inherited
         # Workers share the parent's resource tracker only if it runs
         # before they fork; a worker forked earlier starts its own on its
         # first arena attach, and that one outlives close() unwaited.
@@ -416,6 +447,8 @@ class ProcessPoolBackend(ExecutionBackend):
         worker = self._assignment.get(key)
         if worker is None:
             raise ExecutionError(f"no state registered for key {key!r}")
+        if len(worker.pending) >= SLOTS:
+            worker.pump()  # free the slot this task's reply will reuse
         fut = _ProcFuture(worker, next(self._tasks))
         worker.send(("submit", fut.task_id, key, method, args))
         worker.pending.append(fut)

@@ -9,7 +9,7 @@ attaches the segment once and maps every array as a zero-copy read-only
 :func:`build_ops_from_view` layer the repo's stacked ``(owned, partial
 CSC, skeleton CSR, nnz-per-hub)`` query-op tuple on top: the matrices are
 rebuilt worker-side via :mod:`repro.core.stacked`, so per-query IPC never
-carries index data — only node ids in and result rows out.
+carries index data.
 
 Segment names are ``repro-shm-<creator pid>-<counter>``, which is what
 lets the test suite assert that no segment outlives its backend.
@@ -22,7 +22,7 @@ from typing import Any
 import itertools
 import os
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -60,27 +60,12 @@ class ArraySpec:
         return int(np.dtype(self.dtype).itemsize) * count
 
 
-def _tracker_pid() -> int | None:
-    """Pid of this process's shared-memory resource tracker (or None)."""
-    try:
-        resource_tracker.ensure_running()
-        return resource_tracker._resource_tracker._pid
-    except Exception:  # pragma: no cover - tracker internals vary
-        return None
-
-
 @dataclass(frozen=True)
 class ArenaDescriptor:
-    """Picklable handle to a published arena: shm name + array specs.
-
-    ``tracker_pid`` identifies the creator's resource tracker so an
-    attaching process can tell whether it shares that tracker (fork) or
-    runs its own (spawn) — see :class:`ArenaView`.
-    """
+    """Picklable handle to a published arena: shm name + array specs."""
 
     shm_name: str
     specs: tuple[ArraySpec, ...]
-    tracker_pid: int | None = None
 
     def attach(self) -> "ArenaView":
         """Attach the segment (memoized per process) and map the arrays."""
@@ -120,44 +105,17 @@ def _pin_view(view: "ArenaView") -> None:
     _CLOSED_VIEWS.append(view)
 
 
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Stop the resource tracker from unlinking an attached segment.
-
-    Attaching registers the segment with this process's resource
-    tracker (CPython < 3.13 has no ``track=False``), which would unlink
-    the *creator's* segment when the attaching process exits — exactly
-    wrong for worker-side read-only views.  Only the owning
-    :class:`ShmArena` may unlink.
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-
-
 class ArenaView:
     """Worker-side (or test-side) attachment: read-only array views.
 
-    Attaching auto-registers the segment with this process's resource
-    tracker; when that tracker is *not* the creator's (a spawn-context
-    worker), the registration is removed so a worker's exit cannot
-    unlink the creator's live segment.  Fork-context workers share the
-    creator's tracker — its single registration must survive until the
-    owning arena unlinks, so nothing is unregistered there.
+    Attaching registers the segment with this process's resource
+    tracker.  Pool workers are forked after the parent's tracker starts,
+    so that is the creator's tracker, and the owning arena's unlink
+    unregisters it.
     """
 
     def __init__(self, descriptor: ArenaDescriptor) -> None:
-        # An inherited tracker (a multiprocessing child: fd handed over,
-        # pid never set spawn-side) is the creator's tracker — its single
-        # registration must survive, so never unregister through it.
-        tracker = getattr(resource_tracker, "_resource_tracker", None)
-        inherited = (
-            getattr(tracker, "_fd", None) is not None
-            and getattr(tracker, "_pid", None) is None
-        )
         self._shm = shared_memory.SharedMemory(name=descriptor.shm_name)
-        if not inherited and descriptor.tracker_pid != _tracker_pid():
-            _untrack(self._shm)
         self.arrays: dict[str, np.ndarray] = {}
         for spec in descriptor.specs:
             arr = np.frombuffer(
@@ -205,7 +163,7 @@ class ShmArena:
                 offset=spec.offset,
             )
             dst[:] = arr.ravel()
-        self.descriptor = ArenaDescriptor(name, tuple(specs), _tracker_pid())
+        self.descriptor = ArenaDescriptor(name, tuple(specs))
         self._closed = False
 
     def close(self) -> None:

@@ -19,6 +19,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ from repro.exec import (
     ShmArena,
     stacked_ops_arrays,
 )
+from repro.exec import backend as exec_backend
 from repro.exec.shm import build_ops_from_view
+from repro.exec.states import ShareHost, engine_builder
 from repro.graph import hierarchical_community_digraph
 from repro.sharding.router import ShardRouter
 
@@ -469,3 +472,134 @@ class TestFailover:
         worker.proc.join()
         with pytest.raises(WorkerDied):
             future.result()
+
+
+class _Tap:
+    """A parent-side pipe end that keeps every message it receives."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.got = []
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+    def recv(self):
+        msg = self.conn.recv()
+        self.got.append(msg)
+        return msg
+
+
+def _reply_shapes(index, backend):
+    """One key per reply shape on ``backend``: a replica's dense and
+    sparse ``serve`` and a runtime machine's ``share_of`` tuple, as
+    ``(key, method, *args after the nodes)``.  The runtime is returned
+    too: its machine key lives as long as it does."""
+    if backend.is_local:
+        host = ShareHost(index._share())
+        builder = lambda: host  # noqa: E731
+    else:
+        builder = engine_builder(SimpleNamespace(engine=index), backend)
+    backend.register("dense", builder)
+    backend.register("sparse", builder)
+    runtime = DistributedGPA(index, 2, backend=backend)
+    tasks = [
+        ("dense", "serve", False),
+        ("sparse", "serve", True),
+        (runtime._exec_key(0), "share_of", False, True),
+    ]
+    return runtime, tasks
+
+
+def _assert_reply_bitwise(got, want) -> None:
+    """Equal bit for bit, but for the trailing compute wall."""
+    assert len(got) == len(want)
+    for a, b in zip(got[:-1], want[:-1]):
+        if hasattr(a, "indptr"):
+            assert_csr_bitwise(a, b)
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class TestReplyRing:
+    """Replies ride each worker's ring of ``SLOTS`` shared slots; only
+    the in-band pickle and the slot spans cross the pipe."""
+
+    def _round_trip(self, index):
+        """More tasks than slots in flight on one worker, resolved in
+        reverse, against the serial answers; returns the pipe messages."""
+        n = index.graph.num_nodes
+        batches = [_query_nodes(n, size=24, seed=seed) for seed in range(3)]
+        serial = SerialBackend()
+        _keep, tasks = _reply_shapes(index, serial)
+        want = [
+            serial.submit(key, method, nodes, *args).result()
+            for nodes in batches
+            for key, method, *args in tasks
+        ]
+        with ProcessPoolBackend(1) as pool:
+            _keep, tasks = _reply_shapes(index, pool)
+            worker = pool._workers[0]
+            worker.conn = tap = _Tap(worker.conn)
+            futures = [
+                pool.submit(key, method, nodes, *args)
+                for nodes in batches
+                for key, method, *args in tasks
+            ]
+            assert len(futures) > exec_backend.SLOTS
+            got = [future.result() for future in reversed(futures)][::-1]
+            for reply, expected in zip(got, want):
+                _assert_reply_bitwise(reply, expected)
+            # Every block is private: writing one changes no other reply,
+            # resolved before it or after.
+            block = got[0][0]
+            assert block.flags.writeable
+            block[...] = -1.0
+            for reply, expected in zip(got[1:], want[1:]):
+                _assert_reply_bitwise(reply, expected)
+            again = pool.submit("dense", "serve", batches[0], False).result()
+            _assert_reply_bitwise(again, want[0])
+            return tap.got
+
+    def test_replies_survive_slot_reuse(self, gpa_small):
+        messages = self._round_trip(gpa_small)
+        assert max(len(data) for data, _spans in messages) < 1024
+
+    def test_reply_larger_than_a_slot_stays_in_band(self, gpa_small, monkeypatch):
+        # Patched before the pool forks: the ring and the worker both
+        # see the small slots, and a dense block no longer fits one.
+        monkeypatch.setattr(exec_backend, "SLOT_BYTES", 4096)
+        messages = self._round_trip(gpa_small)
+        assert max(len(data) for data, _spans in messages) > 4096
+
+    def test_only_a_header_crosses_the_pipe(self, gpa_small):
+        n = gpa_small.graph.num_nodes
+        nodes = _query_nodes(n, size=256, seed=8)
+        with ProcessPoolBackend(1) as pool:
+            pool.register(
+                "dense", engine_builder(SimpleNamespace(engine=gpa_small), pool)
+            )
+            worker = pool._workers[0]
+            worker.conn = tap = _Tap(worker.conn)
+            block, _wall = pool.submit("dense", "serve", nodes, False).result()
+        assert block.shape == (256, n) and block.dtype == np.float64
+        (message,) = tap.got
+        assert len(pickle.dumps(message)) < 1024
+
+    def test_worker_death_with_every_slot_outstanding_raises(self):
+        with ProcessPoolBackend(1) as pool:
+            pool.register("sleeper", _sleepy_builder)
+            futures = [
+                pool.submit("sleeper", "nap", 60.0)
+                for _ in range(exec_backend.SLOTS)
+            ]
+            worker = pool._workers[0]
+            worker.proc.kill()
+            worker.proc.join()
+            t0 = time.perf_counter()
+            with pytest.raises(WorkerDied):
+                pool.submit("sleeper", "nap", 0.0)
+            for future in futures:
+                with pytest.raises(WorkerDied):
+                    future.result()
+            assert time.perf_counter() - t0 < 10.0
