@@ -1,9 +1,9 @@
 """Uniform query backend over every index family and distributed runtime.
 
-The serving frontend only needs three things from an engine: how many
-nodes the graph has, a batched ``query_many`` returning a dense
-``(batch, n)`` matrix, and a batched top-k.  The centralized indexes
-(:class:`~repro.core.flat_index.FlatPPVIndex` subclasses,
+The serving frontend only needs four things from an engine: how many
+nodes the graph has, batched ``query_many`` / ``query_many_sparse``
+returning ``(batch, n)`` rows, and a batched top-k.  The centralized
+indexes (:class:`~repro.core.flat_index.FlatPPVIndex` subclasses,
 :class:`~repro.core.hgpa.HGPAIndex`,
 :class:`~repro.approx.fastppv.FastPPVIndex`) and the simulated
 distributed runtimes (:class:`~repro.distributed.gpa_runtime.DistributedGPA`,
@@ -17,8 +17,7 @@ runtimes carry ``num_nodes`` themselves and return
 
 from __future__ import annotations
 
-import inspect
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -31,7 +30,6 @@ from repro.core.flat_index import (
     validate_batch,
 )
 from repro.core.hgpa import HGPAIndex
-from repro.core.sparse_ops import finalize_csr
 from repro.core.updates import EdgeUpdate, UpdateReceipt, apply_edge_update
 from repro.distributed.cluster import ClusterBase
 from repro.errors import ServingError
@@ -39,39 +37,17 @@ from repro.errors import ServingError
 __all__ = ["QueryBackend", "MutableBackend", "as_backend", "as_mutable_backend"]
 
 
-def _accepts_collect_stats(fn: Callable[..., Any] | None) -> bool:
-    """Whether a query callable takes the ``collect_stats`` keyword."""
-    if fn is None:
-        return False
-    try:
-        return "collect_stats" in inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-
-
 class QueryBackend:
     """One engine behind the uniform serving interface.
 
-    ``query_many(nodes)`` returns ``(dense (len, n) matrix, per-query
-    metadata list)``; ``query_many_topk(nodes, k)`` returns ``(ids,
-    scores, metadata)`` with chunk-bounded dense intermediates, using the
-    engine's native top-k path when it has one.
-
-    **Sparse results (optional capability).**
-    ``query_many_sparse(nodes)`` returns ``(CSR (len, n) matrix,
-    metadata)`` whose ``toarray()`` is exactly the dense
-    ``query_many`` result.  Engines with a native sparse path (the index
-    families and both distributed runtimes) keep the whole evaluation
-    sparse — on pruned indexes the peak intermediate footprint tracks
-    the PPVs' true support instead of ``batch × n``; any other engine is
-    served by a post-hoc sparsification of its dense result, so the
-    capability is always present behind the adapter even when the win is
-    not.  Check ``supports_sparse`` to tell the two apart.
-
-    **Stats fast mode.** Both batch calls accept ``collect_stats=False``
-    to skip the engine's per-query metadata bookkeeping (pure overhead
-    on the serving hot path); engines without the keyword are called
-    plainly and their metadata passed through unchanged.
+    ``query_many(nodes)`` returns ``(dense (len, n) matrix, [])`` and
+    ``query_many_sparse(nodes)`` ``(CSR (len, n) matrix, [])`` whose
+    ``toarray()`` is exactly the dense result; both call the engine's
+    native verb with its per-query stats switched off, so the serving
+    path asks for rows only.  Per-query engine stats come from calling
+    an index or runtime directly.  ``query_many_topk(nodes, k)`` returns
+    ``(ids, scores, metadata)`` with chunk-bounded dense intermediates,
+    using the engine's native top-k path when it has one.
 
     Every backend carries an ``epoch`` — the version of the graph its
     answers are computed against.  A static backend stays at 0 forever;
@@ -86,47 +62,16 @@ class QueryBackend:
     def __init__(self, engine: Any, num_nodes: int) -> None:
         self.engine = engine
         self.num_nodes = int(num_nodes)
-        self._stats_kw = _accepts_collect_stats(
-            getattr(engine, "query_many", None)
-        )
-        self._sparse_stats_kw = _accepts_collect_stats(
-            getattr(engine, "query_many_sparse", None)
-        )
-
-    @property
-    def supports_sparse(self) -> bool:
-        """Whether the engine has a *native* sparse result path (the
-        adapter's ``query_many_sparse`` works either way)."""
-        return callable(getattr(self.engine, "query_many_sparse", None))
 
     def query_many(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        collect_stats: bool = True,
+        self, nodes: Sequence[int] | np.ndarray
     ) -> tuple[np.ndarray, list[Any]]:
-        if self._stats_kw:
-            return self.engine.query_many(nodes, collect_stats=collect_stats)
-        return self.engine.query_many(nodes)
+        return self.engine.query_many(nodes, collect_stats=False)
 
     def query_many_sparse(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        collect_stats: bool = True,
+        self, nodes: Sequence[int] | np.ndarray
     ) -> tuple[sp.csr_matrix, list[Any]]:
-        """Batched PPVs as a CSR matrix (see the class docstring).
-
-        Falls back to sparsifying the dense ``query_many`` result when
-        the engine has no native sparse path — exact either way.
-        """
-        native = getattr(self.engine, "query_many_sparse", None)
-        if native is not None:
-            if self._sparse_stats_kw:
-                return native(nodes, collect_stats=collect_stats)
-            return native(nodes)
-        out, meta = self.query_many(nodes, collect_stats=collect_stats)
-        return finalize_csr(sp.csr_matrix(out), out.shape), meta
+        return self.engine.query_many_sparse(nodes, collect_stats=False)
 
     def query_many_topk(
         self,

@@ -231,10 +231,13 @@ class PPVService:
     ``query``.  With ``sparse=True`` batches run through the backend's
     ``query_many_sparse`` instead and tickets resolve to immutable
     :class:`~repro.core.sparsevec.SparseVec` rows with exactly the dense
-    values.  ``collect_stats`` is passed to the backend and nothing
-    else: no service output reads engine stats.  It remains only because
-    the end-to-end benchmark harness passes it, and goes when that
-    harness stops passing it.
+    values.  The service asks its backend for rows only: an adapted
+    engine returns no per-row metadata, a router one
+    :class:`~repro.sharding.shard.RouteInfo` per row.  Per-query engine
+    stats come from calling an index or runtime directly.
+    ``collect_stats`` is accepted and ignored, only because the
+    end-to-end benchmark harness passes it; it goes when that harness
+    stops passing it.
     """
 
     def __init__(
@@ -269,7 +272,6 @@ class PPVService:
         # and tickets resolve to SparseVec rows (values agree with dense
         # mode exactly).
         self.sparse = bool(sparse)
-        self.collect_stats = bool(collect_stats)
         #: Per-request latency target for the SLO counters in
         #: :class:`ServiceStats` (``None`` = don't classify).
         self.slo_seconds = slo_seconds
@@ -416,13 +418,9 @@ class PPVService:
         )
         try:
             if self.sparse:
-                out, meta = self.backend.query_many_sparse(
-                    unique, collect_stats=self.collect_stats
-                )
+                out, meta = self.backend.query_many_sparse(unique)
             else:
-                out, meta = self.backend.query_many(
-                    unique, collect_stats=self.collect_stats
-                )
+                out, meta = self.backend.query_many(unique)
         except (ShardingError, TransientFault):
             # The backend failed the whole flush: no ticket of it gets an
             # answer, and none may stay queued behind a batch that is gone.
@@ -430,9 +428,9 @@ class PPVService:
             for ticket in tickets:
                 self._finish_ticket(ticket, zero, epoch, status="shed")
             raise
-        # Per-row metadata from a router carries each row's epoch (mixed
-        # mid-rollout), status and modeled serving delay; engine stats
-        # carry none of them and fall back to the batch-level values.
+        # A router's RouteInfo carries each row's epoch (mixed mid-rollout),
+        # status and modeled serving delay; an adapted engine returns no
+        # metadata and every row takes the batch-level values.
         base = self.epoch
         rows: dict[int, np.ndarray | SparseVec] = {}
         epochs: dict[int, int] = {}
@@ -445,12 +443,12 @@ class PPVService:
                 row = out[j].copy()
                 row.flags.writeable = False
             rows[u] = row
-            info = meta[j] if j < len(meta) else None
-            epochs[u] = int(getattr(info, "epoch", base)) if info else base
-            statuses[u] = str(getattr(info, "status", "ok")) if info else "ok"
-            delays[u] = (
-                float(getattr(info, "latency_seconds", 0.0)) if info else 0.0
-            )
+            if meta:
+                info = meta[j]
+                epochs[u], statuses[u] = info.epoch, info.status
+                delays[u] = info.latency_seconds
+            else:
+                epochs[u], statuses[u], delays[u] = base, "ok", 0.0
         for ticket in tickets:
             u = ticket.node
             self._finish_ticket(

@@ -182,30 +182,25 @@ class Replica:
 
     # ----- serving ------------------------------------------------------
     def _serve(
-        self, verb: Callable[..., Any], nodes: np.ndarray, collect_stats: bool
+        self, verb: Callable[..., Any], nodes: np.ndarray
     ) -> tuple[Any, list[Any]]:
         t0 = time.perf_counter()
-        out, meta = verb(nodes, collect_stats=collect_stats)
+        out, meta = verb(nodes)
         self.busy_seconds += time.perf_counter() - t0
         self.served_queries += int(np.asarray(nodes).size)
         self.served_batches += 1
         return out, meta
 
-    def query_many(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[np.ndarray, list[Any]]:
+    def query_many(self, nodes: np.ndarray) -> tuple[np.ndarray, list[Any]]:
         """Serve one batch, accounting load to this replica."""
-        return self._serve(self.backend.query_many, nodes, collect_stats)
+        return self._serve(self.backend.query_many, nodes)
 
-    def query_many_sparse(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[Any, list[Any]]:
+    def query_many_sparse(self, nodes: np.ndarray) -> tuple[Any, list[Any]]:
         """Serve one batch as sparse CSR rows, accounting load.
 
-        Exact: ``toarray()`` equals the dense :meth:`query_many` result
-        (the adapter sparsifies dense-only engines transparently).
+        Exact: ``toarray()`` equals the dense :meth:`query_many` result.
         """
-        return self._serve(self.backend.query_many_sparse, nodes, collect_stats)
+        return self._serve(self.backend.query_many_sparse, nodes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "down" if self._down else "up"

@@ -70,10 +70,8 @@ class ShardStats:
     bytes_by_shard: list[int]
     busy_seconds_by_shard: list[float]
     cache: CacheStats | None
-    resilience: ResilienceStats | None = None
-    """Fault-handling counters (retries, hedges, degraded/shed rows) —
-    always present on routers built by :class:`ShardRouter`, ``None``
-    only for hand-built stats."""
+    resilience: ResilienceStats
+    """Fault-handling counters (retries, hedges, degraded/shed rows)."""
 
     @property
     def num_shards(self) -> int:
@@ -237,8 +235,6 @@ class ShardRouter(QueryBackend):
         self.shards[shard].mark_up(replica)
 
     # ----- QueryBackend interface --------------------------------------
-    supports_sparse = True  # native sparse fan-out below
-
     def _pump_faults(self) -> None:
         """Fire any scheduled faults the clock has passed (no-op without
         an attached :class:`~repro.faults.injector.FaultInjector`)."""
@@ -282,21 +278,11 @@ class ShardRouter(QueryBackend):
         return infos
 
     def query_many(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        collect_stats: bool = True,
+        self, nodes: Sequence[int] | np.ndarray
     ) -> tuple[np.ndarray, list[RouteInfo]]:
         """Route, fan out, merge: dense ``(len(nodes), n)`` rows in batch
-        order plus one :class:`~repro.sharding.shard.RouteInfo` each.
-
-        ``collect_stats`` exists for interface uniformity with the other
-        backends: shards already skip engine-level stats on their
-        replicas (the metadata is discarded there), and the
-        :class:`RouteInfo` list — the router's own cheap metadata, which
-        carries the per-row epoch — is always returned.
-        """
-        del collect_stats  # see docstring
+        order plus one :class:`~repro.sharding.shard.RouteInfo` each,
+        which carries the row's epoch, status and modeled latency."""
         nodes = validate_batch(nodes, self.num_nodes)
         out = np.empty((nodes.size, self.num_nodes))
 
@@ -312,10 +298,7 @@ class ShardRouter(QueryBackend):
         return out, infos
 
     def query_many_sparse(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        collect_stats: bool = True,
+        self, nodes: Sequence[int] | np.ndarray
     ) -> tuple[Any, ...]:
         """Route, fan out, merge — sparse: CSR ``(len(nodes), n)`` rows
         in batch order plus one :class:`RouteInfo` each.
@@ -326,7 +309,6 @@ class ShardRouter(QueryBackend):
         their true-nnz cost, and the merged matrix's ``toarray()`` equals
         :meth:`query_many` exactly.
         """
-        del collect_stats  # see query_many
         nodes = validate_batch(nodes, self.num_nodes)
         parts: list[Any] = []
         positions: list[np.ndarray] = []

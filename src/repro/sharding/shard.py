@@ -347,7 +347,7 @@ class Shard:
     def _serve_inline(replica: Replica, unique: np.ndarray, *, sparse: bool) -> Any:
         """Serve the batch on the replica itself (no worker future)."""
         serve = replica.query_many_sparse if sparse else replica.query_many
-        return serve(unique, collect_stats=False)[0]
+        return serve(unique)[0]
 
     def _finish_compute_basic(
         self, replica: Replica, future: Any, unique: np.ndarray, *, sparse: bool

@@ -481,7 +481,7 @@ class TestGracefulDegradationFrontend:
         class Unreachable:
             graph = gpa_small.graph
 
-            def query_many(self, nodes):
+            def query_many(self, nodes, *, collect_stats=True):
                 raise ReplicaUnavailable("every replica is down")
 
         service = PPVService(Unreachable(), window=1.0, clock=SimulatedClock())

@@ -357,6 +357,43 @@ class TestAdapters:
             as_backend(Fake())
 
 
+class _StatsSpy:
+    """An engine over an index that records the ``collect_stats`` value
+    of every batch call it receives."""
+
+    def __init__(self, index):
+        self.graph = index.graph
+        self._index = index
+        self.seen = []
+
+    def query_many(self, nodes, *, collect_stats=True):
+        self.seen.append(collect_stats)
+        return self._index.query_many(nodes, collect_stats=collect_stats)
+
+    def query_many_sparse(self, nodes, *, collect_stats=True):
+        self.seen.append(collect_stats)
+        return self._index.query_many_sparse(nodes, collect_stats=collect_stats)
+
+
+class TestRowsOnlyAboveEngine:
+    """Every serving layer asks its engine for rows, never for stats."""
+
+    NODES = np.asarray([3, 7, 3, 11])
+
+    def test_service_backend_and_router(self, gpa_small):
+        spy = _StatsSpy(gpa_small)
+        for sparse in (False, True):
+            PPVService(spy, clock=SimulatedClock(), sparse=sparse).serve(self.NODES)
+        assert spy.seen == [False, False]
+        backend = as_backend(spy)
+        assert backend.query_many(self.NODES)[1] == []
+        assert backend.query_many_sparse(self.NODES)[1] == []
+        router = ShardRouter([[spy]])
+        router.query_many(self.NODES)
+        router.query_many_sparse(self.NODES)
+        assert spy.seen == [False] * 6
+
+
 # ----------------------------------------------------------------------
 class TestPPVService:
     ALL_BACKENDS = [

@@ -305,29 +305,9 @@ class TestDistributedSparse:
 # ----------------------------------------------------------------------
 # Serving adapter
 # ----------------------------------------------------------------------
-class _DenseOnlyEngine:
-    """An engine exposing only a dense ``query_many`` (no sparse path)."""
-
-    def __init__(self, index):
-        self.graph = index.graph
-        self._index = index
-
-    def query_many(self, nodes):
-        return self._index.query_many(nodes)
-
-
 class TestAdapterSparse:
     def test_native_passthrough(self, gpa_small):
         backend = as_backend(gpa_small)
-        assert backend.supports_sparse
-        queries = _mixed_queries(gpa_small.hubs, gpa_small.graph.num_nodes)
-        dense, _ = backend.query_many(queries)
-        sparse, _ = backend.query_many_sparse(queries, collect_stats=False)
-        _assert_exact(sparse, dense)
-
-    def test_fallback_sparsifies_dense(self, gpa_small):
-        backend = as_backend(_DenseOnlyEngine(gpa_small))
-        assert not backend.supports_sparse
         queries = _mixed_queries(gpa_small.hubs, gpa_small.graph.num_nodes)
         dense, _ = backend.query_many(queries)
         sparse, _ = backend.query_many_sparse(queries)
