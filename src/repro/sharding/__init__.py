@@ -15,7 +15,9 @@ down / reroute / timed recovery under a
 :class:`~repro.serving.service.SimulatedClock`) and a :class:`ShardStats`
 report round out the subsystem.
 
-Routers built with ``resilience=RetryPolicy(...)`` additionally get
+Every router serves under one
+:class:`~repro.sharding.resilience.RetryPolicy` (``RetryPolicy()``
+unless ``resilience=`` gives another) and so one failover path:
 bounded retries with deterministic-jitter backoff, per-attempt
 deadlines, tail-latency hedging, per-replica circuit breakers and —
 with ``degrade=True`` — graceful degradation (explicitly marked

@@ -31,7 +31,6 @@ from repro.serving.adapters import MutableBackend, as_backend, as_mutable_backen
 if TYPE_CHECKING:
     from repro.exec.backend import ExecutionBackend
     from repro.faults.injector import ReplicaProbe
-    from repro.sharding.resilience import CircuitBreaker
 
 __all__ = ["Replica"]
 
@@ -59,9 +58,6 @@ class Replica:
         # the shard consults it before every serve attempt.  None (the
         # default) costs one attribute read on the serving path.
         self.fault_hook: ReplicaProbe | None = None
-        # Per-replica circuit breaker, installed by the owning shard
-        # when the router runs with a resilience policy.
-        self.breaker: CircuitBreaker | None = None
 
     @property
     def num_nodes(self) -> int:

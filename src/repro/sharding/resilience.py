@@ -2,10 +2,10 @@
 
 Real deployments lose machines and grow stragglers as a matter of
 course; the serving tier's job is to keep every *answer* exact while the
-fleet misbehaves underneath.  This module holds the policy objects the
-:class:`~repro.sharding.shard.Shard` serving path consults when a
-:class:`~repro.sharding.router.ShardRouter` is built with
-``resilience=``:
+fleet misbehaves underneath.  This module holds the policy objects every
+:class:`~repro.sharding.shard.Shard` serving path consults (a
+:class:`~repro.sharding.router.ShardRouter` built without
+``resilience=`` runs under the default ``RetryPolicy()``):
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   *deterministic* jitter (seeded ``random.Random`` keyed by attempt, so

@@ -113,7 +113,11 @@ class ShardRouter(QueryBackend):
     ``cache_bytes`` gives every shard its own LRU
     :class:`~repro.serving.cache.PPVCache` — the stack's one result
     cache; per-shard traffic is metered through one shared
-    :class:`~repro.distributed.network.NetworkMeter`.
+    :class:`~repro.distributed.network.NetworkMeter`.  ``resilience`` is
+    the :class:`~repro.sharding.resilience.RetryPolicy` every shard
+    serves under (retries, deadlines, hedging, circuit breakers and the
+    ``degrade`` switch); the default ``RetryPolicy()`` retries link and
+    worker faults and raises once a partition is unreachable.
     Answers are exact — byte-identical routing policies aside, every
     query is answered by a full replica of its shard, so the router
     matches an unsharded backend to 1e-12.
@@ -128,14 +132,14 @@ class ShardRouter(QueryBackend):
         cache_bytes: int | None = None,
         clock: Any = None,
         backend: ExecutionBackend | None = None,
-        resilience: RetryPolicy | None = None,
+        resilience: RetryPolicy = RetryPolicy(),
     ) -> None:
         if not shard_engines:
             raise ShardingError("need at least one shard")
         self.clock = clock if clock is not None else SystemClock()
         self.meter = NetworkMeter()
-        # Resilience policy shared by every shard (None = legacy
-        # failover only); one stats block reports the whole fleet's
+        # Resilience policy shared by every shard (``RetryPolicy()``
+        # unless given); one stats block reports the whole fleet's
         # retry/hedge/degradation overhead.  A FaultInjector attaches
         # itself here so batch entry points pump its schedule.
         self.resilience = resilience

@@ -8,7 +8,10 @@ accounting of its link to the router.  Replica selection is deterministic:
 the healthy replica with the fewest served queries wins, ties going to
 the lowest replica id, so a marked-down replica's traffic reroutes to its
 siblings and drifts back after recovery — no randomness, fully testable
-with a :class:`~repro.serving.service.SimulatedClock`.
+with a :class:`~repro.serving.service.SimulatedClock`.  Every shard
+serves under a :class:`~repro.sharding.resilience.RetryPolicy` (the
+default ``RetryPolicy()`` unless the router passes one) and keeps one
+:class:`~repro.sharding.resilience.CircuitBreaker` per replica.
 """
 
 from __future__ import annotations
@@ -111,7 +114,8 @@ class _PendingBatch:
 
 
 class Shard:
-    """One partition's replica group behind the router."""
+    """One partition's replica group behind the router, serving under
+    one :class:`~repro.sharding.resilience.RetryPolicy`."""
 
     def __init__(
         self,
@@ -122,7 +126,7 @@ class Shard:
         meter: NetworkMeter | None = None,
         clock: Any = None,
         backend: ExecutionBackend | None = None,
-        resilience: RetryPolicy | None = None,
+        resilience: RetryPolicy = RetryPolicy(),
         res_stats: ResilienceStats | None = None,
     ) -> None:
         if not replicas:
@@ -144,27 +148,25 @@ class Shard:
         # still elapse; the router injects its own (possibly simulated)
         # clock so failover scenarios replay deterministically.
         self.clock = clock if clock is not None else SystemClock()
-        # Execution seam: None serves replicas inline (today's behavior);
-        # an ExecutionBackend offloads replica compute, with WorkerDied
-        # triggering mark_down failover to a sibling replica.
+        # Execution seam: None serves replicas inline; an
+        # ExecutionBackend offloads replica compute (a worker that dies
+        # twice at submit marks its replica down, see _submit_compute).
         self.exec_backend = backend
         self.queries = 0  # rows served, cached or computed
         self.batches = 0
         self._held: set[int] | None = None
-        # Resilience policy: None keeps the legacy path (WorkerDied
-        # failover only); a RetryPolicy adds bounded retries with
-        # backoff, per-attempt deadlines, hedging and circuit breakers.
-        # The stats block is shared across a router's shards so retry/
-        # hedge overhead is reported fleet-wide.
+        # Resilience policy: bounded retries with backoff, per-attempt
+        # deadlines, hedging, and one circuit breaker per replica (indexed
+        # by replica id).  The stats block is shared across a router's
+        # shards so retry/hedge overhead is reported fleet-wide.
         self.resilience = resilience
         self.res_stats = res_stats if res_stats is not None else ResilienceStats()
-        if resilience is not None:
-            for replica in self.replicas:
-                if replica.breaker is None:
-                    replica.breaker = CircuitBreaker(
-                        resilience.breaker_failures,
-                        resilience.breaker_reset_seconds,
-                    )
+        self.breakers = [
+            CircuitBreaker(
+                resilience.breaker_failures, resilience.breaker_reset_seconds
+            )
+            for _ in self.replicas
+        ]
 
     # ----- updates ------------------------------------------------------
     @property
@@ -243,9 +245,7 @@ class Shard:
             for r in self.replicas
             if r.replica_id not in exclude and r.is_up(now)
         ]
-        candidates = [
-            r for r in healthy if r.breaker is None or r.breaker.allow(now)
-        ]
+        candidates = [r for r in healthy if self.breakers[r.replica_id].allow(now)]
         if len(candidates) < len(healthy):
             self.res_stats.breaker_skips += len(healthy) - len(candidates)
         if not candidates:
@@ -261,24 +261,15 @@ class Shard:
         return best
 
     # ----- serving ------------------------------------------------------
-    @property
-    def _degrade(self) -> bool:
-        return self.resilience is not None and self.resilience.degrade
-
     def _record_wire(self, sender: str, receiver: str, num_bytes: int) -> None:
         """Meter one message, retransmitting on injected link faults.
 
-        Without a resilience policy the meter's fault hook (if any)
-        raises straight through — the unprotected stack's behavior.
-        With one, each lost/corrupt payload is retransmitted after a
-        backoff (every send is charged: real retransmits pay the wire
-        again); exhaustion raises :class:`~repro.errors.
-        ReplicaUnavailable` chained to the last wire fault.
+        Each lost/corrupt payload is retransmitted after a backoff
+        (every send is charged: real retransmits pay the wire again);
+        exhaustion raises :class:`~repro.errors.ReplicaUnavailable`
+        chained to the last wire fault.
         """
         policy = self.resilience
-        if policy is None:
-            self.meter.record(sender, receiver, num_bytes)
-            return
         last_error: TransientFault | None = None
         for attempt in range(policy.max_attempts):
             try:
@@ -297,6 +288,18 @@ class Shard:
             f"shard {self.shard_id}: link {sender}->{receiver} kept "
             f"failing after {policy.max_attempts} send(s)"
         ) from last_error
+
+    def _delivered(self, sender: str, receiver: str, num_bytes: int) -> bool:
+        """Meter one batch payload; ``False`` when it was lost for good
+        and the policy degrades (the caller sheds the batch), raising
+        :class:`~repro.errors.ReplicaUnavailable` when it does not."""
+        try:
+            self._record_wire(sender, receiver, num_bytes)
+        except ReplicaUnavailable:
+            if not self.resilience.degrade:
+                raise
+            return False
+        return True
 
     def _submit_to(self, replica: Replica, unique: np.ndarray, *, sparse: bool) -> Any:
         """Submit the batch to one replica's worker, retrying once on a
@@ -333,58 +336,11 @@ class Shard:
                 continue
             return replica, future
 
-    def _finish_compute(
-        self, replica: Replica, future: Any, unique: np.ndarray, *, sparse: bool
-    ) -> tuple[Any, Replica, float]:
-        """Resolve one submitted batch; returns ``(result, serving
-        replica, modeled extra latency)``.  Dispatches to the legacy
-        failover path or the resilient path by policy."""
-        if self.resilience is None:
-            return self._finish_compute_basic(replica, future, unique, sparse=sparse)
-        return self._finish_compute_resilient(replica, future, unique, sparse=sparse)
-
     @staticmethod
     def _serve_inline(replica: Replica, unique: np.ndarray, *, sparse: bool) -> Any:
         """Serve the batch on the replica itself (no worker future)."""
         serve = replica.query_many_sparse if sparse else replica.query_many
         return serve(unique)[0]
-
-    def _finish_compute_basic(
-        self, replica: Replica, future: Any, unique: np.ndarray, *, sparse: bool
-    ) -> tuple[Any, Replica, float]:
-        """Legacy failover: worker death retries once in place, then
-        marks the replica down and resubmits to a sibling — the caller
-        never observes a partial answer.  Injected link faults and
-        straggler latency surface unhandled (no policy, no protection).
-        Successful worker batches charge the worker's measured compute
-        wall to the replica via
-        :meth:`~repro.sharding.replica.Replica.note_served`.
-        """
-        retried: set[int] = set()
-        while True:
-            try:
-                delay = replica.probe_faults(self._now())
-                if future is None:
-                    result = self._serve_inline(replica, unique, sparse=sparse)
-                    return result, replica, delay
-                result, wall = future.result()
-            except WorkerDied:
-                if replica.replica_id not in retried:
-                    # Transient death: retry once on the same replica
-                    # before escalating to mark_down failover.
-                    retried.add(replica.replica_id)
-                    self.res_stats.worker_retries += 1
-                    replica.reset_exec()
-                    try:
-                        future = self._submit_to(replica, unique, sparse=sparse)
-                        continue
-                    except WorkerDied:
-                        pass
-                self.mark_down(replica.replica_id)
-                replica, future = self._submit_compute(unique, sparse=sparse)
-                continue
-            replica.note_served(int(unique.size), wall)
-            return result, replica, delay
 
     def _resolve(
         self, replica: Replica, future: Any, unique: np.ndarray, *, sparse: bool
@@ -405,14 +361,9 @@ class Shard:
         replica.note_served(int(unique.size), wall)
         return result
 
-    def _note_failure(self, replica: Replica, now: float) -> None:
-        if replica.breaker is not None and replica.breaker.record_failure(now):
-            self.res_stats.breaker_opens += 1
-
     def _fail_and_rotate(
         self,
         replica: Replica,
-        exc: Exception,
         unique: np.ndarray,
         *,
         sparse: bool,
@@ -428,10 +379,9 @@ class Shard:
         on its own after the cool-off.  When every candidate was tried
         the exclusion resets — a second lap beats giving up early.
         """
-        del exc  # kept in the signature for the failure taxonomy
-        self._note_failure(replica, self._now())
+        if self.breakers[replica.replica_id].record_failure(self._now()):
+            self.res_stats.breaker_opens += 1
         tried.add(replica.replica_id)
-        assert self.resilience is not None
         charge_wait(
             self.clock,
             self.resilience.backoff(attempt, self.shard_id),
@@ -460,7 +410,7 @@ class Shard:
         attempts are charged either way; the stats show the overhead.
         """
         policy = self.resilience
-        assert policy is not None and policy.hedge_after_seconds is not None
+        assert policy.hedge_after_seconds is not None
         stats = self.res_stats
         try:
             sibling = self.pick_replica(exclude={primary.replica_id})
@@ -479,10 +429,12 @@ class Shard:
         stats.hedge_wins += 1
         return sibling, future, effective
 
-    def _finish_compute_resilient(
+    def _finish_compute(
         self, replica: Replica, future: Any, unique: np.ndarray, *, sparse: bool
     ) -> tuple[Any, Replica, float]:
-        """Bounded-retry resolve: probe → hedge → deadline → serve.
+        """Resolve one submitted batch; returns ``(result, serving
+        replica, modeled extra latency)``.  Bounded-retry resolve: probe
+        → hedge → deadline → serve.
 
         Each attempt first probes the injected fault hook (point faults
         raise, stragglers report latency), hedges to a sibling when the
@@ -490,14 +442,13 @@ class Shard:
         attempt past ``timeout_seconds``, then serves.  Transient
         failures rotate to a sibling after a jittered backoff charged to
         the clock.  On exhaustion: if *every* failure was a missed
-        deadline the answer is served late (replicas are slow, not gone
-        — an exact answer late beats shedding it, counted in
-        ``deadline_overruns``); otherwise
+        deadline the answer is served late by one more submit, probe and
+        resolve (replicas are slow, not gone — an exact answer late
+        beats shedding it, counted in ``deadline_overruns``); otherwise
         :class:`~repro.errors.ReplicaUnavailable` is raised chained to
         the last failure.
         """
         policy = self.resilience
-        assert policy is not None
         stats = self.res_stats
         last_error: Exception | None = None
         only_slow = True
@@ -536,20 +487,19 @@ class Shard:
                 if not isinstance(exc, DeadlineExceeded):
                     only_slow = False
                 replica, future = self._fail_and_rotate(
-                    replica, exc, unique, sparse=sparse, attempt=attempt,
+                    replica, unique, sparse=sparse, attempt=attempt,
                     tried=tried,
                 )
                 continue
-            if replica.breaker is not None:
-                replica.breaker.record_success()
+            self.breakers[replica.replica_id].record_success()
             return result, replica, delay
-        if only_slow and last_error is not None:
+        if only_slow:
             # Every failure was a deadline: the fleet is slow, not gone.
             stats.deadline_overruns += 1
             replica, future = self._submit_compute(unique, sparse=sparse)
-            return self._finish_compute_basic(
-                replica, future, unique, sparse=sparse
-            )
+            delay = replica.probe_faults(self._now())
+            result = self._resolve(replica, future, unique, sparse=sparse)
+            return result, replica, delay
         raise ReplicaUnavailable(
             f"shard {self.shard_id}: gave up after {policy.max_attempts} "
             f"attempt(s)"
@@ -612,7 +562,7 @@ class Shard:
                     plan.unique, sparse=sparse
                 )
             except ReplicaUnavailable:
-                if not self._degrade:
+                if not self.resilience.degrade:
                     raise
                 plan.failed = True  # finish serves degraded/shed rows
         return plan
@@ -633,7 +583,7 @@ class Shard:
                     plan.replica, plan.future, plan.unique, sparse=plan.sparse
                 )
             except ReplicaUnavailable:
-                if not self._degrade:
+                if not self.resilience.degrade:
                     raise
                 return self._finish_degraded(plan)
             held = self._held if self._held is not None else ()
@@ -715,20 +665,20 @@ class Shard:
     ) -> tuple[Any, list[RouteInfo]]:
         """The response payload was lost for good: the router never saw
         these rows, so the whole batch sheds — computed work included."""
-        stats = self.res_stats
-        new_infos: list[RouteInfo] = []
-        for info in infos:
-            if info.status == "shed":
-                new_infos.append(info)
-                continue
-            stats.shed_rows += 1
-            new_infos.append(
-                RouteInfo(self.shard_id, -1, False, self.epoch, status="shed")
-            )
         n = int(plan.nodes.size)
         if plan.sparse:
-            return rows_matrix([None] * n, self.num_nodes), new_infos
-        return np.zeros((n, self.num_nodes)), new_infos
+            return rows_matrix([None] * n, self.num_nodes), self._shed(infos)
+        return np.zeros((n, self.num_nodes)), self._shed(infos)
+
+    def _shed(self, infos: Sequence[RouteInfo | None]) -> list[RouteInfo]:
+        """Mark every row of a batch whose payload was lost for good
+        ``status="shed"``, counting only the rows the serving path did
+        not shed already (``None``: the row never reached it)."""
+        self.res_stats.shed_rows += sum(
+            info is None or info.status != "shed" for info in infos
+        )
+        shed = RouteInfo(self.shard_id, -1, False, self.epoch, status="shed")
+        return [shed] * len(infos)
 
     def _submit(
         self, nodes: Sequence[int] | np.ndarray, *, sparse: bool
@@ -736,18 +686,10 @@ class Shard:
         """Start one routed batch: meter the request leg, scan the cache
         and submit the misses."""
         nodes = validate_batch(nodes, self.num_nodes)
-        lost = False
-        try:
-            self._record_wire(
-                "router",
-                f"shard-{self.shard_id}",
-                NODE_ID_WIRE_BYTES * nodes.size,
-            )
-        except ReplicaUnavailable:
-            if not self._degrade:
-                raise
-            lost = True
-        return self._plan(nodes, sparse=sparse, lost=lost)
+        delivered = self._delivered(
+            "router", f"shard-{self.shard_id}", NODE_ID_WIRE_BYTES * nodes.size
+        )
+        return self._plan(nodes, sparse=sparse, lost=not delivered)
 
     def _finish_metered(self, plan: _PendingBatch) -> tuple[Any, list[RouteInfo]]:
         """Finish a submitted batch and meter the response leg: dense
@@ -761,11 +703,7 @@ class Shard:
             )
         else:
             num_bytes = out.nbytes
-        try:
-            self._record_wire(f"shard-{self.shard_id}", "router", num_bytes)
-        except ReplicaUnavailable:
-            if not self._degrade:
-                raise
+        if not self._delivered(f"shard-{self.shard_id}", "router", num_bytes):
             out, infos = self._shed_response(plan, infos)
         return out, infos
 
@@ -833,54 +771,35 @@ class Shard:
         exists shard-side; ids and scores are identical either way.
         """
         nodes = validate_batch(nodes, self.num_nodes)
-        try:
-            self._record_wire(
-                "router",
-                f"shard-{self.shard_id}",
-                NODE_ID_WIRE_BYTES * nodes.size,
-            )
-        except ReplicaUnavailable:
-            if not self._degrade:
-                raise
+        if not self._delivered(
+            "router", f"shard-{self.shard_id}", NODE_ID_WIRE_BYTES * nodes.size
+        ):
+            # The rows never reach the serving path that counts them.
             self.batches += 1
-            return self._shed_topk(nodes, k, count_queries=True)
+            self.queries += int(nodes.size)
+            return self._shed_topk(nodes, k, [None] * int(nodes.size))
         # Rows via cache + chosen replica, unmetered: only the k-cut ships.
         ids, scores, infos = topk_in_batches(
             lambda chunk: self._finish(self._plan(chunk, sparse=sparse)),
             nodes, k, self.num_nodes, threshold=threshold,
         )
         self.batches += 1
-        try:
-            self._record_wire(
-                f"shard-{self.shard_id}",
-                "router",
-                TOPK_ENTRY_WIRE_BYTES * ids.size,
-            )
-        except ReplicaUnavailable:
-            if not self._degrade:
-                raise
-            return self._shed_topk(nodes, k)
+        if not self._delivered(
+            f"shard-{self.shard_id}", "router", TOPK_ENTRY_WIRE_BYTES * ids.size
+        ):
+            return self._shed_topk(nodes, k, infos)
         return ids, scores, infos
 
     def _shed_topk(
-        self, nodes: np.ndarray, k: int, *, count_queries: bool = False
+        self, nodes: np.ndarray, k: int, infos: Sequence[RouteInfo | None]
     ) -> tuple[np.ndarray, np.ndarray, list[RouteInfo]]:
         """Shed one top-k batch whose request or response was lost for
-        good: zero ids/scores, every row explicitly ``status="shed"``.
-        ``count_queries`` is set on the request-leg loss, where the rows
-        never reached the serving path that normally counts them."""
+        good: zero ids/scores, every row explicitly ``status="shed"``."""
         k_eff = min(int(k), self.num_nodes)
-        self.res_stats.shed_rows += int(nodes.size)
-        if count_queries:
-            self.queries += int(nodes.size)
-        infos = [
-            RouteInfo(self.shard_id, -1, False, self.epoch, status="shed")
-            for _ in range(int(nodes.size))
-        ]
         return (
             np.zeros((nodes.size, k_eff), dtype=np.int64),
             np.zeros((nodes.size, k_eff)),
-            infos,
+            self._shed(infos),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -346,6 +346,36 @@ class TestChaosContract:
             _run(gpa_small, plan, degrade=False)
 
 
+    @pytest.mark.parametrize("verb", ["dense", "topk"])
+    def test_lost_response_after_lost_quorum_sheds_each_row_once(
+        self, gpa_small, verb
+    ):
+        # Both replicas of the one shard keep dying, so the serving path
+        # sheds the batch; then the response leg is lost for good too.
+        # Each row is shed once, on either verb.
+        plan = FaultPlan(
+            tuple(
+                FaultEvent(0.0, "kill_worker", shard=0, replica=r, count=100)
+                for r in range(REPLICAS)
+            )
+            + (FaultEvent(0.001, "drop", shard=0, count=100),)
+        )
+        router = ShardRouter(
+            [[gpa_small] * REPLICAS], clock=SimulatedClock(), resilience=_policy()
+        )
+        FaultInjector(plan).attach(router)
+        nodes = np.arange(8)
+        if verb == "dense":
+            rows, infos = router.query_many(nodes)
+            assert not rows.any()
+        else:
+            ids, scores, infos = router.query_many_topk(nodes, 5)
+            assert not ids.any() and not scores.any()
+        assert [info.status for info in infos] == ["shed"] * nodes.size
+        assert router.res_stats.shed_rows == nodes.size
+        assert router.fault_injector.injected["drop"] == 4
+
+
 class TestFaultKinds:
     def test_injected_worker_death_is_retried(self, gpa_small):
         plan = FaultPlan(
@@ -410,6 +440,29 @@ class TestFaultKinds:
         # faulted run is strictly more expensive than the clean one.
         assert router.meter.total_bytes > baseline.meter.total_bytes
         assert router.res_stats.retries >= 2
+
+    def test_router_without_a_policy_retransmits_lost_payloads(self, gpa_small):
+        # A router built with no ``resilience=`` runs under the default
+        # RetryPolicy(): a dropped and a truncated payload are resent,
+        # never raised, and the answer is the clean run's.
+        nodes = np.arange(24)
+        layout = [[gpa_small] * REPLICAS] * NUM_SHARDS
+        baseline = ShardRouter(layout, clock=SimulatedClock())
+        want, _ = baseline.query_many(nodes)
+        plan = FaultPlan(
+            (
+                FaultEvent(0.0, "drop", shard=0, count=1),
+                FaultEvent(0.0, "truncate", shard=1, count=1),
+            )
+        )
+        router = ShardRouter(layout, clock=SimulatedClock())
+        FaultInjector(plan).attach(router)
+        got, infos = router.query_many(nodes)
+        assert np.array_equal(got, want)
+        assert all(info.ok for info in infos)
+        assert router.fault_injector.injected == {"drop": 1, "truncate": 1}
+        assert router.res_stats.retries == 2
+        assert router.meter.total_bytes > baseline.meter.total_bytes
 
     def test_injected_worker_death_at_the_exec_seam(self, gpa_small):
         want, _ = ShardRouter([[gpa_small] * REPLICAS] * NUM_SHARDS).query_many(
