@@ -33,7 +33,7 @@ import scipy
 from repro import datasets
 from repro.bench import ExperimentTable, kernel_backend_info, zipf_stream
 from repro.core import EdgeUpdate, build_gpa_index
-from repro.serving import PPVService, SimulatedClock, as_mutable_backend
+from repro.serving import PPVService, SimulatedClock, as_backend
 from repro.sharding import ShardRouter, owner_map_from_partition
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
@@ -91,7 +91,7 @@ def test_incremental_update_vs_full_rebuild():
     graph = datasets.load(DATASET)
     index = build_gpa_index(graph, PARTS)
     rebuild_s = _build_seconds(graph, index.partition)
-    backend = as_mutable_backend(index)
+    backend = as_backend(index)
 
     table = ExperimentTable(
         "Live Update Latency",

@@ -18,18 +18,14 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.decomposition import as_view, partial_vectors
-from repro.core.flat_index import (
-    DEFAULT_BATCH,
-    run_in_batches,
-    topk_in_batches,
-    validate_batch,
-)
+from repro.core.flat_index import DEFAULT_BATCH, Servable, validate_batch
 from repro.core.sparse_ops import finalize_csr
 from repro.core.sparsevec import SparseVec
 from repro.errors import IndexBuildError, QueryError
@@ -49,7 +45,7 @@ class FastPPVQueryInfo:
 
 
 @dataclass
-class FastPPVIndex:
+class FastPPVIndex(Servable):
     """Pre-computed hub partials and hub-to-hub frontiers."""
 
     graph: DiGraph
@@ -113,118 +109,54 @@ class FastPPVIndex:
         )
         return acc, info
 
-    def query_many(
-        self,
-        nodes: np.ndarray,
-        *,
-        max_expansions: int | None = None,
-        frontier_cutoff: float | None = None,
-        collect_stats: bool = True,
-    ) -> tuple[np.ndarray, list[FastPPVQueryInfo]]:
-        """Batched approximate PPVs.
+    def _rows(
+        self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
+    ) -> tuple[np.ndarray | sp.csr_matrix, list[FastPPVQueryInfo]]:
+        """Batched approximate PPVs, unbudgeted (:meth:`query`'s defaults).
 
-        The query-time partial vectors of all sources are solved in one
-        batched selective expansion (with per-column convergence, so each
-        row equals the per-node :meth:`query` result exactly); the
-        scheduled frontier expansion then runs per query.  Returns a
-        dense ``(len(nodes), n)`` matrix plus per-query diagnostics
-        (``collect_stats=False`` skips the per-query timing/diagnostic
-        objects and returns an empty list; the matrix is identical).
+        The query-time partial vectors of ``DEFAULT_BATCH`` sources at a
+        time (bounding the dense ``(n, batch)`` solve matrices) are solved
+        in one batched selective expansion, with per-column convergence so
+        each row equals the per-node :meth:`query` exactly; the scheduled
+        frontier expansion then runs per query.  Stats are per-query
+        :class:`FastPPVQueryInfo`.  The solve is inherently dense, so the
+        sparse form is a post-solve conversion that drops exact zeros —
+        every kept value is the dense row's — for pipeline uniformity.
         """
         n = self.graph.num_nodes
         nodes = validate_batch(nodes, n)
-        if nodes.size == 0:
-            return np.zeros((0, n)), []
-        if nodes.size > DEFAULT_BATCH:
-            # Bound the dense (n, batch) solve matrices.
-            return run_in_batches(
-                lambda chunk: self.query_many(
-                    chunk,
-                    max_expansions=max_expansions,
-                    frontier_cutoff=frontier_cutoff,
-                    collect_stats=collect_stats,
-                ),
-                nodes,
-            )
         out = np.zeros((nodes.size, n))
-        t0 = time.perf_counter()
-        d, e = partial_vectors(
-            as_view(self.graph),
-            self.hubs,
-            nodes,
-            alpha=self.alpha,
-            tol=self.tol,
-            per_column=True,
-        )
-        solve_each = (time.perf_counter() - t0) / nodes.size
         infos: list[FastPPVQueryInfo] = []
-        for j in range(nodes.size):
-            t1 = time.perf_counter()
-            acc = d[:, j]
-            expansions, residual = self._expand_frontier(
-                acc, e[:, j], max_expansions, frontier_cutoff
+        for lo in range(0, nodes.size, DEFAULT_BATCH):
+            chunk = nodes[lo : lo + DEFAULT_BATCH]
+            t0 = time.perf_counter()
+            d, e = partial_vectors(
+                as_view(self.graph),
+                self.hubs,
+                chunk,
+                alpha=self.alpha,
+                tol=self.tol,
+                per_column=True,
             )
-            out[j] = acc
-            if collect_stats:
-                infos.append(
-                    FastPPVQueryInfo(
-                        expansions=expansions,
-                        residual_mass=residual,
-                        wall_seconds=solve_each + time.perf_counter() - t1,
-                    )
+            solve_each = (time.perf_counter() - t0) / chunk.size
+            for j in range(chunk.size):
+                t1 = time.perf_counter()
+                acc = d[:, j]
+                expansions, residual = self._expand_frontier(
+                    acc, e[:, j], None, None
                 )
+                out[lo + j] = acc
+                if collect_stats:
+                    infos.append(
+                        FastPPVQueryInfo(
+                            expansions=expansions,
+                            residual_mass=residual,
+                            wall_seconds=solve_each + time.perf_counter() - t1,
+                        )
+                    )
+        if sparse:
+            return finalize_csr(sp.csr_matrix(out), out.shape), infos
         return out, infos
-
-    def query_many_sparse(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[sp.csr_matrix, list[FastPPVQueryInfo]]:
-        """Batched approximate PPVs as a CSR ``(len(nodes), n)`` matrix.
-
-        FastPPV's query-time solve is inherently dense (the selective
-        expansion works on full columns), so the sparse form is a
-        post-solve conversion for pipeline uniformity — exact zeros are
-        dropped, every kept value is bitwise the dense row's.  The
-        memory wins of the sparse pipeline come from the pruned exact
-        indexes; this keeps FastPPV servable behind the same
-        ``query_many_sparse`` capability.
-        """
-        dense, infos = self.query_many(nodes, collect_stats=collect_stats)
-        return finalize_csr(sp.csr_matrix(dense), dense.shape), infos
-
-    def query_topk(
-        self, u: int, k: int, *, threshold: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` of the approximate PPV of ``u``: ``(ids, scores)``.
-
-        Best first, ties broken by smaller id; ``k`` larger than the
-        graph returns all ``n`` nodes.  ``threshold`` drops entries with
-        ``score <= threshold`` before the k-cut (tail padded with id
-        ``-1`` / score ``0.0``).
-        """
-        ids, scores, _ = self.query_many_topk(
-            np.asarray([u]), k, threshold=threshold
-        )
-        return ids[0], scores[0]
-
-    def query_many_topk(
-        self,
-        nodes: np.ndarray,
-        k: int,
-        *,
-        batch: int = DEFAULT_BATCH,
-        threshold: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, list[FastPPVQueryInfo]]:
-        """Batched approximate top-``k`` without materialising full PPVs.
-
-        Each ``batch``-sized chunk is solved and expanded via
-        :meth:`query_many`, then reduced to its per-row top-k before the
-        next chunk runs, bounding dense intermediates at ``(batch, n)``.
-        ``threshold`` applies the score cut of
-        :func:`repro.core.flat_index.topk_rows` per row.
-        """
-        n = self.graph.num_nodes
-        nodes = validate_batch(nodes, n)
-        return topk_in_batches(self.query_many, nodes, k, n, batch, threshold)
 
     def _expand_frontier(
         self,

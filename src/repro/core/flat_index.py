@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,10 +38,13 @@ from repro.core.sparse_ops import (
     weight_row_stats,
 )
 from repro.core.sparsevec import SparseVec
-from repro.errors import QueryError
+from repro.errors import QueryError, ServingError
 from repro.metrics.ranking import top_k_nodes
 from repro.graph.digraph import DiGraph
 from repro.graph.subgraph import VirtualSubgraph
+
+if TYPE_CHECKING:
+    from repro.core.updates import EdgeUpdate, UpdateReceipt
 
 __all__ = [
     "QueryStats",
@@ -50,6 +53,7 @@ __all__ = [
     "HubShare",
     "FlatShare",
     "FlatPPVIndex",
+    "Servable",
     "DEFAULT_BATCH",
     "BUILD_BATCH",
     "stack_columns",
@@ -300,6 +304,92 @@ def topk_in_batches(
     return ids, scores, metas
 
 
+class Servable:
+    """The read surface every engine serves through, written once.
+
+    An engine — an index family, FastPPV, a distributed runtime — supplies
+    one body, ``_rows(nodes, *, sparse, collect_stats)``, mapping a node
+    batch to ``(rows, metadata)``: a ``(len(nodes), n)`` dense array or
+    canonical CSR (``toarray()`` equal to the dense rows), plus per-query
+    stats when ``collect_stats`` (else ``[]``).  The batch verbs and top-k
+    (a reduction of those rows, chunk by chunk) follow from it.
+    ``num_nodes`` is the graph's node count; a runtime carries its own.
+    """
+
+    graph: DiGraph
+
+    @property
+    def num_nodes(self) -> int:
+        return self.graph.num_nodes
+
+    def _rows(
+        self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
+    ) -> tuple[Any, list[Any]]:
+        raise NotImplementedError
+
+    def query_many(
+        self, nodes: Sequence[int] | np.ndarray, *, collect_stats: bool = True
+    ) -> tuple[np.ndarray, list[Any]]:
+        """Batched PPVs: row ``k`` of the dense ``(len(nodes), n)`` matrix
+        answers ``nodes[k]``, plus per-query stats (``collect_stats=False``
+        — the serving path — returns ``[]`` and the same matrix)."""
+        return self._rows(nodes, sparse=False, collect_stats=collect_stats)
+
+    def query_many_sparse(
+        self, nodes: Sequence[int] | np.ndarray, *, collect_stats: bool = True
+    ) -> tuple[sp.csr_matrix, list[Any]]:
+        """:meth:`query_many` as a CSR ``(len(nodes), n)`` matrix, equal to
+        the dense rows exactly.  Stats follow the engine's sparse body
+        (an exact index charges ``skeleton_lookups`` by the stored
+        skeleton entries it reads, not the full hub-set scan)."""
+        return self._rows(nodes, sparse=True, collect_stats=collect_stats)
+
+    def query_topk(
+        self, u: int, k: int, *, threshold: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` of the PPV of ``u``: ``(ids, scores)``, best first,
+        ties by smaller id; ``k`` larger than the graph returns all ``n``
+        nodes.  ``threshold`` drops entries with ``score <= threshold``
+        before the k-cut (tail padded with id ``-1`` / score ``0.0``)."""
+        ids, scores, _ = self.query_many_topk(
+            np.asarray([u]), k, threshold=threshold, collect_stats=False
+        )
+        return ids[0], scores[0]
+
+    def query_many_topk(
+        self,
+        nodes: Sequence[int] | np.ndarray,
+        k: int,
+        *,
+        batch: int = DEFAULT_BATCH,
+        threshold: float | None = None,
+        collect_stats: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray, list[Any]]:
+        """Batched top-``k`` without materialising full PPVs: ``(ids,
+        scores, stats)``, ``(len(nodes), min(k, n))`` arrays whose row
+        ``j`` holds the best-k entries of ``nodes[j]``'s PPV.  Each
+        ``batch``-row chunk of :meth:`query_many` is reduced by
+        :func:`topk_rows` (``threshold`` applies its score cut) before the
+        next is evaluated, so one ``(batch, n)`` block is the peak."""
+        nodes = validate_batch(nodes, self.num_nodes)
+        return topk_in_batches(
+            lambda chunk: self.query_many(chunk, collect_stats=collect_stats),
+            nodes,
+            k,
+            self.num_nodes,
+            batch,
+            threshold,
+        )
+
+    def updated(self, update: EdgeUpdate) -> tuple[Servable, UpdateReceipt]:
+        """The engine after ``update`` and its receipt: an exact index
+        answers with its functional successor, a runtime with itself,
+        redeployed in place.  Engines without an update path raise."""
+        raise ServingError(
+            f"{type(self).__name__} cannot apply incremental edge updates"
+        )
+
+
 StackedOps = tuple[np.ndarray, sp.csc_matrix, sp.csr_matrix, np.ndarray]
 """``(owned hubs, stacked partial CSC, stacked skeleton CSR, nnz per hub)``:
 the hub partials of ``owned`` as the columns of one ``(n, |owned|)`` CSC and
@@ -385,15 +475,14 @@ class HubShare:
         *,
         sparse: bool,
         collect_stats: bool,
-        batch: int | None = DEFAULT_BATCH,
     ) -> tuple[Any, np.ndarray | None]:
-        """Validate, evaluate ``batch`` queries at a time, stack the rows.
+        """Validate, evaluate ``DEFAULT_BATCH`` queries at a time (which
+        bounds the intermediates at that many ``n``-float rows per
+        buffer), stack the rows.
 
-        ``batch`` bounds the intermediates at ``batch × n`` floats per
-        buffer (``None`` = one product for the whole request).  A sparse
-        result is canonical: sorted, explicit zeros dropped.  Fewer than
-        ``ROW_LOOP_BELOW`` nodes run :meth:`row` per node — same bits,
-        same counters, without the batch bodies' fixed cost.
+        A sparse result is canonical: sorted, explicit zeros dropped.
+        Fewer than ``ROW_LOOP_BELOW`` nodes run :meth:`row` per node —
+        same bits, same counters, without the batch bodies' fixed cost.
         """
         n = self.num_nodes
         nodes = validate_batch(nodes, n)
@@ -411,7 +500,7 @@ class HubShare:
                 return rows_matrix(vecs, n), counters
             return (vecs[0][np.newaxis] if len(vecs) == 1 else np.stack(vecs)), counters
         body = self.sparse if sparse else self.dense
-        step = max(1, nodes.size if batch is None else batch)
+        step = DEFAULT_BATCH
         out: Any
         if nodes.size <= step:
             out, counters = body(nodes, collect_stats)
@@ -596,7 +685,7 @@ class FlatShare(HubShare):
 
 
 @dataclass
-class FlatPPVIndex:
+class FlatPPVIndex(Servable):
     """Pre-computed vectors for a flat hub set (PPV-JW / GPA query side)."""
 
     graph: DiGraph
@@ -675,95 +764,22 @@ class FlatPPVIndex:
         assert counters is not None
         return acc, QueryStats(*counters[:3].tolist())
 
-    def query_many(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        batch: int | None = DEFAULT_BATCH,
-        collect_stats: bool = True,
-    ) -> tuple[np.ndarray, list[QueryStats]]:
-        """Batched exact PPVs: one sparse matmul per ``batch`` queries.
-
-        Returns a dense ``(len(nodes), n)`` matrix whose row ``k`` is the
-        PPV of ``nodes[k]``, plus per-query work counters.  ``batch``
-        bounds the dense intermediate at ``batch × n`` floats (``None``
-        processes the whole request in one product).
-        ``collect_stats=False`` skips the per-query counter bookkeeping
-        (the serving hot path) and returns an empty metadata list; the
-        result matrix is identical.
-        """
+    def _rows(
+        self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
+    ) -> tuple[Any, list[QueryStats]]:
+        """Eq. 4 for a batch: one sparse matmul per ``DEFAULT_BATCH``
+        queries, dense or sparse×sparse (no ``batch × n`` dense
+        intermediate; on pruned indexes the peak follows the result's
+        support), see :meth:`HubShare.evaluate`."""
         out, counters = self._share().evaluate(
-            nodes, sparse=False, collect_stats=collect_stats, batch=batch
+            nodes, sparse=sparse, collect_stats=collect_stats
         )
         return out, query_stats(counters)
 
-    def query_many_sparse(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        batch: int | None = DEFAULT_BATCH,
-        collect_stats: bool = True,
-    ) -> tuple[sp.csr_matrix, list[QueryStats]]:
-        """Batched exact PPVs as a CSR ``(len(nodes), n)`` matrix.
+    def updated(self, update: EdgeUpdate) -> tuple[Servable, UpdateReceipt]:
+        from repro.core.updates import apply_edge_update
 
-        The sparse form of :meth:`query_many`: the hub combination is a
-        sparse×sparse product (``part_csc @ sparse_weights``) and own
-        terms are sparse row adds, so no ``batch × n`` dense
-        intermediate ever exists — on pruned indexes the peak footprint
-        is proportional to the result's true support.  Agrees with the
-        dense path exactly (``toarray()`` equality; same accumulation
-        order, see :mod:`repro.core.sparse_ops`).  Work counters match
-        the dense path except ``skeleton_lookups``, which charges the
-        actual nnz skeleton entries this path reads rather than the full
-        hub-set scan of the dense path.
-        """
-        out, counters = self._share().evaluate(
-            nodes, sparse=True, collect_stats=collect_stats, batch=batch
-        )
-        return out, query_stats(counters)
-
-    def query_topk(
-        self, u: int, k: int, *, threshold: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` of the exact PPV of ``u``: ``(ids, scores)``, best first.
-
-        Ties break by smaller id (the :func:`repro.metrics.top_k_nodes`
-        order); ``k`` larger than the graph returns all ``n`` nodes.
-        ``threshold`` drops entries with ``score <= threshold`` before the
-        k-cut (tail padded with id ``-1`` / score ``0.0``).
-        """
-        ids, scores, _ = self.query_many_topk(
-            np.asarray([u]), k, threshold=threshold
-        )
-        return ids[0], scores[0]
-
-    def query_many_topk(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        k: int,
-        *,
-        batch: int = DEFAULT_BATCH,
-        threshold: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, list[QueryStats]]:
-        """Batched top-``k`` queries without materialising full PPVs.
-
-        Returns ``(ids, scores, stats)`` where ``ids``/``scores`` are
-        ``(len(nodes), min(k, n))`` arrays, row ``j`` holding the best-k
-        entries of ``nodes[j]``'s PPV.  Dense intermediates are bounded at
-        one ``(batch, n)`` chunk — the full ``(len(nodes), n)`` matrix of
-        :meth:`query_many` is never built.  ``threshold`` applies the
-        :func:`topk_rows` score cut per row.
-        """
-        n = self.graph.num_nodes
-        nodes = validate_batch(nodes, n)
-        return topk_in_batches(
-            lambda chunk: self.query_many(chunk, batch=None),
-            nodes,
-            k,
-            n,
-            batch,
-            threshold,
-        )
+        return apply_edge_update(self, update)
 
     def query_reference(self, u: int) -> tuple[np.ndarray, QueryStats]:
         """Eq. 4 evaluated hub-by-hub — the pre-vectorisation reference.

@@ -23,25 +23,23 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.flat_index import (
     BUILD_BATCH,
-    DEFAULT_BATCH,
     HubShare,
     OwnLookup,
     QueryStats,
+    Servable,
     StackedOps,
     build_vectors,
     csr_row_dense,
     find_sorted,
     query_stats,
     stack_ops,
-    topk_in_batches,
-    validate_batch,
 )
 from repro.core.sparse_ops import (
     fold_depth_blocks,
@@ -59,6 +57,9 @@ from repro.partition.hierarchy import (
     SubgraphNode,
     build_hierarchy,
 )
+
+if TYPE_CHECKING:
+    from repro.core.updates import EdgeUpdate, UpdateReceipt
 
 __all__ = ["HGPAShare", "HGPAIndex", "build_hgpa_index", "build_hgpa_ad_index"]
 
@@ -247,7 +248,7 @@ class HGPAShare(HubShare):
 
 
 @dataclass
-class HGPAIndex:
+class HGPAIndex(Servable):
     """Pre-computed hierarchy of partial vectors, skeletons and leaf PPVs.
 
     All vectors are stored in *global* coordinates.  ``hub_partials[h]`` is
@@ -320,79 +321,25 @@ class HGPAIndex:
         self._level_ops_cache.clear()
         self._share_cache = None
 
-    def query_many(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        collect_stats: bool = True,
-    ) -> tuple[np.ndarray, list[QueryStats]]:
-        """Batched exact PPVs (Eq. 6): a dense ``(len(nodes), n)`` matrix
-        plus per-query work counters (``collect_stats=False``: none, same
-        matrix).  From ``HGPAShare.ROW_LOOP_BELOW`` (64) rows the batch
-        body groups queries by the subgraphs their chains traverse, one
-        ``CSC @ weights`` product per level group; smaller batches run
-        :meth:`query`'s body per node, since chains share little below
-        the root and the per-group set-up would dominate.
-        """
+    def _rows(
+        self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
+    ) -> tuple[Any, list[QueryStats]]:
+        """Eq. 6 for a batch.  From ``HGPAShare.ROW_LOOP_BELOW`` (64) rows
+        the batch body groups queries by the subgraphs their chains
+        traverse, one ``CSC @ weights`` product per level group (sparse:
+        each level term stays sparse, with a structural port repair, so
+        on pruned indexes — ``HGPA_ad`` — the peak follows the PPVs'
+        support); smaller batches run :meth:`query`'s body per node,
+        since chains share little below the root."""
         out, counters = self._share().evaluate(
-            nodes, sparse=False, collect_stats=collect_stats
+            nodes, sparse=sparse, collect_stats=collect_stats
         )
         return out, query_stats(counters)
 
-    def query_many_sparse(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        collect_stats: bool = True,
-    ) -> tuple[sp.csr_matrix, list[QueryStats]]:
-        """:meth:`query_many` as a CSR ``(len(nodes), n)`` matrix.
+    def updated(self, update: EdgeUpdate) -> tuple[Servable, UpdateReceipt]:
+        from repro.core.updates import apply_edge_update
 
-        The batch body keeps each level term sparse (``part_csc @
-        sparse_weights``, a structural port repair, sparse adds per chain
-        group), so no dense ``(n, batch)`` accumulator exists and on
-        pruned indexes (``HGPA_ad``) its peak follows the PPVs' support.
-        Equal to the dense path exactly, counters too, except
-        ``skeleton_lookups``: the nnz skeleton entries read per level.
-        """
-        out, counters = self._share().evaluate(
-            nodes, sparse=True, collect_stats=collect_stats
-        )
-        return out, query_stats(counters)
-
-    def query_topk(
-        self, u: int, k: int, *, threshold: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` of the exact PPV of ``u``: ``(ids, scores)``, best first.
-
-        Ties break by smaller id; ``k`` larger than the graph returns all
-        ``n`` nodes.  ``threshold`` drops entries with ``score <=
-        threshold`` before the k-cut (tail padded with id ``-1`` / score
-        ``0.0``).
-        """
-        ids, scores, _ = self.query_many_topk(
-            np.asarray([u]), k, threshold=threshold
-        )
-        return ids[0], scores[0]
-
-    def query_many_topk(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        k: int,
-        *,
-        batch: int = DEFAULT_BATCH,
-        threshold: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, list[QueryStats]]:
-        """Batched top-``k`` queries without materialising full PPVs.
-
-        Each ``batch``-sized chunk runs through :meth:`query_many` (one
-        sparse matmul per level group) and is reduced to its per-row
-        top-k before the next chunk is evaluated, bounding the dense
-        intermediates at one ``(batch, n)`` block.  ``threshold`` applies
-        the :func:`repro.core.flat_index.topk_rows` score cut per row.
-        """
-        n = self.graph.num_nodes
-        nodes = validate_batch(nodes, n)
-        return topk_in_batches(self.query_many, nodes, k, n, batch, threshold)
+        return apply_edge_update(self, update)
 
     def query_detailed(self, u: int) -> tuple[np.ndarray, QueryStats]:
         """PPV of ``u`` plus work counters (Eq. 6 evaluation).

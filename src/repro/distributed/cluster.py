@@ -12,7 +12,7 @@ invalidated, and how a machine's share is built.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from repro.core.flat_index import (
     DEFAULT_BATCH,
     HubShare,
+    Servable,
     StackedOps,
     run_in_batches,
     stack_columns,
@@ -43,7 +44,7 @@ from repro.core.updates import (
 )
 from repro.distributed.coordinator import Coordinator
 from repro.distributed.machine import Machine
-from repro.distributed.network import DEFAULT_COST_MODEL, CostModel
+from repro.distributed.network import DEFAULT_COST_MODEL
 from repro.errors import ClusterError, QueryError
 from repro.exec.backend import ExecLease, ExecutionBackend, SerialBackend
 from repro.exec.states import ShareHost
@@ -101,13 +102,18 @@ def _stack_shared(
     return sp.csc_matrix((val, idx, indptr), shape=(n, len(cols))), idx
 
 
-class ClusterBase:
+class ClusterBase(Servable):
     """An index deployed over simulated share-nothing machines.
 
     Subclasses name their own-vector store in ``OWN`` and supply
     :meth:`_deploy`, :meth:`_hub_load`, :meth:`_restack`,
-    :meth:`_machine_share` and :meth:`_machine_builder`.
+    :meth:`_machine_share` and :meth:`_machine_builder`.  The batch verbs
+    are :class:`~repro.core.flat_index.Servable`'s over :meth:`_rows`,
+    with per-query :class:`QueryReport`\\ s as their stats.
     """
+
+    #: Carried by the deployment, which has no graph of its own.
+    num_nodes = 0
 
     #: ``(store-key kind, index attribute)`` of the family's own vectors:
     #: the node partials of GPA, the leaf PPVs of HGPA.
@@ -118,7 +124,6 @@ class ClusterBase:
         index: Any = None,
         num_machines: int = 0,
         *,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
         backend: ExecutionBackend | None = None,
         wire_version: int = 1,
         num_nodes: int | None = None,
@@ -142,7 +147,6 @@ class ClusterBase:
         )
         self.machines: list[Machine] = []
         self.coordinator: Coordinator | None = None
-        self.cost_model = cost_model
         self.wire_version = wire_version
         if index is None:
             return
@@ -334,8 +338,8 @@ class ClusterBase:
             machine.query_entries = int(counters[0])
         return self._finish_query(u, partials, walls)
 
-    def _query_batch(
-        self, nodes: np.ndarray, *, sparse: bool, collect_stats: bool
+    def _rows(
+        self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
     ) -> tuple[Any, list[QueryReport]]:
         """Submit a batch to every machine, then finish it query by query.
 
@@ -345,7 +349,12 @@ class ClusterBase:
         aggregation and metrics then run per query — one vector per
         machine per query.  ``collect_stats=False`` skips the per-query
         entry bookkeeping and report construction (metering still runs —
-        it is the protocol) and returns ``[]``.
+        it is the protocol) and returns ``[]``.  Sparse shares stay
+        sparse end to end: rows ship over the same wire codec (the meter
+        charges the actual nnz, the bytes the dense path's sparsified
+        payloads weigh) and the coordinator merges them sparsely, so no
+        dense ``(batch, n)`` block exists anywhere; the rows equal the
+        dense path's exactly.
         """
         n = self.num_nodes
         nodes = validate_batch(nodes, n)
@@ -354,7 +363,7 @@ class ClusterBase:
         if nodes.size > DEFAULT_BATCH:
             # Bound the per-machine (batch, n) blocks.
             return (sparse_in_batches if sparse else run_in_batches)(
-                lambda chunk: self._query_batch(
+                lambda chunk: self._rows(
                     chunk, sparse=sparse, collect_stats=collect_stats
                 ),
                 nodes,
@@ -400,28 +409,6 @@ class ClusterBase:
         if sparse:
             return finalize_csr(rows_matrix(rows, n), (nodes.size, n)), reports
         return np.vstack(rows), reports
-
-    def query_many(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[np.ndarray, list[QueryReport]]:
-        """Batched distributed PPVs: a dense ``(len(nodes), n)`` matrix
-        plus the per-query reports (see :meth:`_query_batch`)."""
-        return self._query_batch(nodes, sparse=False, collect_stats=collect_stats)
-
-    def query_many_sparse(
-        self, nodes: np.ndarray, *, collect_stats: bool = True
-    ) -> tuple[sp.csr_matrix, list[QueryReport]]:
-        """Batched distributed PPVs as a CSR ``(len(nodes), n)`` matrix.
-
-        Each machine's share stays sparse, per-query rows ship over the
-        same wire codec — the
-        :class:`~repro.distributed.network.NetworkMeter` charges the
-        actual nnz, exactly the bytes the dense path's sparsified
-        payloads weigh — and the coordinator merges them sparsely, so no
-        dense ``(batch, n)`` block exists on any machine or at the
-        coordinator.  Agrees with the dense path exactly.
-        """
-        return self._query_batch(nodes, sparse=True, collect_stats=collect_stats)
 
     def _finish_query(
         self,
@@ -476,8 +463,8 @@ class ClusterBase:
         mids = sorted(payloads)
         # Paper metric: max over machines of (combine work + ship own vector).
         runtime = max(
-            self.cost_model.compute_seconds(entries_by_machine[mid])
-            + self.cost_model.transfer_seconds(len(payloads[mid]), 1)
+            DEFAULT_COST_MODEL.compute_seconds(entries_by_machine[mid])
+            + DEFAULT_COST_MODEL.transfer_seconds(len(payloads[mid]), 1)
             for mid in mids
         )
         wall = max(machine_walls.values()) + agg_wall if machine_walls else agg_wall
@@ -491,6 +478,9 @@ class ClusterBase:
         )
 
     # ----- live updates --------------------------------------------------
+    def updated(self, update: EdgeUpdate) -> tuple[ClusterBase, UpdateReceipt]:
+        return self, self.apply_update(update)
+
     def apply_update(self, update: EdgeUpdate) -> UpdateReceipt:
         """Apply one edge update, re-deploying only affected machines.
 

@@ -4,7 +4,7 @@ The paper's Section 6.2.8 compares HGPA against power iteration running on
 Pregel+ [48] and Blogel [47].  What decides that comparison is *how many
 rounds of communication* each system needs and *how many bytes* cross
 machine boundaries per round — counts these simulated engines reproduce
-exactly, with a :class:`~repro.distributed.network.CostModel` translating
+exactly, with :data:`~repro.distributed.network.DEFAULT_COST_MODEL` translating
 them into seconds.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.distributed.network import DEFAULT_COST_MODEL, CostModel
+from repro.distributed.network import DEFAULT_COST_MODEL
 from repro.errors import ClusterError
 from repro.graph.digraph import DiGraph
 
@@ -76,17 +76,10 @@ def per_machine_edge_counts(graph: DiGraph, machine_of: np.ndarray) -> np.ndarra
 
 
 def bsp_superstep_seconds(
-    cost_model: CostModel,
-    max_machine_edges: int,
-    comm_bytes: int,
-    num_machines: int,
+    max_machine_edges: int, comm_bytes: int, num_machines: int
 ) -> float:
     """Modeled duration of one BSP superstep: slowest machine's scatter,
     the message exchange, and the barrier."""
-    return (
-        cost_model.compute_seconds(max_machine_edges)
-        + cost_model.transfer_seconds(comm_bytes, num_machines)
-    )
-
-
-DEFAULT = DEFAULT_COST_MODEL
+    return DEFAULT_COST_MODEL.compute_seconds(
+        max_machine_edges
+    ) + DEFAULT_COST_MODEL.transfer_seconds(comm_bytes, num_machines)

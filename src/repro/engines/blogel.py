@@ -19,8 +19,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from repro.distributed.network import DEFAULT_COST_MODEL, CostModel
-from repro.engines.base import EngineReport, MESSAGE_BYTES
+from repro.engines.base import EngineReport, MESSAGE_BYTES, bsp_superstep_seconds
 from repro.errors import ConvergenceError, QueryError
 from repro.graph.digraph import DiGraph
 from repro.partition.kway import partition_kway
@@ -39,12 +38,10 @@ class BlogelPPR:
         num_blocks: int | None = None,
         alpha: float = 0.15,
         partition_seed: int = 0,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> None:
         self.graph = graph
         self.num_machines = num_machines
         self.alpha = alpha
-        self.cost_model = cost_model
         # One block per machine by default: the coarsest (best) Blogel
         # deployment, which maximises the within-block share of edges and so
         # minimises communication rounds.
@@ -120,10 +117,10 @@ class BlogelPPR:
                 if delta_in <= inner_tol:
                     break
             x = y
-            runtime += self.cost_model.compute_seconds(
-                inner_iters * self._max_machine_edges
-            ) + self.cost_model.transfer_seconds(
-                self.per_superstep_bytes, self.num_machines
+            runtime += bsp_superstep_seconds(
+                inner_iters * self._max_machine_edges,
+                self.per_superstep_bytes,
+                self.num_machines,
             )
             if np.abs(x - prev).max() <= tol:
                 break

@@ -17,7 +17,6 @@ import time
 
 import numpy as np
 
-from repro.distributed.network import DEFAULT_COST_MODEL, CostModel
 from repro.engines.base import (
     EngineReport,
     MESSAGE_BYTES,
@@ -42,13 +41,11 @@ class PregelPPR:
         *,
         alpha: float = 0.15,
         combiner: bool = True,
-        cost_model: CostModel = DEFAULT_COST_MODEL,
     ) -> None:
         self.graph = graph
         self.num_machines = num_machines
         self.alpha = alpha
         self.combiner = combiner
-        self.cost_model = cost_model
         self.machine_of = hash_machine_assignment(graph.num_nodes, num_machines)
         self._combined_msgs, self._raw_msgs = cross_machine_message_counts(
             graph, self.machine_of, combiner=combiner
@@ -76,7 +73,7 @@ class PregelPPR:
         x[query] = 1.0
         max_edges = int(self._machine_edges.max())
         step_seconds = bsp_superstep_seconds(
-            self.cost_model, max_edges, self.per_superstep_bytes, self.num_machines
+            max_edges, self.per_superstep_bytes, self.num_machines
         )
         t0 = time.perf_counter()
         supersteps = 0

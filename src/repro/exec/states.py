@@ -248,7 +248,8 @@ def engine_builder(query_backend: Any, exec_backend: Any) -> Any:
 
     ``None`` means the engine has no shared-memory layout the workers
     understand (a distributed runtime, an approximation, or a subclass
-    that overrides the batch paths) and the shard must serve it inline.
+    that overrides the batch body ``_rows``) and the shard must serve it
+    inline.
     The worker gets the index's own share — everything owned.  Its arena
     is memoized on the execution backend for the life of the engine
     object, so replicas sharing one engine publish it once and an
@@ -256,11 +257,7 @@ def engine_builder(query_backend: Any, exec_backend: Any) -> Any:
     """
     engine = query_backend.engine
     family: Any = HGPAIndex if isinstance(engine, HGPAIndex) else FlatPPVIndex
-    if (
-        not isinstance(engine, family)
-        or type(engine).query_many is not family.query_many
-        or type(engine).query_many_sparse is not family.query_many_sparse
-    ):
+    if not isinstance(engine, family) or type(engine)._rows is not family._rows:
         return None
     share = engine._share()
     if isinstance(share, FlatShare):

@@ -10,16 +10,13 @@ traffic — single-node requests, heavy skew, top-k answers:
 * :class:`PPVCache` — byte-budgeted LRU over PPV rows with
   hit/miss/eviction accounting and read-only entries, one per shard of
   a :class:`~repro.sharding.ShardRouter` (``cache_bytes=``);
-* :func:`as_backend` — one interface over every index family and both
-  simulated distributed runtimes.
+* :func:`as_backend` — one :class:`QueryBackend` over every
+  :class:`~repro.core.flat_index.Servable` engine (the index families,
+  FastPPV, both simulated distributed runtimes): rows only, plus the
+  epoch and ``apply_update`` of live edge updates.
 """
 
-from repro.serving.adapters import (
-    MutableBackend,
-    QueryBackend,
-    as_backend,
-    as_mutable_backend,
-)
+from repro.serving.adapters import QueryBackend, as_backend
 from repro.serving.cache import CacheStats, PPVCache
 from repro.serving.service import (
     PPVService,
@@ -31,9 +28,7 @@ from repro.serving.service import (
 
 __all__ = [
     "QueryBackend",
-    "MutableBackend",
     "as_backend",
-    "as_mutable_backend",
     "CacheStats",
     "PPVCache",
     "PPVService",

@@ -292,28 +292,23 @@ class PPVService:
 
     @property
     def epoch(self) -> int:
-        """The backend's current graph version (0 for static backends)."""
-        return int(getattr(self.backend, "epoch", 0))
+        """The backend's current graph version (0 until an update)."""
+        return self.backend.epoch
 
     def apply_update(self, update: EdgeUpdate) -> UpdateReceipt:
         """Apply one live edge update at a batch boundary.
 
         Pending requests are flushed *first* — they were submitted
         against the current epoch and are answered at it — then the
-        update goes through the backend, which must be mutable: an
-        :func:`~repro.serving.adapters.as_mutable_backend` wrapper, a
-        distributed runtime, or a shard router (which drops exactly the
-        affected rows from its shard caches).  The returned receipt
-        carries the epoch subsequent answers are tagged with.
+        update goes through the backend — an exact index or a
+        distributed runtime (an engine without an update path, FastPPV,
+        raises :class:`~repro.errors.ServingError`), or a shard router,
+        which drops exactly the affected rows from its shard caches.  The
+        returned receipt carries the epoch subsequent answers are tagged
+        with.
         """
-        apply = getattr(self.backend, "apply_update", None)
-        if apply is None:
-            raise ServingError(
-                f"{self.backend!r} cannot apply updates — wrap the engine "
-                "with as_mutable_backend()"
-            )
         self.flush()
-        receipt = apply(update)
+        receipt = self.backend.apply_update(update)
         self.stats.updates += 1
         return receipt
 

@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.updates import EdgeUpdate, UpdateReceipt
 from repro.exec.backend import ExecLease
 from repro.exec.states import engine_builder
-from repro.serving.adapters import MutableBackend, as_backend, as_mutable_backend
+from repro.serving.adapters import as_backend
 
 if TYPE_CHECKING:
     from repro.exec.backend import ExecutionBackend
@@ -66,7 +66,7 @@ class Replica:
     @property
     def epoch(self) -> int:
         """Graph version this replica currently serves."""
-        return int(getattr(self.backend, "epoch", 0))
+        return self.backend.epoch
 
     @property
     def _exec_key(self) -> tuple[str, int]:
@@ -78,18 +78,12 @@ class Replica:
     ) -> UpdateReceipt:
         """Apply one live edge update to this replica's backend.
 
-        The backend is upgraded to a
-        :class:`~repro.serving.adapters.MutableBackend` on first use;
         ``shared`` memoizes the index rebuild by engine identity so
         replicas sharing one engine object (the in-process default)
         recompute it once and flip together.
         """
-        if not callable(getattr(self.backend, "apply_update", None)):
-            self.backend = as_mutable_backend(self.backend)
         self._drop_exec()
-        if isinstance(self.backend, MutableBackend):
-            return self.backend.apply_update(update, shared=shared)
-        return self.backend.apply_update(update)
+        return self.backend.apply_update(update, shared=shared)
 
     # ----- health -------------------------------------------------------
     def mark_down(self, *, until: float | None = None) -> None:

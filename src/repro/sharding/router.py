@@ -123,6 +123,9 @@ class ShardRouter(QueryBackend):
     matches an unsharded backend to 1e-12.
     """
 
+    #: No single engine: a replica over a router serves it inline.
+    engine: Any = None
+
     def __init__(
         self,
         shard_engines: list[Any],
@@ -172,7 +175,7 @@ class ShardRouter(QueryBackend):
             raise ShardingError(
                 f"shards disagree on num_nodes: {sorted(sizes)}"
             )
-        super().__init__(engine=None, num_nodes=sizes.pop())
+        self.num_nodes = sizes.pop()
         self.policy = resolve_policy(policy, owner_map)
         self.batches = 0
         self.epoch = 0
@@ -190,22 +193,25 @@ class ShardRouter(QueryBackend):
                 replica.reset_exec()
 
     # ----- live updates -------------------------------------------------
-    def apply_update(self, update: EdgeUpdate) -> UpdateReceipt:
+    def apply_update(
+        self, update: EdgeUpdate, *, shared: dict[Any, Any] | None = None
+    ) -> UpdateReceipt:
         """Fan one edge update to every replica of every shard at once.
 
         Shared engine objects are updated a single time (replicas rebind
-        to the successor index), per-shard caches drop exactly the
-        affected rows, update messages are metered on each router↔shard
-        link, and the router epoch bumps when anything changed.  Use
-        :meth:`begin_rollout` instead to keep every shard serving while
-        replicas flip one wave at a time.
+        to the successor index; ``shared`` extends that memo past this
+        router), per-shard caches drop exactly the affected rows, update
+        messages are metered on each router↔shard link, and the router
+        epoch bumps when anything changed.  Use :meth:`begin_rollout`
+        instead to keep every shard serving while replicas flip one wave
+        at a time.
         """
         if self._rollout is not None and not self._rollout.done:
             raise ShardingError(
                 "a staggered rollout is in progress — finish it before "
                 "applying further updates"
             )
-        shared: dict[Any, Any] = {}
+        shared = {} if shared is None else shared
         receipt: UpdateReceipt | None = None
         for shard in self.shards:
             receipt = shard.apply_update(update, shared)

@@ -15,6 +15,7 @@ from repro.core import SparseVec
 from repro.core.flat_index import FlatShare, stack_ops
 from repro.core.hgpa import HGPAShare
 from repro.distributed import (
+    DEFAULT_COST_MODEL,
     CostModel,
     DistributedGPA,
     DistributedHGPA,
@@ -172,8 +173,8 @@ class TestFinishQueryPairing:
         assert report.per_machine_bytes == [16 + 12 * 4, 16 + 12 * 1, 16]
         # The paper runtime pairs machine 2's compute with *its own* bytes.
         expected = max(
-            cb.cost_model.compute_seconds(entries[mid])
-            + cb.cost_model.transfer_seconds(report.per_machine_bytes[mid], 1)
+            DEFAULT_COST_MODEL.compute_seconds(entries[mid])
+            + DEFAULT_COST_MODEL.transfer_seconds(report.per_machine_bytes[mid], 1)
             for mid in (0, 1, 2)
         )
         assert report.runtime_seconds == pytest.approx(expected)

@@ -532,7 +532,7 @@ class TestGracefulDegradationFrontend:
         error reaches the caller, and availability counts the loss."""
 
         class Unreachable:
-            graph = gpa_small.graph
+            num_nodes = gpa_small.num_nodes
 
             def query_many(self, nodes, *, collect_stats=True):
                 raise ReplicaUnavailable("every replica is down")

@@ -14,6 +14,7 @@ import types
 import numpy as np
 import pytest
 
+from repro.approx import build_fastppv_index
 from repro.core import (
     EdgeUpdate,
     apply_edge_update,
@@ -26,7 +27,6 @@ from repro.serving import (
     PPVService,
     SimulatedClock,
     as_backend,
-    as_mutable_backend,
 )
 from repro.sharding import ShardRouter, owner_map_from_partition
 
@@ -132,9 +132,11 @@ def _random_updates(graph, rng, count, *, partition=None):
 
 # ----------------------------------------------------------------------
 class TestMutableBackend:
+    """``as_backend`` over an exact index applies live updates."""
+
     def test_epoch_counts_changed_updates_only(self, gpa_live):
         rng = np.random.default_rng(1)
-        backend = as_mutable_backend(gpa_live)
+        backend = as_backend(gpa_live)
         assert backend.epoch == 0
         u, v = _missing_edge(gpa_live.graph, rng)
         r1 = backend.apply_update(EdgeUpdate.insert(u, v))
@@ -144,8 +146,8 @@ class TestMutableBackend:
 
     def test_shared_dedup_flips_all_wrappers(self, gpa_live):
         rng = np.random.default_rng(2)
-        a = as_mutable_backend(gpa_live)
-        b = as_mutable_backend(gpa_live)
+        a = as_backend(gpa_live)
+        b = as_backend(gpa_live)
         shared = {}
         u, v = _missing_edge(gpa_live.graph, rng)
         a.apply_update(EdgeUpdate.insert(u, v), shared=shared)
@@ -155,15 +157,12 @@ class TestMutableBackend:
         assert a.epoch == b.epoch == 1
 
     def test_static_backend_rejected(self, upd_graph):  # noqa: F811
-        class Static:
-            def __init__(self, graph):
-                self.graph = graph
-
-            def query_many(self, nodes):
-                return np.zeros((len(nodes), self.graph.num_nodes)), []
-
+        """An engine without an update path (FastPPV) serves, but its
+        backend refuses updates and stays at epoch 0."""
+        backend = as_backend(build_fastppv_index(upd_graph, 5))
         with pytest.raises(ServingError, match="cannot apply"):
-            as_mutable_backend(Static(upd_graph))
+            backend.apply_update(EdgeUpdate.insert(0, 1))
+        assert backend.epoch == 0
 
     def test_plain_backend_epoch_is_zero(self, gpa_live):
         assert as_backend(gpa_live).epoch == 0
@@ -440,9 +439,17 @@ class TestServiceLiveUpdates:
         )
 
     def test_static_backend_update_rejected(self, gpa_live):
-        svc = PPVService(gpa_live, clock=SimulatedClock())
-        with pytest.raises(ServingError, match="as_mutable_backend"):
+        """A bare index takes updates through the service; FastPPV, which
+        has no update path, is refused."""
+        fast = build_fastppv_index(gpa_live.graph, 5)
+        svc = PPVService(fast, clock=SimulatedClock())
+        with pytest.raises(ServingError, match="cannot apply"):
             svc.apply_update(EdgeUpdate.insert(0, 1))
+        rng = np.random.default_rng(9)
+        u, v = _missing_edge(gpa_live.graph, rng)
+        svc = PPVService(gpa_live, clock=SimulatedClock())
+        assert svc.apply_update(EdgeUpdate.insert(u, v)).changed
+        assert svc.epoch == 1
 
     def test_replay_mixed_stream_deterministic(self, gpa_live):
         rng = np.random.default_rng(8)
@@ -471,7 +478,7 @@ class TestServiceLiveUpdates:
         assert [t.epoch for t in out_a[7:]] == [1] * 6
 
     def test_replay_rejects_time_travel(self, gpa_live):
-        svc = PPVService(as_mutable_backend(gpa_live), clock=SimulatedClock())
+        svc = PPVService(gpa_live, clock=SimulatedClock())
         with pytest.raises(ServingError, match="non-decreasing"):
             svc.replay([(1.0, 0), (0.5, 1)])
 
@@ -702,11 +709,11 @@ class TestStaggeredRollout:
 # ----------------------------------------------------------------------
 def _backend_under_test(kind, index):
     if kind in ("gpa", "hgpa"):
-        return as_mutable_backend(index)
+        return as_backend(index)
     if kind == "dist_gpa":
-        return as_mutable_backend(DistributedGPA(index, 3))
+        return as_backend(DistributedGPA(index, 3))
     if kind == "dist_hgpa":
-        return as_mutable_backend(DistributedHGPA(index, 3))
+        return as_backend(DistributedHGPA(index, 3))
     if kind.startswith("sharded_"):
         policy = kind[len("sharded_") :]
         return ShardRouter(
