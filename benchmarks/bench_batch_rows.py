@@ -15,17 +15,21 @@ at ``1e-3``, and in both result forms, it times at 2, 4, 8, 16, 32, 64 and
 * ``loop`` — the row loop of ``share.evaluate``, forced at every size by a
   copy of the share whose ``ROW_LOOP_BELOW`` no batch reaches.
 
-Each cell is the median µs per row over fresh uniform random batches,
-``collect_stats=False``; every batch is run once untimed first (lazy level
-stacking) and checked bitwise, loop against body, CSR arrays included.
+HGPA has no dense body — its ``share.dense`` is the loop, which beat the
+removed one at every size and both scales — so its dense row reports the
+loop alone (``—`` for the body).  Each cell is the median µs per row over
+fresh uniform random batches, ``collect_stats=False``; every batch is run
+once untimed first (lazy level stacking) and checked bitwise, loop against
+body, CSR arrays included.
 
-Expected shape: HGPA's loop beats both bodies up to 64 rows at
-``REPRO_SCALE=1`` (the sparse body closes in by 256), while at 10× its
-sparse body wins from about 32 rows — 64 sits between the two sizes; the
-dense body loses everywhere.  GPA's dense body wins from a few rows, its
-sparse body from about 64.  The full-scale run asserts the premise of
-HGPA's constant — its 16-row loop beats the body in both forms.  Smoke
-mode (``REPRO_SMOKE=1``) asserts only the bitwise equality.
+Expected shape: HGPA's loop beats the sparse body up to 64 rows at
+``REPRO_SCALE=1`` (the body closes in by 256), while at 10× the body wins
+from about 32 rows — 64 sits between the two sizes.  GPA's dense body wins
+from a few rows up to 64 (at 256 the loop ties it), its sparse body from
+about 64.  The full-scale run
+asserts the premise of HGPA's constant — its 16-row sparse loop beats the
+sparse body.  Smoke mode (``REPRO_SMOKE=1``) asserts only the bitwise
+equality.
 
 ``REPRO_SCALE=10 ... -k hgpa`` measures the 40 000-node point (about four
 minutes to build); a non-unit scale writes ``results/batch_rows_x<scale>``.
@@ -46,6 +50,7 @@ import scipy
 from repro import datasets
 from repro.bench import ExperimentTable, kernel_backend_info, result_path
 from repro.core import build_gpa_index, build_hgpa_index
+from repro.core.flat_index import HubShare
 from repro.core.sparse_ops import finalize_csr
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
@@ -89,6 +94,7 @@ def _timed(fn) -> float:
 def _measure(share, n: int, sparse: bool, rng) -> list[dict]:
     loop_share = copy.copy(share)
     loop_share.ROW_LOOP_BELOW = sys.maxsize
+    has_body = sparse or type(share).dense is not HubShare.dense
 
     def body(nodes):
         if sparse:
@@ -103,17 +109,24 @@ def _measure(share, n: int, sparse: bool, rng) -> list[dict]:
         body_us, loop_us = [], []
         for _ in range(BATCHES):
             nodes = rng.integers(0, n, size)
-            assert _same(loop(nodes), body(nodes)), (size, sparse)
-            body_us.append(_timed(lambda: body(nodes)) / size * 1e6)
+            if has_body:
+                assert _same(loop(nodes), body(nodes)), (size, sparse)
+                body_us.append(_timed(lambda: body(nodes)) / size * 1e6)
+            else:
+                loop(nodes)
             loop_us.append(_timed(lambda: loop(nodes)) / size * 1e6)
         cells.append(
             {
                 "rows": size,
-                "body_us_per_row": statistics.median(body_us),
+                "body_us_per_row": statistics.median(body_us) if has_body else None,
                 "loop_us_per_row": statistics.median(loop_us),
             }
         )
     return cells
+
+
+def _us(value: float | None) -> str:
+    return "—" if value is None else f"{value:.0f}"
 
 
 def _emit() -> None:
@@ -129,13 +142,14 @@ def _emit() -> None:
             row["form"],
             row["row_loop_below"],
             *(
-                f"{c['body_us_per_row']:.0f} / {c['loop_us_per_row']:.0f}"
+                f"{_us(c['body_us_per_row'])} / {_us(c['loop_us_per_row'])}"
                 for c in row["cells"]
             ),
         )
     table.note(
         "body = share.dense / share.sparse (+ finalize_csr); loop = "
-        "share.evaluate's row loop forced at every size; collect_stats=False"
+        "share.evaluate's row loop forced at every size; collect_stats=False; "
+        "— = no such body (HGPA's dense form is the loop)"
     )
     table.note(
         "switch at = the family's ROW_LOOP_BELOW: batches with fewer rows "
@@ -177,6 +191,5 @@ def test_batch_rows(family):
         )
     _emit()
     if family == "hgpa" and not SMOKE:
-        for form, cells in measured.items():
-            at16 = next(c for c in cells if c["rows"] == 16)
-            assert at16["loop_us_per_row"] < at16["body_us_per_row"], (form, at16)
+        at16 = next(c for c in measured["sparse"] if c["rows"] == 16)
+        assert at16["loop_us_per_row"] < at16["body_us_per_row"], at16

@@ -17,7 +17,10 @@ size on pruned indexes:
 Reported per engine: wall-clock ms/query, *peak intermediate bytes*
 (tracemalloc around one batched call — the accumulators, weight blocks
 and result buffers), and the result's nnz ratio.  Exactness is asserted
-on the way (``toarray()`` equality — the stack-wide contract).
+on the way (``toarray()`` equality — the stack-wide contract).  Every
+path runs the whole batch once untimed first; the per-query and sparse
+walls are the best of ``REPEAT`` alternating rounds, one call of each per
+round, so the gate between them compares like with like.
 
 **Pruning scale note.**  The paper's ``HGPA_ad`` discards offline scores
 below ``1e-4`` on graphs of 10⁶–10⁸ nodes, where the mean PPV entry is
@@ -56,7 +59,7 @@ from repro.bench import (
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 BATCH = 256
-REPEAT = 2 if SMOKE else 4
+REPEAT = 2 if SMOKE else 7
 # (engine, dataset, scaled HGPA_ad-regime prune) — see the module docstring.
 HGPA_CONFIG = ("web", 1e-3) if SMOKE else ("pld_full", 2e-3)
 GPA_CONFIG = ("email", 1e-3) if SMOKE else ("web", 1e-3)
@@ -72,6 +75,16 @@ def _best_wall(fn, repeat=REPEAT) -> float:
     return best
 
 
+def _alternating(fn_a, fn_b, rounds=REPEAT) -> tuple[float, float]:
+    """Best wall of each of two callables, timed in alternating rounds
+    (one call of each per round), so drift hits both sides alike."""
+    best_a = best_b = np.inf
+    for _ in range(rounds):
+        best_a = min(best_a, _best_wall(fn_a, 1))
+        best_b = min(best_b, _best_wall(fn_b, 1))
+    return best_a, best_b
+
+
 def _peak_bytes(fn) -> int:
     """Peak python-heap bytes allocated during one call (numpy buffers
     route through the traced allocator, so dense accumulators and sparse
@@ -85,20 +98,21 @@ def _peak_bytes(fn) -> int:
 
 def _measure(name, index, queries) -> dict:
     n = index.graph.num_nodes
-    # Warm the stacked/level ops so one-time builds are not charged.
-    index.query_many(queries[:8])
-    index.query_many_sparse(queries[:8])
+    def per_query_path():
+        return [index.query(int(u)) for u in queries.tolist()]
+
+    # Warm every stacked/level op the batch touches, on every timed path,
+    # so one-time builds are not charged.
+    per_query_path()
     dense, _ = index.query_many(queries, collect_stats=False)
     sparse, _ = index.query_many_sparse(queries, collect_stats=False)
     assert (sparse.toarray() == dense).all(), f"{name}: sparse != dense"
-    per_query = _best_wall(
-        lambda: [index.query(int(u)) for u in queries.tolist()]
+    per_query, sparse_wall = _alternating(
+        per_query_path,
+        lambda: index.query_many_sparse(queries, collect_stats=False),
     )
     dense_wall = _best_wall(
         lambda: index.query_many(queries, collect_stats=False)
-    )
-    sparse_wall = _best_wall(
-        lambda: index.query_many_sparse(queries, collect_stats=False)
     )
     peak_dense = _peak_bytes(
         lambda: index.query_many(queries, collect_stats=False)

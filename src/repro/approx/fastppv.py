@@ -207,24 +207,22 @@ def build_fastppv_index(
     *,
     alpha: float = 0.15,
     tol: float = 1e-4,
-    prune: float | None = None,
-    batch: int = 256,
 ) -> FastPPVIndex:
-    """Pre-compute the FastPPV index with the top-``num_hubs`` PageRank hubs."""
+    """Pre-compute the FastPPV index with the top-``num_hubs`` PageRank
+    hubs, 256 per solve, pruning stored entries at ``tol``."""
     if num_hubs < 1:
         raise IndexBuildError("num_hubs must be >= 1")
     hubs = np.unique(top_pagerank_nodes(graph, num_hubs, alpha=alpha))
     index = FastPPVIndex(graph=graph, alpha=alpha, tol=tol, hubs=hubs)
-    cutoff = tol if prune is None else prune
     view = as_view(graph)
-    for lo in range(0, hubs.size, batch):
-        chunk = hubs[lo : lo + batch]
+    for lo in range(0, hubs.size, 256):
+        chunk = hubs[lo : lo + 256]
         d, e = partial_vectors(view, hubs, chunk, alpha=alpha, tol=tol)
         for j, h in enumerate(chunk.tolist()):
             col = d[:, j].copy()
             col[h] -= alpha  # adjusted P_h, as in the exact algorithms
-            index.hub_partials[h] = SparseVec.from_dense(col, prune=cutoff)
+            index.hub_partials[h] = SparseVec.from_dense(col, prune=tol)
             fwd = np.zeros(graph.num_nodes)
             fwd[hubs] = e[hubs, j]
-            index.hub_frontier[h] = SparseVec.from_dense(fwd, prune=cutoff)
+            index.hub_frontier[h] = SparseVec.from_dense(fwd, prune=tol)
     return index

@@ -30,7 +30,6 @@ from repro.core.decomposition import as_view, partial_vectors, skeleton_columns
 from repro.core.sparse_ops import (
     finalize_csr,
     point_matrix,
-    rows_matrix,
     sparse_add,
     spgemm_scaled,
     subtract_at,
@@ -38,6 +37,7 @@ from repro.core.sparse_ops import (
     weight_row_stats,
 )
 from repro.core.sparsevec import SparseVec
+from repro.core.stacked import rows_matrix, stack_columns
 from repro.errors import QueryError, ServingError
 from repro.metrics.ranking import top_k_nodes
 from repro.graph.digraph import DiGraph
@@ -56,7 +56,6 @@ __all__ = [
     "Servable",
     "DEFAULT_BATCH",
     "BUILD_BATCH",
-    "stack_columns",
     "stack_ops",
     "query_stats",
     "csr_row_dense",
@@ -94,20 +93,6 @@ class QueryStats:
         self.entries_processed += other.entries_processed
         self.vectors_used += other.vectors_used
         self.skeleton_lookups += other.skeleton_lookups
-
-
-def stack_columns(cols: list[SparseVec], n: int) -> sp.csc_matrix:
-    """Stack sparse vectors as the columns of one ``(n, len(cols))`` CSC."""
-    if not cols:
-        return sp.csc_matrix((n, 0))
-    return sp.csc_matrix(
-        (
-            np.concatenate([v.val for v in cols]),
-            np.concatenate([v.idx for v in cols]),
-            np.concatenate([[0], np.cumsum([v.nnz for v in cols])]),
-        ),
-        shape=(n, len(cols)),
-    )
 
 
 def csr_row_dense(csr: sp.csr_matrix, row: int) -> np.ndarray:
@@ -430,16 +415,17 @@ class HubShare:
     the hub sum split across machines, so there is one evaluator per
     family and every caller is a share of it: the index owns every hub
     and every own vector, a machine owns a slice, and a share's rows sum
-    over the shares to the index's rows.  Subclasses supply ``dense`` and
-    ``sparse``, each mapping a node batch to ``(rows, counters)``: the
-    share's ``(batch, n)`` result block in query order — a C-contiguous
-    array, or a CSR that never densifies — and, when ``collect_stats``,
-    a ``(3, batch)`` int64 block of ``entries_processed`` /
-    ``vectors_used`` / ``skeleton_lookups`` (else ``None``).  The two
-    forms agree bitwise, and the caller's requested result form picks.
-    ``row`` is the same algebra for one node (a skeleton-row slice and
-    one ``CSC @ vector`` product); batches under ``ROW_LOOP_BELOW`` rows,
-    a measured per-family threshold, run as a loop of it.
+    over the shares to the index's rows.  Subclasses supply ``row``, the
+    algebra for one node (a skeleton-row slice and one ``CSC @ vector``
+    product), and a ``sparse`` batch body; they may supply a ``dense``
+    one, which otherwise is :meth:`loop`.  A batch body maps a node batch
+    to ``(rows, counters)``: the share's ``(batch, n)`` result block in
+    query order — a C-contiguous array, or a CSR that never densifies —
+    and, when ``collect_stats``, a ``(3, batch)`` int64 block of
+    ``entries_processed`` / ``vectors_used`` / ``skeleton_lookups`` (else
+    ``None``).  The two forms agree bitwise, and the caller's requested
+    result form picks.  Batches under ``ROW_LOOP_BELOW`` rows, a measured
+    per-family threshold, run :meth:`loop` in either form.
     """
 
     ROW_LOOP_BELOW = 2  # only one-row reads; see benchmarks/bench_batch_rows.py
@@ -459,10 +445,31 @@ class HubShare:
         which is what ``sparse`` charges as its lookups."""
         raise NotImplementedError
 
+    def loop(
+        self, nodes: np.ndarray, sparse: bool, collect_stats: bool
+    ) -> tuple[Any, np.ndarray | None]:
+        """:meth:`row` per node, stacked into the requested form (dense
+        rows land in one preallocated block) — the bodies' bits and
+        counters without their fixed cost."""
+        n = self.num_nodes
+        counters = self._counters(nodes.size, collect_stats)
+        picked = [0, 1, 3 if sparse else 2]
+        out: Any = None if sparse else np.empty((nodes.size, n))
+        vecs: list[SparseVec] = []
+        for k, u in enumerate(nodes.tolist()):
+            vec, row_counters = self.row(u, collect_stats)
+            if sparse:
+                vecs.append(SparseVec.from_dense(vec))
+            else:
+                out[k] = vec
+            if counters is not None and row_counters is not None:
+                counters[:, k] = row_counters[picked]
+        return (rows_matrix(vecs, n) if sparse else out), counters
+
     def dense(
         self, nodes: np.ndarray, collect_stats: bool
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        raise NotImplementedError
+        return self.loop(nodes, False, collect_stats)
 
     def sparse(
         self, nodes: np.ndarray, collect_stats: bool
@@ -481,27 +488,16 @@ class HubShare:
         buffer), stack the rows.
 
         A sparse result is canonical: sorted, explicit zeros dropped.
-        Fewer than ``ROW_LOOP_BELOW`` nodes run :meth:`row` per node —
-        same bits, same counters, without the batch bodies' fixed cost.
+        Fewer than ``ROW_LOOP_BELOW`` nodes run :meth:`loop`.
         """
         n = self.num_nodes
         nodes = validate_batch(nodes, n)
-        counters: np.ndarray | None = None
         if 0 < nodes.size < self.ROW_LOOP_BELOW:
-            vecs: list[Any] = []
-            per_row: list[Any] = []
-            for u in nodes.tolist():
-                vec, row_counters = self.row(u, collect_stats)
-                vecs.append(SparseVec.from_dense(vec) if sparse else vec)
-                per_row.append(row_counters)
-            if collect_stats:
-                counters = np.stack(per_row, axis=1)[[0, 1, 3 if sparse else 2]]
-            if sparse:
-                return rows_matrix(vecs, n), counters
-            return (vecs[0][np.newaxis] if len(vecs) == 1 else np.stack(vecs)), counters
+            return self.loop(nodes, sparse, collect_stats)
         body = self.sparse if sparse else self.dense
         step = DEFAULT_BATCH
         out: Any
+        counters: np.ndarray | None
         if nodes.size <= step:
             out, counters = body(nodes, collect_stats)
         else:

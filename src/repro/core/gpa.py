@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flat_index import (
-    BUILD_BATCH,
-    FlatPPVIndex,
-    build_vectors,
-    full_view,
-)
+from repro.core.flat_index import FlatPPVIndex, build_vectors, full_view
 from repro.errors import IndexBuildError
 from repro.graph.digraph import DiGraph
 from repro.graph.subgraph import VirtualSubgraph
@@ -46,23 +41,19 @@ def build_gpa_index(
     alpha: float = 0.15,
     tol: float = 1e-4,
     prune: float | None = None,
-    balance: float = 0.1,
     seed: int = 0,
-    cover_method: str = "auto",
-    batch: int = BUILD_BATCH,
     partition: FlatPartition | None = None,
 ) -> GPAIndex:
     """Pre-compute the GPA index over an ``num_parts``-way partition.
 
     A pre-built :class:`FlatPartition` may be passed to skip partitioning
-    (used by benchmarks that sweep other parameters).
+    (used by benchmarks that sweep other parameters); otherwise parts may
+    be 10% out of balance.
     """
     if num_parts < 1:
         raise IndexBuildError("num_parts must be >= 1")
     if partition is None:
-        partition = flat_partition(
-            graph, num_parts, balance=balance, seed=seed, cover_method=cover_method
-        )
+        partition = flat_partition(graph, num_parts, balance=0.1, seed=seed)
     index = GPAIndex(
         graph=graph,
         alpha=alpha,
@@ -77,11 +68,9 @@ def build_gpa_index(
     whole = full_view(graph)
     build_vectors(
         index, "hub", index.hub_partials, whole, index.hubs, index.hubs,
-        adjust=True, batch=batch,
+        adjust=True,
     )
-    build_vectors(
-        index, "skel", index.skeleton_cols, whole, index.hubs, batch=batch
-    )
+    build_vectors(index, "skel", index.skeleton_cols, whole, index.hubs)
     # Non-hub partial vectors are local PPVs of each part's virtual
     # subgraph (Theorem 2) plus first-passage deposits at the bridging
     # hubs, so each part's view is extended with the hub set (blocked):
@@ -94,7 +83,6 @@ def build_gpa_index(
         )
         hub_local = np.asarray(view.to_local(partition.hubs), dtype=np.int64)
         build_vectors(
-            index, "part", index.node_partials, view, part_nodes, hub_local,
-            batch=batch,
+            index, "part", index.node_partials, view, part_nodes, hub_local
         )
     return index

@@ -29,7 +29,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.flat_index import (
-    BUILD_BATCH,
     HubShare,
     OwnLookup,
     QueryStats,
@@ -42,12 +41,12 @@ from repro.core.flat_index import (
     stack_ops,
 )
 from repro.core.sparse_ops import (
+    drop_rows_in_columns,
     fold_depth_blocks,
     sparse_add,
     spgemm_scaled,
     subtract_at,
     weight_row_stats,
-    zero_rows_in_columns,
 )
 from repro.core.sparsevec import SparseVec
 from repro.errors import IndexBuildError, QueryError
@@ -68,16 +67,19 @@ class HGPAShare(HubShare):
     """Eq. 6 over one share of every level's hub set.
 
     ``level_ops(sid)`` yields the stacked ops of this share's hubs in
-    subgraph ``sid``, or ``None`` where it owns none.  Per chain group
+    subgraph ``sid``, or ``None`` where it owns none.  Per chain level
     the level term is one skeleton-row slice plus one ``CSC @ weights``
     product.  The port repair (see :meth:`HGPAIndex.query_detailed`)
     splits over shares: each zeroes its own level term at the level's hub
     coordinates and re-adds the raw skeleton values at the hubs it owns —
     the centralized overwrite when it owns them all.  Chains share little
-    below the root, so under 64 rows a loop of :meth:`row` is quicker.
+    below the root, so dense batches always run the row loop (no dense
+    body beats it, see ``benchmarks/bench_batch_rows.py``), and sparse
+    ones under 64 rows do.
     """
 
-    ROW_LOOP_BELOW = 64
+    ROW_LOOP_BELOW = 64  # sparse form only: the dense body is the loop
+    LEVEL_CHUNK = 128  # queries per level-term product in the sparse body
 
     def __init__(
         self,
@@ -114,7 +116,9 @@ class HGPAShare(HubShare):
                     weights[pos[0]] -= self.alpha
             contrib = part_csc @ (weights * self.inv_alpha)
             if not own_level:
-                # Port repair, as in ``dense``.
+                # Port repair: zero this share's level term at the level's
+                # hub coordinates, then write the raw skeleton values at
+                # the owned ones (all owned: the overwrite covers them).
                 if owned.size < sg.hubs.size:
                     contrib[sg.hubs] = 0.0
                 contrib[owned] = raw
@@ -127,49 +131,6 @@ class HGPAShare(HubShare):
                 counters[3] += skel_csr.indptr[u + 1] - skel_csr.indptr[u]
         self._add_own_row(acc, u, u_is_hub, counters)
         return acc, counters
-
-    def dense(
-        self, nodes: np.ndarray, collect_stats: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        order, members, hub_flags, _ = _chain_membership(self.hierarchy, nodes)
-        ordered = nodes[order]
-        counters = self._counters(nodes.size, collect_stats)
-        acc = np.zeros((self.num_nodes, nodes.size))  # ordered columns
-        for sid, (lo, hi, own_list) in members.items():
-            ops = self.level_ops(sid)
-            if ops is None:
-                continue
-            owned, part_csc, skel_csr, nnz_per_hub = ops
-            own_arr = np.asarray(own_list, dtype=bool)
-            qnodes = ordered[lo:hi]
-            raw = skel_csr[qnodes].toarray()
-            weights = raw.copy()
-            own_rows = np.nonzero(own_arr)[0]
-            if own_rows.size:
-                # Hub queries at their own level: the f_u(h) adjustment.
-                hits, pos = find_sorted(owned, qnodes[own_rows])
-                weights[own_rows[hits], pos[hits]] -= self.alpha
-            level = part_csc @ (weights.T * self.inv_alpha)
-            rest = np.nonzero(~own_arr)[0]
-            if rest.size:
-                # Port repair: zero this share's level term at the level's
-                # hub coordinates, then write the raw skeleton values at
-                # the owned ones (all owned: the overwrite covers them).
-                level_hubs = self.hierarchy.subgraphs[sid].hubs
-                if owned.size < level_hubs.size:
-                    level[np.ix_(level_hubs, rest)] = 0.0
-                level[np.ix_(owned, rest)] = raw[rest].T
-            acc[:, lo:hi] += level
-            if counters is not None:
-                used = weights != 0.0
-                cols = order[lo:hi]
-                counters[0, cols] += used.astype(np.int64) @ nnz_per_hub
-                counters[1, cols] += used.sum(axis=1)
-                counters[2, cols] += owned.size
-        out = np.empty((nodes.size, self.num_nodes))
-        out[order] = acc.T
-        self._add_own_dense(out, nodes, hub_flags, counters)
-        return out, counters
 
     def sparse(
         self, nodes: np.ndarray, collect_stats: bool
@@ -185,7 +146,9 @@ class HGPAShare(HubShare):
         # by concatenation (port-repair values included as one scattered
         # add per depth) and the accumulator fold costs one sparse add
         # per depth — per entry, terms still add in chain order, exactly
-        # the dense accumulation sequence.
+        # the dense accumulation sequence.  A level's product is taken
+        # ``LEVEL_CHUNK`` queries at a time, so a raw product and its
+        # compacted copy coexist for one chunk, never for a whole level.
         by_depth: dict[int, list[tuple[int, sp.csc_matrix]]] = {}
         ports: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         for sid, (lo, hi, own_list) in members.items():
@@ -193,46 +156,45 @@ class HGPAShare(HubShare):
             if ops is None:
                 continue
             owned, part_csc, skel_csr, nnz_per_hub = ops
-            own_arr = np.asarray(own_list, dtype=bool)
-            qnodes = ordered[lo:hi]
-            raw = skel_csr[qnodes]  # sparse (hi-lo, |owned|) weight rows
-            weights = raw
-            own_rows = np.nonzero(own_arr)[0]
-            if own_rows.size:
-                # Hub queries at their own level: the f_u(h) adjustment.
-                hits, pos = find_sorted(owned, qnodes[own_rows])
-                weights = subtract_at(
-                    raw, own_rows[hits], pos[hits], self.alpha
-                )
-            level = spgemm_scaled(part_csc, weights, self.inv_alpha)
-            rest = np.nonzero(~own_arr)[0]
-            if rest.size:
-                # Port repair, sparse form: the dense overwrite splits
-                # into zeroing the matmul contribution at the level's hub
-                # coordinates and adding the raw skeleton values at the
-                # owned ones (collected per depth, added after assembly).
-                rest_mask = np.zeros(hi - lo, dtype=bool)
-                rest_mask[rest] = True
-                zero_rows_in_columns(
-                    level, self.hierarchy.subgraphs[sid].hubs, rest_mask
-                )
-                raw_rest = raw[rest]
-                port_cols = lo + rest[
-                    np.repeat(np.arange(rest.size), np.diff(raw_rest.indptr))
-                ]
-                ports.setdefault(depth_of[sid], []).append(
-                    (owned[raw_rest.indices], port_cols, raw_rest.data)
-                )
-            by_depth.setdefault(depth_of[sid], []).append((lo, level))
-            if counters is not None:
-                cols = order[lo:hi]
-                used, entries = weight_row_stats(weights, nnz_per_hub)
-                counters[0, cols] += entries
-                counters[1, cols] += used
-                # Sparse-aware accounting: charge each query's actual nnz
-                # skeleton lookups at this level — the dense path scans
-                # (and is charged) the level's full hub set.
-                counters[2, cols] += np.diff(raw.indptr)
+            hubs, depth = self.hierarchy.subgraphs[sid].hubs, depth_of[sid]
+            for c_lo in range(lo, hi, self.LEVEL_CHUNK):
+                c_hi = min(c_lo + self.LEVEL_CHUNK, hi)
+                own_arr = np.asarray(own_list[c_lo - lo : c_hi - lo], dtype=bool)
+                qnodes = ordered[c_lo:c_hi]
+                raw = skel_csr[qnodes]  # sparse (c_hi-c_lo, |owned|) weight rows
+                weights = raw
+                own_rows = np.nonzero(own_arr)[0]
+                if own_rows.size:
+                    # Hub queries at their own level: the f_u(h) adjustment.
+                    hits, pos = find_sorted(owned, qnodes[own_rows])
+                    weights = subtract_at(
+                        raw, own_rows[hits], pos[hits], self.alpha
+                    )
+                level = spgemm_scaled(part_csc, weights, self.inv_alpha)
+                rest = np.nonzero(~own_arr)[0]
+                if rest.size:
+                    # Port repair, sparse form: the dense overwrite splits
+                    # into dropping the matmul term at the level's hub
+                    # coordinates and adding the raw skeleton values at the
+                    # owned ones (collected per depth, added after assembly).
+                    level = drop_rows_in_columns(level, hubs, ~own_arr)
+                    raw_rest = raw[rest]
+                    port_cols = c_lo + rest[
+                        np.repeat(np.arange(rest.size), np.diff(raw_rest.indptr))
+                    ]
+                    ports.setdefault(depth, []).append(
+                        (owned[raw_rest.indices], port_cols, raw_rest.data)
+                    )
+                by_depth.setdefault(depth, []).append((c_lo, level))
+                if counters is not None:
+                    cols = order[c_lo:c_hi]
+                    used, entries = weight_row_stats(weights, nnz_per_hub)
+                    counters[0, cols] += entries
+                    counters[1, cols] += used
+                    # Sparse-aware accounting: charge each query's actual
+                    # nnz skeleton lookups at this level — the dense path
+                    # scans (and is charged) the level's full hub set.
+                    counters[2, cols] += np.diff(raw.indptr)
         acc = fold_depth_blocks(by_depth, ports, nodes.size, n)
         if acc is None:
             out = sp.csr_matrix((nodes.size, n))
@@ -240,6 +202,7 @@ class HGPAShare(HubShare):
             inv_order = np.empty_like(order)
             inv_order[order] = np.arange(order.size)
             out = acc.T.tocsr()[inv_order]
+            del acc  # freed before the base-term adds copy ``out``
         own, alpha_pts = self._own_sparse(nodes, hub_flags, counters)
         out = sparse_add(out, own)
         if alpha_pts is not None:
@@ -324,13 +287,12 @@ class HGPAIndex(Servable):
     def _rows(
         self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
     ) -> tuple[Any, list[QueryStats]]:
-        """Eq. 6 for a batch.  From ``HGPAShare.ROW_LOOP_BELOW`` (64) rows
-        the batch body groups queries by the subgraphs their chains
-        traverse, one ``CSC @ weights`` product per level group (sparse:
-        each level term stays sparse, with a structural port repair, so
-        on pruned indexes — ``HGPA_ad`` — the peak follows the PPVs'
-        support); smaller batches run :meth:`query`'s body per node,
-        since chains share little below the root."""
+        """Eq. 6 for a batch: :meth:`query`'s body per node, except for
+        sparse batches of ``HGPAShare.ROW_LOOP_BELOW`` (64) rows or more,
+        whose body groups queries by the subgraphs their chains traverse,
+        one sparse ``CSC @ weights`` product per level group with a
+        structural port repair, so on pruned indexes — ``HGPA_ad`` — the
+        peak follows the PPVs' support."""
         out, counters = self._share().evaluate(
             nodes, sparse=sparse, collect_stats=collect_stats
         )
@@ -488,10 +450,7 @@ def build_hgpa_index(
     alpha: float = 0.15,
     tol: float = 1e-4,
     prune: float | None = None,
-    balance: float = 0.1,
     seed: int = 0,
-    cover_method: str = "auto",
-    batch: int = BUILD_BATCH,
 ) -> HGPAIndex:
     """Pre-compute the full HGPA index.
 
@@ -504,12 +463,7 @@ def build_hgpa_index(
         raise IndexBuildError(f"alpha must be in (0, 1), got {alpha}")
     if hierarchy is None:
         hierarchy = build_hierarchy(
-            graph,
-            fanout=fanout,
-            max_levels=max_levels,
-            balance=balance,
-            seed=seed,
-            cover_method=cover_method,
+            graph, fanout=fanout, max_levels=max_levels, seed=seed
         )
     index = HGPAIndex(
         graph=graph,
@@ -519,29 +473,25 @@ def build_hgpa_index(
         prune=tol if prune is None else prune,
     )
     for sg in hierarchy.subgraphs:
-        build_subgraph_vectors(index, sg, batch)
+        build_subgraph_vectors(index, sg)
     return index
 
 
-def build_subgraph_vectors(
-    index: HGPAIndex, sg: SubgraphNode, batch: int = BUILD_BATCH
-) -> None:
+def build_subgraph_vectors(index: HGPAIndex, sg: SubgraphNode) -> None:
     """Every vector subgraph ``sg`` owns: hub side and, on a leaf, PPVs."""
     if sg.hubs.size:
         view = index.hierarchy.view(sg.node_id)
         hub_local = np.asarray(view.to_local(sg.hubs), dtype=np.int64)
         build_vectors(
             index, "hub", index.hub_partials, view, sg.hubs, hub_local,
-            adjust=True, batch=batch,
+            adjust=True,
         )
-        build_vectors(
-            index, "skel", index.skeleton_cols, view, sg.hubs, batch=batch
-        )
+        build_vectors(index, "skel", index.skeleton_cols, view, sg.hubs)
     if sg.is_leaf and sg.num_nodes:
         view = index.hierarchy.view(sg.node_id)
         build_vectors(
             index, "leaf", index.leaf_ppv, view, sg.nodes,
-            np.empty(0, dtype=np.int64), batch=batch,
+            np.empty(0, dtype=np.int64),
         )
 
 

@@ -35,13 +35,12 @@ def build_jw_index(
     hubs: np.ndarray | None = None,
     alpha: float = 0.15,
     tol: float = 1e-4,
-    prune: float | None = None,
     batch: int = BUILD_BATCH,
 ) -> JWIndex:
     """Pre-compute the PPV-JW index.
 
     Exactly one of ``num_hubs`` (top-PageRank selection) or an explicit
-    ``hubs`` array must be given.  ``prune`` defaults to ``tol`` — stored
+    ``hubs`` array must be given.  Stored entries are pruned at ``tol`` —
     entries below the iteration tolerance carry no information.
     """
     if (num_hubs is None) == (hubs is None):
@@ -53,7 +52,7 @@ def build_jw_index(
         graph=graph,
         alpha=alpha,
         tol=tol,
-        prune=tol if prune is None else prune,
+        prune=tol,
         hubs=hubs,
     )
     view = full_view(graph)

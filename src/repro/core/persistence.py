@@ -4,21 +4,19 @@ The paper's workflow is offline pre-computation followed by online serving;
 that split needs the index to survive a process restart.  This module
 stores everything — graph CSR, the partition hierarchy, every pre-computed
 vector and its build cost — in a single compressed ``.npz`` archive using
-flat concatenated arrays (no pickling, loadable anywhere numpy runs).
+flat concatenated arrays (no pickling, loadable anywhere numpy runs): each
+vector store in :mod:`repro.core.stacked`'s keyed-store layout, its
+``indptr`` kept as per-vector ``nnz`` (format 1).
 """
 
 from __future__ import annotations
-
-from typing import Any
-
-from collections.abc import Mapping
 
 import os
 
 import numpy as np
 
 from repro.core.hgpa import HGPAIndex
-from repro.core.sparsevec import SparseVec
+from repro.core.stacked import pack_store, unpack_store
 from repro.errors import SerializationError
 from repro.graph.digraph import DiGraph
 from repro.partition.hierarchy import PartitionHierarchy, SubgraphNode
@@ -27,44 +25,8 @@ __all__ = ["save_hgpa_index", "load_hgpa_index"]
 
 _FORMAT_VERSION = 1
 
-
-def _pack_store(
-    store: dict[int, SparseVec], costs: dict[tuple[Any, ...], float], kind: str
-) -> dict[str, np.ndarray]:
-    keys = np.asarray(sorted(store), dtype=np.int64)
-    vecs = [store[int(k)] for k in keys]
-    nnzs = np.asarray([v.nnz for v in vecs], dtype=np.int64)
-    idx = (
-        np.concatenate([v.idx for v in vecs]) if vecs else np.empty(0, dtype=np.int64)
-    )
-    val = np.concatenate([v.val for v in vecs]) if vecs else np.empty(0)
-    cost = np.asarray([costs.get((kind, int(k)), 0.0) for k in keys])
-    return {
-        f"{kind}_keys": keys,
-        f"{kind}_nnz": nnzs,
-        f"{kind}_idx": idx,
-        f"{kind}_val": val,
-        f"{kind}_cost": cost,
-    }
-
-
-def _unpack_store(
-    data: Mapping[str, np.ndarray],
-    kind: str,
-    store: dict[int, SparseVec],
-    costs: dict[tuple[Any, ...], float],
-) -> None:
-    keys = data[f"{kind}_keys"]
-    nnzs = data[f"{kind}_nnz"]
-    idx = data[f"{kind}_idx"]
-    val = data[f"{kind}_val"]
-    cost = data[f"{kind}_cost"]
-    offsets = np.zeros(keys.size + 1, dtype=np.int64)
-    np.cumsum(nnzs, out=offsets[1:])
-    for j, key in enumerate(keys.tolist()):
-        lo, hi = offsets[j], offsets[j + 1]
-        store[int(key)] = SparseVec(idx[lo:hi].copy(), val[lo:hi].copy(), _trusted=True)
-        costs[(kind, int(key))] = float(cost[j])
+_STORES = (("hub", "hub_partials"), ("skel", "skeleton_cols"), ("leaf", "leaf_ppv"))
+"""``(archive prefix, index attribute)`` of each stored-vector set."""
 
 
 def save_hgpa_index(index: HGPAIndex, path: str | os.PathLike) -> None:
@@ -103,9 +65,15 @@ def save_hgpa_index(index: HGPAIndex, path: str | os.PathLike) -> None:
         "sub_nodes": nodes_concat,
         "sub_hubs": hubs_concat,
     }
-    payload.update(_pack_store(index.hub_partials, index.build_cost, "hub"))
-    payload.update(_pack_store(index.skeleton_cols, index.build_cost, "skel"))
-    payload.update(_pack_store(index.leaf_ppv, index.build_cost, "leaf"))
+    for kind, attr in _STORES:
+        keys, indptr, idx, val = pack_store(getattr(index, attr))
+        payload[f"{kind}_keys"] = keys
+        payload[f"{kind}_nnz"] = np.diff(indptr)
+        payload[f"{kind}_idx"] = idx
+        payload[f"{kind}_val"] = val
+        payload[f"{kind}_cost"] = np.asarray(
+            [index.build_cost.get((kind, k), 0.0) for k in keys.tolist()]
+        )
     np.savez_compressed(path, **payload)
 
 
@@ -153,7 +121,13 @@ def load_hgpa_index(path: str | os.PathLike) -> HGPAIndex:
             tol=float(data["tol"][0]),
             prune=float(data["prune"][0]),
         )
-        _unpack_store(data, "hub", index.hub_partials, index.build_cost)
-        _unpack_store(data, "skel", index.skeleton_cols, index.build_cost)
-        _unpack_store(data, "leaf", index.leaf_ppv, index.build_cost)
+        for kind, attr in _STORES:
+            keys = data[f"{kind}_keys"]
+            indptr = np.zeros(keys.size + 1, dtype=np.int64)
+            np.cumsum(data[f"{kind}_nnz"], out=indptr[1:])
+            getattr(index, attr).update(
+                unpack_store(keys, indptr, data[f"{kind}_idx"], data[f"{kind}_val"])
+            )
+            for k, cost in zip(keys.tolist(), data[f"{kind}_cost"].tolist()):
+                index.build_cost[(kind, k)] = cost
         return index

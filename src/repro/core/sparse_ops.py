@@ -33,35 +33,18 @@ from repro.core.sparsevec import SparseVec
 __all__ = [
     "assemble_columns",
     "fold_depth_blocks",
-    "rows_matrix",
     "point_matrix",
     "subtract_at",
     "scaled_transpose_csc",
     "spgemm_scaled",
     "sparse_add",
-    "zero_rows_in_columns",
+    "drop_rows_in_columns",
     "weight_row_stats",
     "row_sparsevec",
     "topk_rows_sparse",
     "sparse_in_batches",
     "finalize_csr",
 ]
-
-
-def rows_matrix(vecs: list[SparseVec | None], n: int) -> sp.csr_matrix:
-    """Stack sparse vectors as the rows of one ``(len(vecs), n)`` CSR.
-
-    ``None`` entries become empty rows — the own-term matrix of a batch
-    where some queries contribute no vector (e.g. a machine that owns
-    none of the batch's own vectors).
-    """
-    counts = [0 if v is None else v.nnz for v in vecs]
-    if not vecs or not any(counts):
-        return sp.csr_matrix((len(vecs), n))
-    idx = np.concatenate([v.idx for v in vecs if v is not None and v.nnz])
-    val = np.concatenate([v.val for v in vecs if v is not None and v.nnz])
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return sp.csr_matrix((val, idx, indptr), shape=(len(vecs), n))
 
 
 def point_matrix(
@@ -156,10 +139,11 @@ def assemble_columns(
     np.maximum.accumulate(indptr, out=indptr)  # carry through the gaps
     if not idx_parts:
         return sp.csc_matrix((n, total_cols))
-    return sp.csc_matrix(
-        (np.concatenate(data_parts), np.concatenate(idx_parts), indptr),
-        shape=(n, total_cols),
-    )
+    if len(idx_parts) == 1:  # one block: keep its buffers, copy nothing
+        data, indices = data_parts[0], idx_parts[0]
+    else:
+        data, indices = np.concatenate(data_parts), np.concatenate(idx_parts)
+    return sp.csc_matrix((data, indices, indptr), shape=(n, total_cols))
 
 
 def fold_depth_blocks(
@@ -179,13 +163,14 @@ def fold_depth_blocks(
     subgraphs have strictly increasing depths, so per entry the fold adds
     terms in chain order — exactly the dense accumulation sequence, which
     is what keeps the sparse results bitwise-equal to the dense paths.
-    Returns ``None`` when there are no blocks at all.
+    Returns ``None`` when there are no blocks at all.  Both dicts are
+    consumed: each depth's blocks and ports are freed once merged.
     """
     acc: sp.csc_matrix | None = None
     for depth in sorted(by_depth):
-        mat = assemble_columns(by_depth[depth], total_cols, n)
+        mat = assemble_columns(by_depth.pop(depth), total_cols, n)
         mat.sort_indices()  # canonicalize the raw matmul blocks once
-        depth_ports = ports.get(depth)
+        depth_ports = ports.pop(depth, None)
         if depth_ports:
             mat = sparse_add(
                 mat,
@@ -201,27 +186,32 @@ def fold_depth_blocks(
     return acc
 
 
-def zero_rows_in_columns(
+def drop_rows_in_columns(
     block: sp.csc_matrix, rows: np.ndarray, col_mask: np.ndarray
-) -> None:
-    """Zero every stored entry of ``block`` whose row is in ``rows`` and
-    whose column is flagged in ``col_mask`` (in place, structure kept).
+) -> sp.csc_matrix:
+    """``block`` without the stored entries whose row is in ``rows`` and
+    whose column is flagged in ``col_mask``, as a compacted copy.
 
     The sparse half of the HGPA port repair: the dense path *overwrites*
-    those coordinates, which splits into "zero the matmul contribution"
-    (here) plus "add the skeleton values" (a :func:`point_matrix` add).
+    those coordinates, which splits into "drop the matmul contribution"
+    (here) plus "add the skeleton values" (a :func:`point_matrix` add,
+    which drops the zeros a zeroing would leave).  Boolean masks only: on
+    a batch's root level the block is the sparse path's largest array.
     """
     rows = np.asarray(rows)
     if block.nnz == 0 or rows.size == 0:
-        return
-    colid = np.repeat(
-        np.arange(block.shape[1]), np.diff(block.indptr)
+        return block
+    is_row = np.zeros(block.shape[0], dtype=bool)
+    is_row[rows] = True
+    keep = is_row[block.indices]
+    keep &= np.repeat(col_mask, np.diff(block.indptr))
+    np.logical_not(keep, out=keep)
+    kept = np.zeros(keep.size + 1, dtype=block.indptr.dtype)
+    np.cumsum(keep, out=kept[1:])
+    return sp.csc_matrix(
+        (block.data[keep], block.indices[keep], kept[block.indptr]),
+        shape=block.shape,
     )
-    # Sorted-membership probe (rows is a sorted hub array).
-    pos = np.searchsorted(rows, block.indices)
-    clipped = np.minimum(pos, rows.size - 1)
-    member = (pos < rows.size) & (rows[clipped] == block.indices)
-    block.data[member & col_mask[colid]] = 0.0
 
 
 def weight_row_stats(

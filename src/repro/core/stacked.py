@@ -1,22 +1,35 @@
-"""Exportable views of the stacked query-op buffers.
+"""The one flat layout of a set of stored vectors.
 
-The query ops of every engine in this repo are a handful of flat arrays:
-a stacked partial-vector CSC, a stacked skeleton CSR and a few int
-vectors (see :meth:`repro.core.flat_index.FlatPPVIndex._ops` and
-:meth:`repro.distributed.cluster.ClusterBase._stack_ops`).  That layout —
-already ``np.shares_memory``-disciplined so store vectors can alias the
-stacked buffers — is exactly what zero-copy sharing across processes
-needs: this module provides the round trip between matrices/vector
-stores and plain named arrays, so :mod:`repro.exec.shm` can publish the
-arrays in one ``multiprocessing.shared_memory`` segment and a worker can
-rebuild byte-identical matrices as read-only views without copying.
+The index of every engine here is a set of stored sparse vectors — hub
+partials, skeleton columns, own vectors — and every place that holds a
+set of them whole lays it out the same way: the vectors back to back in
+two flat buffers, ``idx`` and ``val``, with vector ``j`` at the half-open
+slice ``indptr[j]:indptr[j+1]``.  That is the column layout of a CSC and
+the row layout of a CSR, so the stacked query ops (see
+:func:`repro.core.flat_index.stack_ops`) are this layout handed to scipy,
+and the stores are views back into it.  This module is the only code
+that packs or unpacks the layout:
 
-Nothing here touches shared memory itself; these helpers work on any
-buffers, which is what keeps them unit-testable in-process.
+* :func:`pack_vectors` / :func:`unpack_vectors` — a sequence of vectors
+  to flat ``(indptr, idx, val)`` buffers and back, as read-only
+  zero-copy views;
+* :func:`stack_columns` / :func:`rows_matrix` — the packed buffers as the
+  columns of a CSC or the rows of a CSR;
+* :func:`pack_store` / :func:`unpack_store` — an id→vector store as sorted
+  ids plus packed vectors (the HGPA archive's stores, the ``own_`` arrays
+  of a worker arena), and :func:`column_store`, a stacked CSC read back
+  as one;
+* :func:`csc_from_arrays` / :func:`csr_from_arrays` — a matrix rebuilt
+  around existing buffers, so a worker maps an arena's arrays into the
+  same matrices without copying.
+
+Nothing here touches shared memory or files; :mod:`repro.exec.shm` and
+:mod:`repro.core.persistence` name the buffers and move them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -25,17 +38,97 @@ import scipy.sparse as sp
 from repro.core.sparsevec import SparseVec
 
 __all__ = [
-    "matrix_arrays",
-    "csc_from_arrays",
-    "csr_from_arrays",
     "pack_vectors",
     "unpack_vectors",
+    "stack_columns",
+    "rows_matrix",
+    "pack_store",
+    "unpack_store",
+    "column_store",
+    "csc_from_arrays",
+    "csr_from_arrays",
 ]
 
+def pack_vectors(
+    vecs: Sequence[SparseVec | None],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate sparse vectors into ``(indptr, idx, val)`` flat arrays.
 
-def matrix_arrays(mat: sp.spmatrix) -> dict[str, np.ndarray]:
-    """The three flat buffers of a CSC/CSR matrix, by canonical name."""
-    return {"data": mat.data, "indices": mat.indices, "indptr": mat.indptr}
+    Vector ``j`` occupies ``indptr[j]:indptr[j+1]`` of ``idx``/``val``; a
+    ``None`` packs as an empty vector that adds no dtype (only a batch's
+    own-term rows hold ``None``s, and the CSR constructor settles their
+    dtype).  ``indptr`` is int64, ``idx`` has the vectors' own index dtype.
+    """
+    counts = [0 if v is None else v.nnz for v in vecs]
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    held = [v for v in vecs if v is not None]
+    if not held:
+        return indptr, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    return (
+        indptr,
+        np.concatenate([v.idx for v in held]),
+        np.concatenate([v.val for v in held]),
+    )
+
+
+def unpack_vectors(
+    indptr: np.ndarray, idx: np.ndarray, val: np.ndarray
+) -> list[SparseVec]:
+    """The packed vectors as read-only *views* of the flat buffers — the
+    inverse of :func:`pack_vectors`, copying nothing."""
+    bounds = indptr.tolist()
+    return [
+        SparseVec(idx[lo:hi], val[lo:hi], _trusted=True)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def stack_columns(cols: Sequence[SparseVec], n: int) -> sp.csc_matrix:
+    """The packed vectors as the columns of one ``(n, len(cols))`` CSC.
+
+    scipy keeps the packed ``val`` as the matrix's ``data`` and narrows
+    the index arrays to int32 where the values fit, so a column's
+    ``indices``/``data`` slices are the vector's entries.
+    """
+    indptr, idx, val = pack_vectors(cols)
+    return sp.csc_matrix((val, idx, indptr), shape=(n, len(cols)))
+
+
+def rows_matrix(vecs: Sequence[SparseVec | None], n: int) -> sp.csr_matrix:
+    """The packed vectors as the rows of one ``(len(vecs), n)`` CSR.
+
+    ``None`` entries become empty rows — the own-term matrix of a batch
+    where some queries contribute no vector (e.g. a machine that owns
+    none of the batch's own vectors).
+    """
+    if not any(v is not None and v.nnz for v in vecs):
+        return sp.csr_matrix((len(vecs), n))  # nothing to pack
+    indptr, idx, val = pack_vectors(vecs)
+    return sp.csr_matrix((val, idx, indptr), shape=(len(vecs), n))
+
+
+def pack_store(
+    store: Mapping[int, SparseVec],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """An id→vector store as ``(ids, indptr, idx, val)``: the ids sorted
+    (int64), so the layout is deterministic, and their vectors packed."""
+    ids = np.asarray(sorted(store), dtype=np.int64)
+    return (ids, *pack_vectors([store[u] for u in ids.tolist()]))
+
+
+def unpack_store(
+    ids: np.ndarray, indptr: np.ndarray, idx: np.ndarray, val: np.ndarray
+) -> dict[int, SparseVec]:
+    """The inverse of :func:`pack_store`, as views of the flat buffers."""
+    return dict(zip(ids.tolist(), unpack_vectors(indptr, idx, val)))
+
+
+def column_store(ids: np.ndarray, csc: sp.csc_matrix) -> dict[int, SparseVec]:
+    """A stacked CSC's columns by id, as views of its ``indices`` and
+    ``data``: how a machine and a worker alike hold the hub partials
+    their stacked ops already carry, at no memory of their own."""
+    return unpack_store(ids, csc.indptr, csc.indices, csc.data)
 
 
 def _from_arrays(
@@ -81,36 +174,3 @@ def csr_from_arrays(
 ) -> sp.csr_matrix:
     """Zero-copy CSR over existing (possibly read-only) buffers."""
     return _from_arrays(sp.csr_matrix, data, indices, indptr, shape)
-
-
-def pack_vectors(
-    vecs: list[SparseVec],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate sparse vectors into ``(indptr, idx, val)`` flat arrays.
-
-    The inverse of :func:`unpack_vectors`; vector ``j`` occupies the
-    half-open slice ``indptr[j]:indptr[j+1]`` of ``idx``/``val``.
-    """
-    indptr = np.zeros(len(vecs) + 1, dtype=np.int64)
-    if vecs:
-        np.cumsum([v.nnz for v in vecs], out=indptr[1:])
-        idx = np.concatenate([v.idx for v in vecs])
-        val = np.concatenate([v.val for v in vecs])
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        val = np.empty(0, dtype=np.float64)
-    return indptr, idx, val
-
-
-def unpack_vectors(
-    indptr: np.ndarray, idx: np.ndarray, val: np.ndarray
-) -> list[SparseVec]:
-    """Rebuild the packed vectors as trusted *views* of the flat buffers."""
-    return [
-        SparseVec(
-            idx[indptr[j] : indptr[j + 1]],
-            val[indptr[j] : indptr[j + 1]],
-            _trusted=True,
-        )
-        for j in range(indptr.size - 1)
-    ]

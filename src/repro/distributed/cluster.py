@@ -25,16 +25,12 @@ from repro.core.flat_index import (
     Servable,
     StackedOps,
     run_in_batches,
-    stack_columns,
+    stack_ops,
     validate_batch,
 )
-from repro.core.sparse_ops import (
-    finalize_csr,
-    row_sparsevec,
-    rows_matrix,
-    sparse_in_batches,
-)
+from repro.core.sparse_ops import finalize_csr, row_sparsevec, sparse_in_batches
 from repro.core.sparsevec import SparseVec
+from repro.core.stacked import column_store, rows_matrix
 from repro.core.updates import (
     UPDATE_WIRE_BYTES,
     EdgeUpdate,
@@ -82,24 +78,6 @@ class QueryReport:
         entries = [e for e in self.per_machine_entries]
         mean = sum(entries) / max(1, len(entries))
         return (max(entries) / mean) if mean > 0 else 1.0
-
-
-def _stack_shared(
-    cols: list[SparseVec], n: int
-) -> tuple[sp.csc_matrix, np.ndarray]:
-    """Stack sparse vectors as CSC columns over explicit shared buffers.
-
-    Returns ``(matrix, idx)`` where ``matrix.data`` *is* the concatenated
-    value buffer (scipy wraps float64 data without copying) and ``idx``
-    is the concatenated int64 index buffer — the arrays store vectors can
-    be rebound onto as views.
-    """
-    if not cols:
-        return sp.csc_matrix((n, 0)), np.empty(0, dtype=np.int64)
-    idx = np.concatenate([v.idx for v in cols])
-    val = np.concatenate([v.val for v in cols])
-    indptr = np.concatenate([[0], np.cumsum([v.nnz for v in cols])])
-    return sp.csc_matrix((val, idx, indptr), shape=(n, len(cols))), idx
 
 
 class ClusterBase(Servable):
@@ -278,13 +256,6 @@ class ClusterBase(Servable):
     def total_stored_bytes(self) -> int:
         return sum(m.stored_bytes for m in self.machines)
 
-    def offline_makespan_seconds(self) -> float:
-        """Pre-computation time = slowest machine's share of build work."""
-        return max(m.offline_seconds for m in self.machines)
-
-    def offline_total_seconds(self) -> float:
-        return sum(m.offline_seconds for m in self.machines)
-
     # ----- stacked query ops --------------------------------------------
     def _stack_ops(self, mid: int, owned: np.ndarray) -> StackedOps:
         """Stacked (owned, partial CSC, skeleton CSR, nnz-per-hub) ops of
@@ -292,7 +263,7 @@ class ClusterBase(Servable):
         families' lazy ``_ops_for`` builders.
 
         The machine's stored **hub partials** are rebound as read-only
-        views into the stacked CSC's own buffers
+        views into the stacked CSC's own buffers, as a worker binds them
         (``np.shares_memory``-asserted by the tests): the CSC *is* the
         query op, so the store's copy of every partial becomes free.
         The skeleton side cannot share — its query form is the row-sliced
@@ -301,19 +272,11 @@ class ClusterBase(Servable):
         and the CSR copy remains the price of matmul-form skeleton
         lookups.
         """
-        index, store = self.index, self.machines[mid].store
-        parts = [index.hub_partials[h] for h in owned.tolist()]
-        skels = [index.skeleton_cols[h] for h in owned.tolist()]
-        part_csc, part_idx = _stack_shared(parts, self.num_nodes)
-        skel_csr = stack_columns(skels, self.num_nodes).tocsr()
-        pp = part_csc.indptr
-        for j, h in enumerate(owned.tolist()):
-            store[("hub", h)] = SparseVec(
-                part_idx[pp[j] : pp[j + 1]],
-                part_csc.data[pp[j] : pp[j + 1]],
-                _trusted=True,
-            )
-        return (owned, part_csc, skel_csr, np.diff(part_csc.indptr))
+        index = self.index
+        ops = stack_ops(owned, index.hub_partials, index.skeleton_cols, self.num_nodes)
+        hubs = column_store(owned, ops[1])
+        self.machines[mid].store.update((("hub", h), v) for h, v in hubs.items())
+        return ops
 
     # ----- the one-round query protocol --------------------------------
     def query(self, u: int) -> tuple[np.ndarray, QueryReport]:

@@ -7,7 +7,8 @@ evaluator (:class:`~repro.core.flat_index.FlatShare` /
 times it.  In-process the host wraps the caller's live evaluator; in a
 worker process one picklable builder per family rebuilds it around
 zero-copy read-only views of a shared arena — stacked ops, hub vectors
-rebound as slices of the stacked CSC, the packed own-vector store — so
+rebound as slices of the stacked CSC as a machine binds them, the own
+vectors in :mod:`repro.core.stacked`'s keyed-store layout — so
 the worker runs the same code as the parent on the same bytes and the
 results are bitwise equal.  What the arena holds decides whose share it
 is: every hub and own vector for a :class:`~repro.sharding.replica.Replica`
@@ -32,11 +33,10 @@ import numpy as np
 from repro.core.flat_index import FlatPPVIndex, FlatShare, HubShare, StackedOps
 from repro.core.hgpa import HGPAIndex, HGPAShare
 from repro.core.sparsevec import SparseVec
-from repro.core.stacked import pack_vectors, unpack_vectors
+from repro.core.stacked import column_store, pack_store, unpack_store
 from repro.errors import PartitionError
 from repro.exec.shm import (
     ArenaDescriptor,
-    ArenaView,
     build_ops_from_view,
     stacked_ops_arrays,
 )
@@ -115,47 +115,9 @@ class HierarchyHandle:
         return path
 
 
-def _hub_store(ops: StackedOps) -> dict[int, SparseVec]:
-    """Hub partial vectors as slices of the stacked CSC's buffers — the
-    worker-side twin of ``ClusterBase._stack_ops``'s rebinding, so the
-    store costs no memory beyond the shared segment."""
-    owned, part_csc = ops[0], ops[1]
-    pp = part_csc.indptr
-    return {
-        int(h): SparseVec(
-            part_csc.indices[pp[j] : pp[j + 1]],
-            part_csc.data[pp[j] : pp[j + 1]],
-            _trusted=True,
-        )
-        for j, h in enumerate(owned.tolist())
-    }
-
-
-def _own_store(view: ArenaView, hub_ops: list[StackedOps]) -> dict[int, SparseVec]:
-    """Every own vector of an attached share, by node id: the packed
-    ``own_`` store (node partials / leaf PPVs) plus the hub partials of
-    ``hub_ops``.  Hub and non-hub ids are disjoint, so one dict serves
-    both arms of the evaluators' own lookup."""
-    vecs = unpack_vectors(
-        view.arrays["own_indptr"], view.arrays["own_idx"], view.arrays["own_val"]
-    )
-    store = dict(zip(view.arrays["own_nodes"].tolist(), vecs))
-    for ops in hub_ops:
-        store.update(_hub_store(ops))
-    return store
-
-
-def _pack_own_store(store: dict[int, SparseVec]) -> dict[str, np.ndarray]:
-    """One id→vector store as flat ``own_`` arena arrays (ids sorted, so
-    the layout is deterministic)."""
-    nodes = np.asarray(sorted(store), dtype=np.int64)
-    indptr, idx, val = pack_vectors([store[u] for u in nodes.tolist()])
-    return {
-        "own_nodes": nodes,
-        "own_indptr": indptr,
-        "own_idx": idx,
-        "own_val": val,
-    }
+_OWN = ("own_nodes", "own_indptr", "own_idx", "own_val")
+"""Arena names of a share's packed own-vector store (node partials / leaf
+PPVs): :func:`~repro.core.stacked.pack_store`'s four arrays."""
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +131,7 @@ def flat_share_arrays(
     set, and the node partials it holds."""
     arrays = stacked_ops_arrays(ops)
     arrays["all_hubs"] = all_hubs
-    arrays.update(_pack_own_store(node_store))
+    arrays.update(zip(_OWN, pack_store(node_store)))
     return arrays
 
 
@@ -184,7 +146,10 @@ class FlatShareBuilder:
     def __call__(self) -> ShareHost:
         view = self.descriptor.attach()
         ops = build_ops_from_view(view, "", self.num_nodes)
-        own = _own_store(view, [ops])
+        # Hub and non-hub ids are disjoint, so one dict serves both arms
+        # of the own lookup; hub partials are views of the stacked CSC.
+        own = unpack_store(*(view.arrays[name] for name in _OWN))
+        own.update(column_store(ops[0], ops[1]))
         return ShareHost(
             FlatShare(
                 ops,
@@ -204,7 +169,7 @@ def hgpa_share_arrays(
 ) -> dict[str, np.ndarray]:
     """Arena arrays of one HGPA share: stacked ops per level it owns a
     hub of (prefix ``s<sid>:``) and the leaf PPVs it holds."""
-    arrays = _pack_own_store(leaf_store)
+    arrays = dict(zip(_OWN, pack_store(leaf_store)))
     for sid in sorted(level_ops):
         arrays.update(stacked_ops_arrays(level_ops[sid], prefix=f"s{sid}:"))
     return arrays
@@ -227,8 +192,11 @@ class HGPAShareBuilder:
             for sid in self.sids
         }
         # Hub sets are disjoint across subgraphs, so every hub's partial
-        # lives in exactly one level's stacked CSC.
-        own = _own_store(view, [level_ops[sid] for sid in self.sids])
+        # is a view of exactly one level's stacked CSC.
+        own = unpack_store(*(view.arrays[name] for name in _OWN))
+        for sid in self.sids:
+            owned, part_csc, _, _ = level_ops[sid]
+            own.update(column_store(owned, part_csc))
         return ShareHost(
             HGPAShare(
                 self.hierarchy,

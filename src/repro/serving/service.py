@@ -29,8 +29,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.flat_index import DEFAULT_BATCH, topk_rows, validate_batch
-from repro.core.sparse_ops import row_sparsevec, rows_matrix, topk_rows_sparse
+from repro.core.sparse_ops import row_sparsevec, topk_rows_sparse
 from repro.core.sparsevec import SparseVec
+from repro.core.stacked import rows_matrix
 from repro.core.updates import EdgeUpdate, UpdateReceipt
 from repro.errors import (
     DegradedResult,

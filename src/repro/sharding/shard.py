@@ -23,8 +23,9 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.core.flat_index import topk_in_batches, validate_batch
-from repro.core.sparse_ops import row_sparsevec, rows_matrix
+from repro.core.sparse_ops import row_sparsevec
 from repro.core.sparsevec import WIRE_ENTRY_BYTES, WIRE_HEADER_BYTES, SparseVec
+from repro.core.stacked import rows_matrix
 from repro.core.updates import UPDATE_WIRE_BYTES, EdgeUpdate, UpdateReceipt
 from repro.distributed.network import NetworkMeter
 from repro.errors import (

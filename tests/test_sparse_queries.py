@@ -22,6 +22,7 @@ from repro.core import (
 )
 from repro.core.flat_index import (
     FlatShare,
+    HubShare,
     topk_in_batches,
     topk_rows,
     topk_rows_reference,
@@ -214,20 +215,51 @@ class TestEngineEquivalence:
 class TestRowLoopBelow:
     """Which path a batch size takes: each family's ``ROW_LOOP_BELOW``."""
 
+    @pytest.mark.parametrize("family", ["hgpa_small", "hgpa_ad_small"])
+    def test_hgpa_level_chunks_move_no_answer(self, request, family, monkeypatch):
+        """The sparse body takes each level's product ``LEVEL_CHUNK``
+        queries at a time; any chunk size gives the same CSR arrays and
+        counters as one product per level."""
+        index = request.getfixturevalue(family)
+        nodes = np.random.default_rng(8).integers(0, index.graph.num_nodes, 300)
+        nodes[:5] = _hubs_of(index)[:5]  # hubs at their own level too
+        monkeypatch.setattr(HGPAShare, "LEVEL_CHUNK", 10**9)
+        whole, whole_stats = index.query_many_sparse(nodes)
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(HGPAShare, "LEVEL_CHUNK", chunk)
+            got, stats = index.query_many_sparse(nodes)
+            for field in ("data", "indices", "indptr"):
+                a, b = getattr(got, field), getattr(whole, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (chunk, field)
+            assert stats == whole_stats, chunk
+
     def test_hgpa_loops_rows_below_64(self, hgpa_small, monkeypatch):
+        """Sparse batches under 64 rows run the row loop; a dense batch of
+        any size never enters a body — HGPA's dense body is the loop."""
+
         def refuse(share, nodes, collect_stats):
             raise AssertionError(f"batch body ran {nodes.size} rows")
 
-        monkeypatch.setattr(HGPAShare, "dense", refuse)
+        looped = []
+        row = HGPAShare.row
+
+        def spy(share, u, collect_stats):
+            looped.append(u)
+            return row(share, u, collect_stats)
+
+        assert HGPAShare.dense is HubShare.dense
         monkeypatch.setattr(HGPAShare, "sparse", refuse)
-        nodes = np.random.default_rng(5).integers(0, hgpa_small.graph.num_nodes, 64)
+        monkeypatch.setattr(HGPAShare, "row", spy)
+        nodes = np.random.default_rng(5).integers(0, hgpa_small.graph.num_nodes, 300)
         for size in range(2, 64):
-            hgpa_small.query_many(nodes[:size])
             hgpa_small.query_many_sparse(nodes[:size], collect_stats=False)
+        for size in (0, 1, 2, 63, 64, 300):
+            looped.clear()
+            hgpa_small.query_many(nodes[:size])
+            assert looped == nodes[:size].tolist()
         for size in (0, 64):  # empty batches stay on the body path
-            for verb in (hgpa_small.query_many, hgpa_small.query_many_sparse):
-                with pytest.raises(AssertionError, match=f"ran {size} rows"):
-                    verb(nodes[:size])
+            with pytest.raises(AssertionError, match=f"ran {size} rows"):
+                hgpa_small.query_many_sparse(nodes[:size])
 
     def test_gpa_runs_its_bodies_from_two_rows(self, gpa_small, monkeypatch):
         entered = []
