@@ -28,8 +28,16 @@ from about 32 rows — 64 sits between the two sizes.  GPA's dense body wins
 from a few rows up to 64 (at 256 the loop ties it), its sparse body from
 about 64.  The full-scale run
 asserts the premise of HGPA's constant — its 16-row sparse loop beats the
-sparse body.  Smoke mode (``REPRO_SMOKE=1``) asserts only the bitwise
-equality.
+sparse body — from its own timing: the two run in alternating rounds and
+the best of each is compared (the sparse row's ``premise`` in the JSON
+and a table note), since at 10× the medians of separate samples sit
+inside the noise.  Timed that way the premise holds at 1× and fails at
+10×, where the body wins at 16 rows (ROADMAP item 18); a failing run has
+already written its tables.  Smoke mode (``REPRO_SMOKE=1``) asserts only
+the bitwise equality.
+
+Each run merges into the committed JSON and table by ``(index, form)``:
+``-k hgpa`` replaces the HGPA rows and keeps the GPA rows as recorded.
 
 ``REPRO_SCALE=10 ... -k hgpa`` measures the 40 000-node point (about four
 minutes to build); a non-unit scale writes ``results/batch_rows_x<scale>``.
@@ -57,6 +65,7 @@ SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 SCALE = datasets.scale_factor()
 SIZES = (2, 4, 8, 16, 32, 64, 256)
 BATCHES = 2 if SMOKE else 7
+PREMISE_ROUNDS = 7
 PRUNE = 1e-3
 PARTS = 8
 STEM = "batch_rows" if SCALE == 1 else f"batch_rows_x{SCALE:g}"
@@ -91,10 +100,11 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def _measure(share, n: int, sparse: bool, rng) -> list[dict]:
+def _paths(share, n: int, sparse: bool):
+    """``(body, loop)`` of one result form; ``body`` is None when the
+    family has no such body (HGPA's dense form is the loop)."""
     loop_share = copy.copy(share)
     loop_share.ROW_LOOP_BELOW = sys.maxsize
-    has_body = sparse or type(share).dense is not HubShare.dense
 
     def body(nodes):
         if sparse:
@@ -104,6 +114,27 @@ def _measure(share, n: int, sparse: bool, rng) -> list[dict]:
     def loop(nodes):
         return loop_share.evaluate(nodes, sparse=sparse, collect_stats=False)[0]
 
+    has_body = sparse or type(share).dense is not HubShare.dense
+    return (body if has_body else None), loop
+
+
+def _premise(share, n: int, rng, size: int = 16) -> dict:
+    """HGPA's sparse loop against its sparse body at ``size`` rows, timed
+    in alternating rounds (a fresh batch per round, one call of each) and
+    kept as the best of each, so a slow moment hits both sides alike."""
+    body, loop = _paths(share, n, True)
+    best_body = best_loop = np.inf
+    for _ in range(PREMISE_ROUNDS):
+        nodes = rng.integers(0, n, size)
+        assert _same(loop(nodes), body(nodes))  # untimed: lazy level stacking
+        best_body = min(best_body, _timed(lambda: body(nodes)) / size * 1e6)
+        best_loop = min(best_loop, _timed(lambda: loop(nodes)) / size * 1e6)
+    return {"rows": size, "body_us_per_row": best_body, "loop_us_per_row": best_loop}
+
+
+def _measure(share, n: int, sparse: bool, rng) -> list[dict]:
+    body, loop = _paths(share, n, sparse)
+    has_body = body is not None
     cells = []
     for size in SIZES:
         body_us, loop_us = [], []
@@ -129,14 +160,26 @@ def _us(value: float | None) -> str:
     return "—" if value is None else f"{value:.0f}"
 
 
+def _merged_rows() -> list[dict]:
+    """The committed rows of this file's JSON, each ``(index, form)``
+    measured by this run replaced (or appended) — so ``-k hgpa`` keeps
+    the GPA rows of the last full run, and vice versa."""
+    out = result_path(f"BENCH_{STEM}", ".json")
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"] if out.exists() else []
+    fresh = {(r["index"], r["form"]): r for r in ROWS}
+    merged = [fresh.pop((r["index"], r["form"]), r) for r in rows]
+    return merged + list(fresh.values())
+
+
 def _emit() -> None:
+    rows = _merged_rows()
     table = ExperimentTable(
         STEM.replace("_", " ").title(),
         "µs per row, batch body / loop of row (median of "
         f"{BATCHES} random batches)",
         ["index", "form", "switch at", *(f"{s} rows" for s in SIZES)],
     )
-    for row in ROWS:
+    for row in rows:
         table.add(
             row["index"],
             row["form"],
@@ -155,6 +198,14 @@ def _emit() -> None:
         "switch at = the family's ROW_LOOP_BELOW: batches with fewer rows "
         "run the loop"
     )
+    for row in rows:
+        if "premise" in row:
+            p = row["premise"]
+            table.note(
+                f"premise, {row['index']} {row['form']}, {p['rows']} rows, best of "
+                f"{PREMISE_ROUNDS} alternating rounds: body {p['body_us_per_row']:.0f}"
+                f" / loop {p['loop_us_per_row']:.0f}"
+            )
     table.note(
         f"environment: {'smoke' if SMOKE else 'full'} scale, "
         f"REPRO_SCALE={SCALE:g}, nproc={ENVIRONMENT['cpu_count']}, "
@@ -163,7 +214,7 @@ def _emit() -> None:
     )
     table.emit()
     out = result_path(f"BENCH_{STEM}", ".json")
-    payload = {**ENVIRONMENT, "sizes": list(SIZES), "batches": BATCHES, "rows": ROWS}
+    payload = {**ENVIRONMENT, "sizes": list(SIZES), "batches": BATCHES, "rows": rows}
     out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
 
@@ -177,19 +228,20 @@ def test_batch_rows(family):
     share = index._share()
     label = f"{family.upper()} web ({graph.num_nodes} nodes)"
     rng = np.random.default_rng(7)
-    measured = {}
     for form in ("sparse", "dense"):
-        measured[form] = _measure(share, graph.num_nodes, form == "sparse", rng)
         ROWS.append(
             {
                 "index": label,
                 "form": form,
                 "row_loop_below": share.ROW_LOOP_BELOW,
                 "build_s": build_s,
-                "cells": measured[form],
+                "cells": _measure(share, graph.num_nodes, form == "sparse", rng),
             }
         )
-    _emit()
+    premise = None
     if family == "hgpa" and not SMOKE:
-        at16 = next(c for c in measured["sparse"] if c["rows"] == 16)
-        assert at16["loop_us_per_row"] < at16["body_us_per_row"], at16
+        premise = _premise(share, graph.num_nodes, rng)
+        ROWS[-2]["premise"] = premise  # the sparse row
+    _emit()
+    if premise is not None:
+        assert premise["loop_us_per_row"] < premise["body_us_per_row"], premise

@@ -43,10 +43,12 @@ without timing flakiness.
 
 import json
 import os
+import platform
 import time
 import tracemalloc
 
 import numpy as np
+import scipy
 
 from repro.bench import (
     ExperimentTable,
@@ -56,6 +58,7 @@ from repro.bench import (
     result_path,
     zipf_stream,
 )
+from repro.core.flat_index import topk_rows, topk_rows_reference
 
 SMOKE = os.environ.get("REPRO_SMOKE") == "1"
 BATCH = 256
@@ -64,6 +67,15 @@ REPEAT = 2 if SMOKE else 7
 HGPA_CONFIG = ("web", 1e-3) if SMOKE else ("pld_full", 2e-3)
 GPA_CONFIG = ("email", 1e-3) if SMOKE else ("web", 1e-3)
 GPA_PARTS = 4 if SMOKE else 8
+TOPK_K = 10
+ENVIRONMENT = {
+    "smoke": SMOKE,
+    "cpu_count": os.cpu_count(),
+    "python": platform.python_version(),
+    "numpy": np.__version__,
+    "scipy": scipy.__version__,
+    **kernel_backend_info(),
+}
 
 
 def _best_wall(fn, repeat=REPEAT) -> float:
@@ -83,6 +95,16 @@ def _alternating(fn_a, fn_b, rounds=REPEAT) -> tuple[float, float]:
         best_a = min(best_a, _best_wall(fn_a, 1))
         best_b = min(best_b, _best_wall(fn_b, 1))
     return best_a, best_b
+
+
+def _write_json(fields: dict) -> None:
+    """Merge ``fields`` into the bench's JSON, keeping what the other
+    test of this file wrote there."""
+    out = result_path("BENCH_sparse_queries", ".json")
+    payload = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    payload.update(fields)
+    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
 
 
 def _peak_bytes(fn) -> int:
@@ -199,9 +221,7 @@ def test_sparse_query_pipeline():
         **kernel_backend_info(),
         "rows": rows,
     }
-    out = result_path("BENCH_sparse_queries", ".json")
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {out}")
+    _write_json(payload)
 
     hgpa_row, gpa_row = rows
     if SMOKE:
@@ -223,3 +243,57 @@ def test_sparse_query_pipeline():
         )
         assert gpa_row["sparse_batch_ms"] < gpa_row["dense_batch_ms"]
         assert gpa_row["peak_ratio"] >= 2.0
+
+
+def test_topk_costs_less_than_its_rows():
+    """ROADMAP item 8's loser row: the k-cut of a 256-row GPA block must
+    cost less than the engine's ``query_many`` producing those rows.
+
+    A test of its own, so the GPA gate above (item 19) cannot stop it.
+    Both sides run in alternating rounds, best of each.
+    """
+    gpa_ds, gpa_prune = GPA_CONFIG
+    index = gpa_index(gpa_ds, GPA_PARTS, prune=gpa_prune)
+    queries = zipf_stream(index.graph.num_nodes, BATCH, seed=11)
+    rows, _ = index.query_many(queries, collect_stats=False)
+    ids, scores = topk_rows(rows, TOPK_K)
+    ref_ids, ref_scores = topk_rows_reference(rows, TOPK_K)
+    assert np.array_equal(ids, ref_ids) and np.array_equal(scores, ref_scores)
+    rows_s, topk_s = _alternating(
+        lambda: index.query_many(queries, collect_stats=False),
+        lambda: topk_rows(rows, TOPK_K),
+    )
+    row = {
+        "engine": f"GPA ({gpa_ds}, prune={gpa_prune:g})",
+        "n": int(index.graph.num_nodes),
+        "batch": int(queries.size),
+        "k": TOPK_K,
+        "rows_ms": rows_s * 1e3,
+        "topk_ms": topk_s * 1e3,
+        "environment": ENVIRONMENT,
+    }
+    table = ExperimentTable(
+        "Sparse Queries Topk",
+        "top-k of a GPA block against the rows it cuts: ms per block",
+        ["engine", "rows", "k", "query_many", "topk_rows", "topk / rows"],
+    )
+    table.add(
+        row["engine"],
+        row["batch"],
+        TOPK_K,
+        round(row["rows_ms"], 2),
+        round(row["topk_ms"], 2),
+        round(topk_s / rows_s, 2),
+    )
+    table.note(
+        f"best of {REPEAT} alternating rounds, collect_stats=False; "
+        f"environment: {'smoke' if SMOKE else 'full'} scale, "
+        f"nproc={ENVIRONMENT['cpu_count']}, Python {ENVIRONMENT['python']}, "
+        f"numpy {ENVIRONMENT['numpy']}, scipy {ENVIRONMENT['scipy']}"
+    )
+    table.emit()
+    _write_json({"topk": row})
+    if not SMOKE:
+        assert topk_s < rows_s, (
+            f"top-k {topk_s * 1e3:.2f} ms not below its rows {rows_s * 1e3:.2f} ms"
+        )

@@ -28,6 +28,9 @@ import scipy.sparse as sp
 
 from repro.core.decomposition import as_view, partial_vectors, skeleton_columns
 from repro.core.sparse_ops import (
+    _select_topk,
+    _span_candidates,
+    _threshold_cut,
     finalize_csr,
     point_matrix,
     sparse_add,
@@ -169,63 +172,30 @@ def run_in_batches(
 
 
 def topk_rows(
-    dense: np.ndarray,
-    k: int,
-    *,
-    threshold: float | None = None,
+    dense: np.ndarray, k: int, *, threshold: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row top-k of a ``(rows, n)`` matrix: ``(ids, scores)`` pairs.
 
     One batched selection over the whole chunk, preserving the
     :func:`repro.metrics.top_k_nodes` tie contract exactly (best first,
-    ties by smaller id, also at the k boundary, so the result is
-    deterministic even on vectors full of equal entries, e.g. pruned
-    PPVs' exact zeros — :func:`topk_rows_reference` is the per-row
-    oracle).  ``k`` is clamped to the row length.
+    ties by smaller id, also at the k boundary — :func:`topk_rows_reference`
+    is the per-row oracle).  ``k`` is clamped to the row length.
 
-    The chunk-wide evaluation: one ``argpartition`` finds each row's kth
-    score; entries strictly above it are in by value, and the tied group
-    at the boundary is resolved by a cumulative count over ascending
-    ids — exactly the smallest tied ids fill the remaining slots.  A
-    final stable sort of the k selected columns per row (descending
-    score; stability keeps the ascending-id tie order) yields the
-    contract ordering without any per-row Python.
+    Each row is cut into spans of ``TOPK_SPAN`` (32) columns, and its
+    *floor* is the kth largest span maximum, a lower bound on its kth
+    score.  The candidates are the entries at or above the floor — a few
+    dozen per PPV row, every boundary tie included — and one ``lexsort``
+    by ``(row, −score, id)`` takes each row's first k of them.
 
-    ``threshold`` drops entries with ``score <= threshold`` before the
-    k-cut; the arrays keep their ``(rows, k)`` shape, with surviving
-    entries as a prefix and the tail padded with id ``-1`` / score
-    ``0.0``.  (Because scores are sorted descending, dropping the weak
-    entries first and cutting at ``k`` leaves exactly that prefix.)
+    ``threshold`` drops entries with ``score <= threshold``; the arrays
+    keep their ``(rows, k)`` shape, with surviving entries as a prefix and
+    the tail padded with id ``-1`` / score ``0.0``.
     """
     rows, n = dense.shape
-    k = min(k, n)
-    if k <= 0 or rows == 0:
-        return (
-            np.empty((rows, max(k, 0)), dtype=np.int64),
-            np.empty((rows, max(k, 0))),
-        )
-    part = np.argpartition(-dense, k - 1, axis=1)
-    kth = np.take_along_axis(dense, part[:, k - 1 : k], axis=1)
-    greater = dense > kth
-    num_greater = greater.sum(axis=1, keepdims=True)
-    tied = dense == kth
-    # Among the tied group, the smallest ids take the remaining slots.
-    # (int32 cumsum: counts are bounded by n < 2^31, and the temporary is
-    # the largest allocation here — half the footprint of the default.)
-    take_tied = tied & (
-        np.cumsum(tied, axis=1, dtype=np.int32) <= (k - num_greater)
-    )
-    sel = greater | take_tied  # exactly k True per row
-    cols = np.nonzero(sel)[1].reshape(rows, k)  # ascending ids per row
-    vals = np.take_along_axis(dense, cols, axis=1)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    ids = np.take_along_axis(cols, order, axis=1)
-    scores = np.take_along_axis(vals, order, axis=1)
-    if threshold is not None:
-        dropped = scores <= threshold
-        ids[dropped] = -1
-        scores[dropped] = 0.0
-    return ids, scores
+    k = max(0, min(k, n))
+    vals = dense.ravel()
+    row, pos = _span_candidates(vals, np.arange(rows + 1) * n, k)
+    return _select_topk((rows, k), (row, pos - row * n, vals[pos]), threshold)
 
 
 def topk_rows_reference(
@@ -234,22 +204,13 @@ def topk_rows_reference(
     """Row-by-row :func:`repro.metrics.top_k_nodes` — the pre-vectorised
     implementation, kept as the correctness oracle for :func:`topk_rows`."""
     rows, n = dense.shape
-    k = min(k, n)
-    if k <= 0 or rows == 0:
-        return (
-            np.empty((rows, max(k, 0)), dtype=np.int64),
-            np.empty((rows, max(k, 0))),
-        )
+    k = max(0, min(k, n))
     ids = np.empty((rows, k), dtype=np.int64)
     scores = np.empty((rows, k))
     for r in range(rows):
         ids[r] = top_k_nodes(dense[r], k)
         scores[r] = dense[r][ids[r]]
-    if threshold is not None:
-        dropped = scores <= threshold
-        ids[dropped] = -1
-        scores[dropped] = 0.0
-    return ids, scores
+    return _threshold_cut(ids, scores, threshold)
 
 
 def topk_in_batches(
@@ -262,16 +223,12 @@ def topk_in_batches(
 ) -> tuple[np.ndarray, np.ndarray, list[Any]]:
     """Chunked top-k reduction over a ``query_many``-style callable.
 
-    Evaluates ``batch`` queries at a time and reduces each chunk to its
-    per-row top-k immediately, so the full ``(len(nodes), n)`` matrix
-    is never materialised — only the ``(len(nodes), k)`` ids/scores and
-    one chunk live at once.  This is the shared engine behind every
-    index family's ``query_many_topk`` and the serving adapters for the
-    distributed runtimes.  A ``query_many_fn`` returning a *sparse*
-    chunk (a ``query_many_sparse`` path) is reduced with the exact
-    sparse top-k instead — no dense chunk is ever built.  ``threshold``
-    applies the :func:`topk_rows` score cut (``score <= threshold``
-    dropped, tail padded with id ``-1`` / score ``0.0``).
+    Evaluates ``batch`` queries at a time and cuts each chunk to its
+    per-row top-k at once — :func:`topk_rows`, or :func:`topk_rows_sparse`
+    for a CSR chunk, both selecting among span-floor candidates — so only
+    one chunk and the ``(len(nodes), k)`` ids/scores ever live.  This is
+    every engine's ``query_many_topk`` and each shard's top-k;
+    ``threshold`` applies the :func:`topk_rows` score cut.
     """
     if k <= 0:
         raise QueryError("k must be positive")

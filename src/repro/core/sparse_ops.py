@@ -248,54 +248,95 @@ def row_sparsevec(mat: sp.csr_matrix, row: int) -> SparseVec:
     )
 
 
-def topk_rows_sparse(
-    mat: sp.spmatrix,
-    k: int,
-    *,
-    threshold: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row top-k of a sparse ``(rows, n)`` matrix — exact mirror of
-    the dense :func:`repro.core.flat_index.topk_rows` contract.
+#: Entries per span of the top-k floor: dense columns, or CSR stored entries.
+TOPK_SPAN = 32
 
-    Candidates per row are the stored entries plus the ``k`` smallest
-    *absent* ids (implicit zeros): any other absent id is preceded by
-    ``k`` equal-scored candidates with smaller ids, so it can never make
-    the top-k under the tie rule (best first, ties by smaller id, also
-    at the k boundary).  The chunk is never densified.
+
+def _span_candidates(
+    vals: np.ndarray, indptr: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, position)`` of the entries of ``vals`` that can enter their
+    row's top-k, row ``r`` owning ``vals[indptr[r]:indptr[r + 1]]``.
+
+    A row's *floor* is the kth largest maximum of its :data:`TOPK_SPAN`
+    -entry spans: the k best spans each hold a distinct entry at or above
+    it, so the row's kth score is no lower, and the entries at or above
+    the floor (all inside spans whose maximum is too) include every entry
+    of the top-k, boundary ties too.  Fewer than k spans: floor ``-inf``.
     """
-    mat = mat.tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    rows, n = mat.shape
-    k = min(k, n)
-    if k <= 0 or rows == 0:
-        return (
-            np.empty((rows, max(k, 0)), dtype=np.int64),
-            np.empty((rows, max(k, 0))),
-        )
-    ids = np.empty((rows, k), dtype=np.int64)
-    scores = np.empty((rows, k))
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
-    for r in range(rows):
-        lo, hi = indptr[r], indptr[r + 1]
-        idx = indices[lo:hi].astype(np.int64)
-        val = data[lo:hi]
-        limit = min(n, (hi - lo) + k)
-        missing = np.setdiff1d(
-            np.arange(limit, dtype=np.int64),
-            idx[idx < limit],
-            assume_unique=True,
-        )[:k]
-        cand_ids = np.concatenate([idx, missing])
-        cand_vals = np.concatenate([val, np.zeros(missing.size)])
-        order = np.lexsort((cand_ids, -cand_vals))[:k]
-        ids[r] = cand_ids[order]
-        scores[r] = cand_vals[order]
+    rows = indptr.size - 1
+    nspans = -(-np.diff(indptr) // TOPK_SPAN)
+    width = int(nspans.max(initial=0))
+    if k <= 0 or width == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    valid = np.arange(width) < nspans[:, None]
+    starts = indptr[:-1, None] + np.arange(width) * TOPK_SPAN
+    grid = np.full((rows, width), -np.inf)
+    grid[valid] = np.maximum.reduceat(vals, starts[valid])
+    floor = np.full(rows, -np.inf)
+    if width >= k:
+        floor = np.partition(grid, width - k, axis=1)[:, width - k]
+    row, span = np.nonzero((grid >= floor[:, None]) & valid)
+    pos = starts[row, span][:, None] + np.arange(TOPK_SPAN)
+    keep = pos < indptr[row + 1, None]
+    keep &= np.take(vals, pos, mode="clip") >= floor[row, None]
+    return np.broadcast_to(row[:, None], pos.shape)[keep], pos[keep]
+
+
+def _select_topk(
+    shape: tuple[int, int], cands: tuple[np.ndarray, ...], threshold: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first ``k`` candidates ``(row, id, score)`` by ``(row,
+    -score, id)``, as ``shape = (rows, k)`` ids and scores (every row
+    holds ``k`` candidates), then the :func:`_threshold_cut`."""
+    row, ids, scores = cands
+    order = np.lexsort((ids, -scores, row))
+    first = np.searchsorted(row[order], np.arange(shape[0]))
+    pick = order[first[:, None] + np.arange(shape[1])]
+    return _threshold_cut(ids[pick], scores[pick], threshold)
+
+
+def _threshold_cut(
+    ids: np.ndarray, scores: np.ndarray, threshold: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blank entries with ``score <= threshold`` to id ``-1`` / score
+    ``0.0`` in place; scores are sorted, so the survivors stay a prefix."""
     if threshold is not None:
         dropped = scores <= threshold
         ids[dropped] = -1
         scores[dropped] = 0.0
     return ids, scores
+
+
+def topk_rows_sparse(
+    mat: sp.spmatrix, k: int, *, threshold: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row top-k of a sparse ``(rows, n)`` matrix — exact mirror of
+    the dense :func:`repro.core.flat_index.topk_rows` contract, without
+    densifying the chunk.
+
+    Candidates are the stored entries at or above each row's span floor
+    (:func:`_span_candidates`).  A row with fewer than ``k`` positive
+    stored entries also takes its ``k`` smallest *absent* ids at score
+    ``0.0`` (any other absent id is preceded by ``k`` equal-scored
+    candidates with smaller ids); only those rows run a Python loop.
+    """
+    mat = mat.tocsr()
+    mat.sum_duplicates()
+    rows, n = mat.shape
+    k = max(0, min(k, n))
+    indptr = mat.indptr.astype(np.int64)
+    data = mat.data[: indptr[-1]]
+    row, pos = _span_candidates(data, indptr, k)
+    parts = [(row, mat.indices[pos].astype(np.int64), data[pos])]
+    positive = np.concatenate(([0], np.cumsum(data > 0)))
+    for r in np.flatnonzero(positive[indptr[1:]] - positive[indptr[:-1]] < k):
+        idx = mat.indices[indptr[r] : indptr[r + 1]]
+        limit = min(n, idx.size + k)
+        missing = np.setdiff1d(np.arange(limit), idx[idx < limit])[:k]
+        parts.append((np.full(missing.size, r), missing, np.zeros(missing.size)))
+    cands = tuple(np.concatenate(p) for p in zip(*parts))
+    return _select_topk((rows, k), cands, threshold)
 
 
 def sparse_in_batches(

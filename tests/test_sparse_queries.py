@@ -507,17 +507,23 @@ def test_spgemm_scaled_is_sorted_and_equals_the_dense_product():
 # ----------------------------------------------------------------------
 class TestTopkRowsVectorised:
     def _random_matrices(self):
+        # Widths up to ~600 (most not a multiple of the 32-entry span) and
+        # k both below and above the span count n / 32, so the span floor
+        # cuts on some matrices and is -inf on others.
         rng = np.random.default_rng(42)
         for trial in range(60):
             rows = int(rng.integers(1, 9))
-            n = int(rng.integers(1, 50))
+            n = int(rng.integers(1, 50) if trial % 3 == 0 else rng.integers(50, 620))
             dense = np.where(
                 rng.random((rows, n)) < 0.4, rng.random((rows, n)), 0.0
             )
             if trial % 4 == 0:
                 # Heavy ties: quantised scores, including negatives.
                 dense = np.round(dense, 1) - (trial % 8 == 0) * 0.05
-            k = int(rng.integers(1, n + 3))
+            if trial % 2:
+                k = int(rng.integers(1, max(2, n // 32)))
+            else:
+                k = int(rng.integers(max(1, n // 32), n + 3))
             threshold = None if trial % 3 else 0.25
             yield dense, k, threshold
 
