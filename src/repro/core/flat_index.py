@@ -18,10 +18,13 @@ subgraph — the space win of Section 3.2.
 
 from __future__ import annotations
 
+import ctypes
 import time
+from collections import deque
 from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -68,15 +71,26 @@ __all__ = [
     "topk_rows",
     "topk_rows_reference",
     "topk_in_batches",
-    "build_vectors",
+    "Solve",
+    "run_solves",
+    "flat_solves",
 ]
 
 DEFAULT_BATCH = 256
 
+SOLVER_THREADS = 2
+"""Threads one :func:`run_solves` call solves on."""
+
 BUILD_BATCH = 128
-"""Columns one precompute solve iterates at once.  Per-column results do
-not depend on how columns are grouped, so the width only bounds memory: a
-solve keeps a handful of dense ``(n, batch)`` blocks alive."""
+"""Precompute columns in flight.  :func:`run_solves` keeps one chunk of
+``BUILD_BATCH // SOLVER_THREADS`` (64) columns in flight on each of its
+``SOLVER_THREADS`` (2) threads, so live solver memory is what one
+128-column solve held: a handful of dense ``(n, 64)`` blocks per thread.
+Columns do not depend on their grouping, so the width only bounds memory."""
+
+_mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # glibc only
+if _mallopt is not None:
+    _mallopt.argtypes, _mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
 
 
 @dataclass
@@ -776,52 +790,109 @@ class FlatPPVIndex(Servable):
         return sum(v.nnz for store in stores for v in store.values())
 
 
-def build_vectors(
-    index: Any,
-    kind: str,
-    store: dict[int, SparseVec],
-    view: VirtualSubgraph,
-    sources: np.ndarray,
-    hub_local: np.ndarray | None = None,
-    *,
-    adjust: bool = False,
-    batch: int = BUILD_BATCH,
-) -> None:
-    """Solve, sparsify and store one vector per node of ``sources`` on ``view``.
+class Solve(NamedTuple):
+    """A vector per node of ``sources``, solved on ``view`` into ``store``:
+    skeleton columns without ``hub_local``, else partial vectors blocked
+    by those local hub ids (empty = local PPVs), stored as
+    ``P_h = p_h − α·x_h`` when ``adjust``."""
+
+    kind: str
+    store: dict[int, SparseVec]
+    view: VirtualSubgraph
+    sources: np.ndarray
+    hub_local: np.ndarray | None = None
+    adjust: bool = False
+
+
+def _solve_chunk(
+    index: Any, solve: Solve, sources: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """The columns of ``sources`` and each one's thread CPU seconds."""
+    view, alpha, tol = solve.view, index.alpha, index.tol
+    chunk = np.asarray(view.to_local(sources), dtype=np.int64)
+    t0 = time.thread_time()
+    if solve.hub_local is None:
+        cols = skeleton_columns(view, chunk, alpha=alpha, tol=tol, per_column=True)
+    else:
+        cols = partial_vectors(
+            view, solve.hub_local, chunk, alpha=alpha, tol=tol, per_column=True
+        )[0]
+    per_col = (time.thread_time() - t0) / chunk.size
+    if solve.adjust:
+        cols[chunk, np.arange(chunk.size)] -= index.alpha
+    return cols, per_col
+
+
+def run_solves(index: Any, solves: Sequence[Solve], batch: int = BUILD_BATCH) -> None:
+    """Run one build's or update's plan on ``SOLVER_THREADS`` threads,
+    storing every vector strictly in plan order.
 
     The one precompute loop of every index family (an object with
-    ``alpha``/``tol``/``prune``/``build_cost``), full builds
-    and incremental updates alike.  Without ``hub_local`` the vectors are
-    skeleton columns ``s_·(h)``; with it, partial vectors blocked by those
-    local hub ids (empty = full local PPVs), stored as ``P_h = p_h − α·x_h``
-    when ``adjust``.  Each goes to ``store[u]`` with its share of the solve
-    time under ``index.build_cost[(kind, u)]``.  Solvers run in per-column
-    convergence mode, so the vectors are independent of ``batch`` —
-    recomputing any subset reproduces a full rebuild exactly.
+    ``alpha``/``tol``/``prune``/``build_cost``).  Each solve is cut into
+    chunks of ``batch // SOLVER_THREADS`` columns, one chunk per thread in
+    flight: the sparse products and ufuncs release the GIL for most of
+    their work.  Columns converge one by one, so no vector depends on the
+    chunks or the threads; recomputing any subset reproduces a full
+    rebuild exactly.  ``build_cost[(kind, u)]`` is ``u``'s share of its
+    chunk's thread CPU seconds: one solve's cost, whatever ran beside it.
+    The executor lives for this call only: no thread outlives a plan, and
+    a forked pool worker inherits none.
     """
-    local = np.asarray(view.to_local(sources), dtype=np.int64)
-    for lo in range(0, sources.size, batch):
-        chunk = local[lo : lo + batch]
-        t0 = time.perf_counter()
-        if hub_local is None:
-            cols = skeleton_columns(
-                view, chunk, alpha=index.alpha, tol=index.tol, per_column=True
-            )
-        else:
-            cols, _ = partial_vectors(
-                view, hub_local, chunk,
-                alpha=index.alpha, tol=index.tol, per_column=True,
-            )
-        per_col = (time.perf_counter() - t0) / chunk.size
-        if adjust:
-            cols[chunk, np.arange(chunk.size)] -= index.alpha
-        for j, u in enumerate(sources[lo : lo + batch].tolist()):
-            col = cols[:, j]
+    width = max(1, batch // SOLVER_THREADS)
+    if _mallopt is not None:
+        # One malloc arena for all threads: serving reuses what solves free, as
+        # with one thread (own arenas put e2e process_fanout peak RSS 17-33% up).
+        _mallopt(-8, 1)  # M_ARENA_MAX
+    for s in solves:  # lazy operators, built before two threads race for one
+        if s.sources.size:
+            (s.view.transition if s.hub_local is None else s.view.transition_T)()
+
+    def store(solve: Solve, sources: np.ndarray, future: Future[Any]) -> None:
+        cols, per_col = future.result()
+        for u, col in zip(sources.tolist(), cols.T):
             keep = np.nonzero(np.abs(col) > index.prune)[0]
-            store[u] = SparseVec(view.nodes[keep], col[keep], _trusted=True)
-            index.build_cost[(kind, u)] = per_col
+            solve.store[u] = SparseVec(solve.view.nodes[keep], col[keep], _trusted=True)
+            index.build_cost[(solve.kind, u)] = per_col
+
+    with ThreadPoolExecutor(SOLVER_THREADS) as pool:
+        pending: deque[tuple[Solve, np.ndarray, Future[Any]]] = deque()
+        for s in solves:
+            for lo in range(0, s.sources.size, width):
+                part = s.sources[lo : lo + width]
+                pending.append((s, part, pool.submit(_solve_chunk, index, s, part)))
+                if len(pending) == SOLVER_THREADS:
+                    store(*pending.popleft())
+        for item in pending:
+            store(*item)
+    # glibc's mmap threshold rises to the largest block freed; a one-thread
+    # solve of ``batch`` columns left it there, keeping MB-sized serving blocks
+    # off mmap (below it e2e distributed_wire page-faulted ~500 000 times a
+    # run, qps 0.6-0.85x).  One untouched block puts it back at no RSS.
+    np.empty(max([s.view.num_nodes * min(s.sources.size, batch) for s in solves] + [0]))
 
 
-def full_view(graph: DiGraph) -> VirtualSubgraph:
-    """The whole graph as a view (identity local/global mapping)."""
-    return as_view(graph)
+def flat_solves(
+    index: FlatPPVIndex, hub_src: np.ndarray, skel_src: np.ndarray, part_src: np.ndarray
+) -> list[Solve]:
+    """The plan that (re)solves these hub partials, skeleton columns and
+    node partials of a flat index: a build is an update in which every
+    source is stale.  A GPA part's node partials are local PPVs of its
+    virtual subgraph extended with the blocking hubs (Theorem 2); every
+    other vector lives on the whole graph.
+    """
+    graph, hubs = index.graph, index.hubs
+    whole = as_view(graph)
+    solves = [
+        Solve("hub", index.hub_partials, whole, hub_src, hubs, True),
+        Solve("skel", index.skeleton_cols, whole, skel_src),
+    ]
+    partition = getattr(index, "partition", None)
+    if partition is None:
+        return solves + [Solve("part", index.node_partials, whole, part_src, hubs)]
+    for nodes in partition.part_nodes:
+        mine = np.intersect1d(part_src, nodes)
+        if mine.size:
+            view = VirtualSubgraph(graph, np.concatenate([nodes, hubs]))
+            local = np.asarray(view.to_local(hubs), dtype=np.int64)
+            solves.append(Solve("part", index.node_partials, view, mine, local))
+    return solves

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flat_index import FlatPPVIndex, build_vectors, full_view
+from repro.core.flat_index import FlatPPVIndex, flat_solves, run_solves
 from repro.errors import IndexBuildError
 from repro.graph.digraph import DiGraph
-from repro.graph.subgraph import VirtualSubgraph
 from repro.partition.flat import FlatPartition, flat_partition
 
 __all__ = ["GPAIndex", "build_gpa_index"]
@@ -62,27 +61,6 @@ def build_gpa_index(
         hubs=partition.hubs,
         partition=partition,
     )
-    # Hub partial vectors and skeleton columns live on the whole graph: a
-    # hub's neighbourhood spans the subgraphs it bridges, and skeleton
-    # values s_u(h) are global PPV entries.
-    whole = full_view(graph)
-    build_vectors(
-        index, "hub", index.hub_partials, whole, index.hubs, index.hubs,
-        adjust=True,
-    )
-    build_vectors(index, "skel", index.skeleton_cols, whole, index.hubs)
-    # Non-hub partial vectors are local PPVs of each part's virtual
-    # subgraph (Theorem 2) plus first-passage deposits at the bridging
-    # hubs, so each part's view is extended with the hub set (blocked):
-    # walk mass stays inside the part until it freezes on a hub.
-    for part_nodes in partition.part_nodes:
-        if part_nodes.size == 0:
-            continue
-        view = VirtualSubgraph(
-            graph, np.concatenate([part_nodes, partition.hubs])
-        )
-        hub_local = np.asarray(view.to_local(partition.hubs), dtype=np.int64)
-        build_vectors(
-            index, "part", index.node_partials, view, part_nodes, hub_local
-        )
+    non_hubs = np.setdiff1d(np.arange(graph.num_nodes), partition.hubs)
+    run_solves(index, flat_solves(index, index.hubs, index.hubs, non_hubs))
     return index

@@ -33,11 +33,12 @@ from repro.core.flat_index import (
     OwnLookup,
     QueryStats,
     Servable,
+    Solve,
     StackedOps,
-    build_vectors,
     csr_row_dense,
     find_sorted,
     query_stats,
+    run_solves,
     stack_ops,
 )
 from repro.core.sparse_ops import (
@@ -374,7 +375,8 @@ class HGPAIndex(Servable):
         return sum(v.nnz for store in stores for v in store.values())
 
     def offline_seconds(self) -> float:
-        """Total measured pre-computation work (all tasks, one machine)."""
+        """Total measured pre-computation work: the summed ``build_cost``,
+        solver-thread CPU seconds (the work, not a threaded build's wall)."""
         return float(sum(self.build_cost.values()))
 
 
@@ -472,27 +474,27 @@ def build_hgpa_index(
         tol=tol,
         prune=tol if prune is None else prune,
     )
-    for sg in hierarchy.subgraphs:
-        build_subgraph_vectors(index, sg)
+    plan = [s for sg in hierarchy.subgraphs for s in subgraph_solves(index, sg)]
+    run_solves(index, plan)
     return index
 
 
-def build_subgraph_vectors(index: HGPAIndex, sg: SubgraphNode) -> None:
-    """Every vector subgraph ``sg`` owns: hub side and, on a leaf, PPVs."""
+def subgraph_solves(index: HGPAIndex, sg: SubgraphNode) -> list[Solve]:
+    """The plan for every vector subgraph ``sg`` owns: hub side and, on a
+    leaf, PPVs."""
+    solves: list[Solve] = []
     if sg.hubs.size:
         view = index.hierarchy.view(sg.node_id)
         hub_local = np.asarray(view.to_local(sg.hubs), dtype=np.int64)
-        build_vectors(
-            index, "hub", index.hub_partials, view, sg.hubs, hub_local,
-            adjust=True,
-        )
-        build_vectors(index, "skel", index.skeleton_cols, view, sg.hubs)
+        solves += [
+            Solve("hub", index.hub_partials, view, sg.hubs, hub_local, True),
+            Solve("skel", index.skeleton_cols, view, sg.hubs),
+        ]
     if sg.is_leaf and sg.num_nodes:
         view = index.hierarchy.view(sg.node_id)
-        build_vectors(
-            index, "leaf", index.leaf_ppv, view, sg.nodes,
-            np.empty(0, dtype=np.int64),
-        )
+        empty = np.empty(0, dtype=np.int64)
+        solves.append(Solve("leaf", index.leaf_ppv, view, sg.nodes, empty))
+    return solves
 
 
 def build_hgpa_ad_index(graph: DiGraph, **kwargs: Any) -> HGPAIndex:

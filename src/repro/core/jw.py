@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.flat_index import (
-    BUILD_BATCH,
-    FlatPPVIndex,
-    build_vectors,
-    full_view,
-)
+from repro.core.flat_index import BUILD_BATCH, FlatPPVIndex, flat_solves, run_solves
 from repro.errors import IndexBuildError
 from repro.graph.analysis import top_pagerank_nodes
 from repro.graph.digraph import DiGraph
@@ -55,15 +50,6 @@ def build_jw_index(
         prune=tol,
         hubs=hubs,
     )
-    view = full_view(graph)
-    # Hub ids are local ids: the full view's mapping is the identity.
-    build_vectors(
-        index, "hub", index.hub_partials, view, hubs, hubs,
-        adjust=True, batch=batch,
-    )
-    build_vectors(index, "skel", index.skeleton_cols, view, hubs, batch=batch)
     non_hubs = np.setdiff1d(np.arange(graph.num_nodes, dtype=np.int64), hubs)
-    build_vectors(
-        index, "part", index.node_partials, view, non_hubs, hubs, batch=batch
-    )
+    run_solves(index, flat_solves(index, hubs, hubs, non_hubs), batch)
     return index

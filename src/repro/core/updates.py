@@ -76,11 +76,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flat_index import FlatPPVIndex, build_vectors, full_view
-from repro.core.hgpa import HGPAIndex, build_subgraph_vectors
+from repro.core.flat_index import FlatPPVIndex, flat_solves, run_solves
+from repro.core.hgpa import HGPAIndex, subgraph_solves
 from repro.errors import GraphError, UpdateError
 from repro.graph.digraph import DiGraph
-from repro.graph.subgraph import VirtualSubgraph
 from repro.partition.flat import FlatPartition
 from repro.partition.hierarchy import PartitionHierarchy, SubgraphNode
 
@@ -398,39 +397,11 @@ def _flat_update(
         stale_skels = np.union1d(stale_skels, [u])
         stale_parts = stale_parts[stale_parts != u]
 
-    view = full_view(new_graph)
-    build_vectors(
-        new_index, "hub", new_index.hub_partials, view, stale_hub_partials,
-        new_hubs, adjust=True,
-    )
-    build_vectors(new_index, "skel", new_index.skeleton_cols, view, stale_skels)
-    rebuilt: set[tuple[Any, ...]] = {("hub", int(h)) for h in stale_hub_partials.tolist()}
-    rebuilt |= {("skel", int(h)) for h in stale_skels.tolist()}
-
-    if stale_parts.size:
-        if new_partition is not None:
-            # Blocked paths cannot cross the separator, so every stale
-            # source lives in u's part — one confined view rebuild.
-            for nodes in new_partition.part_nodes:
-                mine = np.intersect1d(stale_parts, nodes)
-                if mine.size == 0:
-                    continue
-                pview = VirtualSubgraph(
-                    new_graph, np.concatenate([nodes, new_hubs])
-                )
-                hub_local = np.asarray(
-                    pview.to_local(new_hubs), dtype=np.int64
-                )
-                build_vectors(
-                    new_index, "part", new_index.node_partials, pview, mine,
-                    hub_local,
-                )
-        else:
-            build_vectors(
-                new_index, "part", new_index.node_partials, view, stale_parts,
-                new_hubs,
-            )
-        rebuilt |= {("part", int(w)) for w in stale_parts.tolist()}
+    # Blocked paths cannot cross a GPA separator, so every stale node
+    # partial lives in u's part: the plan re-solves one confined view.
+    plan = flat_solves(new_index, stale_hub_partials, stale_skels, stale_parts)
+    run_solves(new_index, plan)
+    rebuilt = {(s.kind, u) for s in plan for u in s.sources.tolist()}
 
     stats = UpdateStats(
         changed=True,
@@ -517,7 +488,6 @@ def _rebuild(
     )
     # Drop every stored vector owned by an affected subgraph (old layout),
     # plus explicitly invalidated keys (e.g. the promoted node's old role).
-    rebuilt_vectors = 0
     for sid in affected_ids:
         sg_old = old.hierarchy.subgraphs[sid]
         for h in sg_old.hubs.tolist():
@@ -532,33 +502,20 @@ def _rebuild(
     # the distributed runtimes' targeted re-deploy after vectors no
     # machine ever owned.
     present: set[tuple[Any, ...]] = set()
+    stores = dict(hub=index.hub_partials, skel=index.skeleton_cols, leaf=index.leaf_ppv)
     for kind, key in sorted(dropped_keys):
-        store = {
-            "hub": index.hub_partials,
-            "skel": index.skeleton_cols,
-            "leaf": index.leaf_ppv,
-        }[kind]
-        if store.pop(key, None) is not None:
+        if stores[kind].pop(key, None) is not None:
             present.add((kind, key))
         index.build_cost.pop((kind, key), None)
-    # Recompute the affected subgraphs against the new graph.
-    rebuilt_keys: set[tuple[Any, ...]] = set()
-    for sid in affected_ids:
-        sg = subgraphs[sid]
-        build_subgraph_vectors(index, sg)
-        rebuilt_vectors += 2 * sg.hubs.size
-        for h in sg.hubs.tolist():
-            rebuilt_keys.add(("hub", h))
-            rebuilt_keys.add(("skel", h))
-        if sg.is_leaf and sg.num_nodes:
-            rebuilt_vectors += sg.num_nodes
-            for node in sg.nodes.tolist():
-                rebuilt_keys.add(("leaf", node))
+    # Recompute the affected subgraphs against the new graph, one plan.
+    plan = [s for sid in affected_ids for s in subgraph_solves(index, subgraphs[sid])]
+    run_solves(index, plan)
+    rebuilt_keys = {(s.kind, u) for s in plan for u in s.sources.tolist()}
     stats = UpdateStats(
         changed=True,
         promoted_hub=promoted,
         rebuilt_subgraphs=len(affected_ids),
-        rebuilt_vectors=rebuilt_vectors,
+        rebuilt_vectors=sum(s.sources.size for s in plan),
         total_vectors=_stored_vectors(index),
         rebuilt_keys=frozenset(rebuilt_keys),
         dropped_keys=frozenset(present - rebuilt_keys),

@@ -28,6 +28,8 @@ class Machine:
     machine_id: int
     store: dict[StoreKey, SparseVec] = field(default_factory=dict)
     offline_seconds: float = 0.0
+    """Summed ``build_cost`` of the vectors it was given: solver-thread CPU
+    seconds, one solve's cost even while another solve ran beside it."""
     query_entries: int = 0
     query_seconds: float = 0.0
     wire_version: int = 1

@@ -608,8 +608,12 @@ class Shard:
                             continue
                         self.cache.put(u, unique_vecs[j])
             else:
-                rows = np.asarray(plan.miss_rows, dtype=np.int64)
-                plan.out[rows] = result[plan.inverse]
+                if len(plan.miss_rows) == plan.nodes.size:
+                    # One gather; mode="clip" (no index is out of range)
+                    # keeps take from buffering ``out`` in a second copy.
+                    np.take(result, plan.inverse, 0, plan.out, mode="clip")
+                else:
+                    plan.out[plan.miss_rows] = result[plan.inverse]
                 for i in plan.miss_rows:
                     plan.infos[i] = info
                 if self.cache is not None:

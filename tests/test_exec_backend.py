@@ -26,7 +26,7 @@ import pytest
 
 from repro import datasets
 from repro.core import build_gpa_index, build_hgpa_ad_index, build_hgpa_index
-from repro.core.updates import EdgeUpdate
+from repro.core.updates import EdgeUpdate, apply_edge_update
 from repro.distributed import DistributedGPA, DistributedHGPA
 from repro.errors import ExecutionError, ShardingError, WorkerDied
 from repro.exec import (
@@ -381,6 +381,21 @@ class TestRuntimeBitwise:
             if receipt.changed:
                 assert all(info.epoch == 1 for info in infos)
 
+
+    def test_pool_forked_after_threaded_solves_serves_the_index(self, gpa_small):
+        """A pool forked after a build and an update, both solved on
+        threads, serves the updated index's rows bit for bit."""
+        update = EdgeUpdate.insert(0, gpa_small.graph.num_nodes - 1)
+        index, receipt = apply_edge_update(gpa_small, update)
+        assert receipt.changed
+        nodes = _query_nodes(index.graph.num_nodes, size=16, seed=8)
+        with ProcessPoolBackend(2) as pool:
+            router = ShardRouter([[index, index]], backend=pool)
+            dense, _ = router.query_many(nodes)
+            assert np.array_equal(dense, index.query_many(nodes)[0])
+            sparse, _ = router.query_many_sparse(nodes)
+            assert_csr_bitwise(sparse, index.query_many_sparse(nodes)[0])
+            router.close()
 
     @pytest.mark.parametrize("alpha", [0.15, 0.2, 0.85])
     def test_one_machine_deployment_equals_its_index(self, alpha):

@@ -9,6 +9,9 @@ build exactly), and sources outside the affected set keep *bitwise*
 identical answers.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from repro.core import (
     insert_edge_flat,
     power_iteration_ppv,
 )
+from repro.core import flat_index
 from repro.errors import GraphError, UpdateError
 from repro.graph import hierarchical_community_digraph
 from repro.metrics import l_inf
@@ -371,6 +375,39 @@ class TestBatchesAndDispatch:
             assert a.skeleton_cols[h] == b.skeleton_cols[h]
         for w in a.node_partials:
             assert a.node_partials[w] == b.node_partials[w]
+
+    def test_stores_do_not_depend_on_solver_threads(self, upd_graph, monkeypatch):
+        """Four solver threads on 32-column chunks, switching every
+        microsecond, store what one thread on 128-column chunks stores:
+        the same vectors, bit for bit, under the same keys in the same order."""
+        monkeypatch.setattr(flat_index, "SOLVER_THREADS", 1)
+        one = build_jw_index(upd_graph, num_hubs=10, tol=1e-6)
+        monkeypatch.setattr(flat_index, "SOLVER_THREADS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = build_jw_index(upd_graph, num_hubs=10, tol=1e-6)
+        finally:
+            sys.setswitchinterval(interval)
+        for name in ("hub_partials", "skeleton_cols", "node_partials"):
+            a, b = getattr(one, name), getattr(many, name)
+            assert list(a) == list(b)
+            assert all(a[key] == b[key] for key in a), name
+        assert list(one.build_cost) == list(many.build_cost)
+
+    def test_no_solver_thread_outlives_a_plan(self, upd_graph):
+        """Builds and updates solve on threads that end with their plan,
+        so a process forked afterwards inherits no solver thread or lock."""
+        before = threading.active_count()
+        gpa = build_gpa_index(upd_graph, 4, tol=TIGHT_TOL, seed=0)
+        assert threading.active_count() == before
+        hgpa = build_hgpa_index(upd_graph, tol=TIGHT_TOL, max_levels=3, seed=0)
+        assert threading.active_count() == before
+        rng = np.random.default_rng(23)
+        for index in (gpa, hgpa):
+            update = EdgeUpdate.insert(*_missing_edge(index.graph, rng))
+            assert apply_edge_update(index, update)[1].changed
+            assert threading.active_count() == before
 
 
     @pytest.mark.parametrize("family", ["gpa", "hgpa"])
