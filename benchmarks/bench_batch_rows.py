@@ -18,7 +18,7 @@ at ``1e-3``, and in both result forms, it times at 2, 4, 8, 16, 32, 64 and
 HGPA has no dense body — its ``share.dense`` is the loop, which beat the
 removed one at every size and both scales — so its dense row reports the
 loop alone (``—`` for the body).  Each cell is the median µs per row over
-fresh uniform random batches, ``collect_stats=False``; every batch is run
+fresh uniform random batches (the bodies count no work); every batch is run
 once untimed first (lazy level stacking) and checked bitwise, loop against
 body, CSR arrays included.
 
@@ -108,11 +108,11 @@ def _paths(share, n: int, sparse: bool):
 
     def body(nodes):
         if sparse:
-            return finalize_csr(share.sparse(nodes, False)[0], (nodes.size, n))
-        return share.dense(nodes, False)[0]
+            return finalize_csr(share.sparse(nodes), (nodes.size, n))
+        return share.dense(nodes)
 
     def loop(nodes):
-        return loop_share.evaluate(nodes, sparse=sparse, collect_stats=False)[0]
+        return loop_share.evaluate(nodes, sparse=sparse)
 
     has_body = sparse or type(share).dense is not HubShare.dense
     return (body if has_body else None), loop
@@ -191,7 +191,7 @@ def _emit() -> None:
         )
     table.note(
         "body = share.dense / share.sparse (+ finalize_csr); loop = "
-        "share.evaluate's row loop forced at every size; collect_stats=False; "
+        "share.evaluate's row loop forced at every size; "
         "— = no such body (HGPA's dense form is the loop)"
     )
     table.note(

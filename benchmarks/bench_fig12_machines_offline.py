@@ -33,6 +33,10 @@ def test_fig12_machines_offline(benchmark):
             f"{name}: offline time must scale down near-linearly"
         )
     table.note("paper shape: offline time ≈ total/machines (no communication)")
+    table.note(
+        "seconds are solver-thread CPU seconds (build_cost, time.thread_time), "
+        "not wall time: a build solves on two threads"
+    )
     table.emit()
 
     index = hgpa_index("web")

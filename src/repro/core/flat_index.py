@@ -21,7 +21,7 @@ from __future__ import annotations
 import ctypes
 import time
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple
@@ -40,7 +40,6 @@ from repro.core.sparse_ops import (
     spgemm_scaled,
     subtract_at,
     topk_rows_sparse,
-    weight_row_stats,
 )
 from repro.core.sparsevec import SparseVec
 from repro.core.stacked import rows_matrix, stack_columns
@@ -263,11 +262,14 @@ def topk_in_batches(
 class Servable:
     """The read surface every engine serves through, written once.
 
-    An engine — an index family, FastPPV, a distributed runtime — supplies
-    one body, ``_rows(nodes, *, sparse, collect_stats)``, mapping a node
-    batch to ``(rows, metadata)``: a ``(len(nodes), n)`` dense array or
-    canonical CSR (``toarray()`` equal to the dense rows), plus per-query
-    stats when ``collect_stats`` (else ``[]``).  The batch verbs and top-k
+    An engine maps a node batch to ``(rows, metadata)`` in one body,
+    ``_rows(nodes, *, sparse, collect_stats)``: a ``(len(nodes), n)`` dense
+    array or canonical CSR (``toarray()`` equal to the dense rows), plus
+    per-query records when ``collect_stats`` (else ``[]``).  An exact index
+    supplies only ``_share()``, its one-machine :class:`HubShare`, and
+    inherits the body below: the share's rows, and its :meth:`HubShare.work`
+    as :class:`QueryStats`.  FastPPV and the runtimes write their own, whose
+    records are measured while the rows are made.  The batch verbs and top-k
     (a reduction of those rows, chunk by chunk) follow from it.
     ``num_nodes`` is the graph's node count; a runtime carries its own.
     """
@@ -278,10 +280,18 @@ class Servable:
     def num_nodes(self) -> int:
         return self.graph.num_nodes
 
+    def _share(self) -> HubShare:
+        raise NotImplementedError
+
     def _rows(
         self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
     ) -> tuple[Any, list[Any]]:
-        raise NotImplementedError
+        share = self._share()
+        rows = share.evaluate(nodes, sparse=sparse)
+        if not collect_stats:
+            return rows, []
+        nodes = validate_batch(nodes, self.num_nodes)
+        return rows, query_stats(share.work(nodes, sparse))
 
     def query_many(
         self, nodes: Sequence[int] | np.ndarray, *, collect_stats: bool = True
@@ -371,12 +381,10 @@ def stack_ops(
     return hubs, part_csc, skel_csr, np.diff(part_csc.indptr)
 
 
-def query_stats(counters: np.ndarray | None) -> list[QueryStats]:
-    """Per-query :class:`QueryStats` from a share's ``(3, batch)`` counter
-    block (rows in field order); ``None`` — stats not collected — is ``[]``."""
-    if counters is None:
-        return []
-    return [QueryStats(*column) for column in counters.T.tolist()]
+def query_stats(work: np.ndarray) -> list[QueryStats]:
+    """Per-query :class:`QueryStats` from a share's ``(3, batch)``
+    :meth:`HubShare.work` block (rows in field order)."""
+    return [QueryStats(*column) for column in work.T.tolist()]
 
 
 class HubShare:
@@ -388,15 +396,14 @@ class HubShare:
     and every own vector, a machine owns a slice, and a share's rows sum
     over the shares to the index's rows.  Subclasses supply ``row``, the
     algebra for one node (a skeleton-row slice and one ``CSC @ vector``
-    product), and a ``sparse`` batch body; they may supply a ``dense``
-    one, which otherwise is :meth:`loop`.  A batch body maps a node batch
-    to ``(rows, counters)``: the share's ``(batch, n)`` result block in
-    query order — a C-contiguous array, or a CSR that never densifies —
-    and, when ``collect_stats``, a ``(3, batch)`` int64 block of
-    ``entries_processed`` / ``vectors_used`` / ``skeleton_lookups`` (else
-    ``None``).  The two forms agree bitwise, and the caller's requested
-    result form picks.  Batches under ``ROW_LOOP_BELOW`` rows, a measured
-    per-family threshold, run :meth:`loop` in either form.
+    product), a ``sparse`` batch body and :meth:`work`; they may supply a
+    ``dense`` body, which otherwise is :meth:`loop`.  A batch body maps a
+    node batch to the share's ``(batch, n)`` result block in query order
+    — a C-contiguous array, or a CSR that never densifies.  The two forms
+    agree bitwise, and the caller's requested result form picks.  Batches
+    under ``ROW_LOOP_BELOW`` rows, a measured per-family threshold, run
+    :meth:`loop` in either form.  No body counts its work: :meth:`work`
+    computes the counters from the skeleton rows and the own lookup.
     """
 
     ROW_LOOP_BELOW = 2  # only one-row reads; see benchmarks/bench_batch_rows.py
@@ -407,53 +414,43 @@ class HubShare:
         self.alpha = alpha
         self.inv_alpha = 1.0 / alpha
 
-    def row(
-        self, u: int, collect_stats: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """This share of one query: the dense ``n``-vector and, when
-        ``collect_stats``, four int64 counters — the three ``dense``
-        reports for the node, then the stored skeleton entries read,
-        which is what ``sparse`` charges as its lookups."""
+    def row(self, u: int) -> np.ndarray:
+        """This share of one query, as a dense ``n``-vector."""
         raise NotImplementedError
 
-    def loop(
-        self, nodes: np.ndarray, sparse: bool, collect_stats: bool
-    ) -> tuple[Any, np.ndarray | None]:
+    def loop(self, nodes: np.ndarray, sparse: bool) -> Any:
         """:meth:`row` per node, stacked into the requested form (dense
-        rows land in one preallocated block) — the bodies' bits and
-        counters without their fixed cost."""
+        rows land in one preallocated block) — the bodies' bits without
+        their fixed cost."""
         n = self.num_nodes
-        counters = self._counters(nodes.size, collect_stats)
-        picked = [0, 1, 3 if sparse else 2]
-        out: Any = None if sparse else np.empty((nodes.size, n))
-        vecs: list[SparseVec] = []
+        if sparse:
+            return rows_matrix(
+                [SparseVec.from_dense(self.row(u)) for u in nodes.tolist()], n
+            )
+        out = np.empty((nodes.size, n))
         for k, u in enumerate(nodes.tolist()):
-            vec, row_counters = self.row(u, collect_stats)
-            if sparse:
-                vecs.append(SparseVec.from_dense(vec))
-            else:
-                out[k] = vec
-            if counters is not None and row_counters is not None:
-                counters[:, k] = row_counters[picked]
-        return (rows_matrix(vecs, n) if sparse else out), counters
+            out[k] = self.row(u)
+        return out
 
-    def dense(
-        self, nodes: np.ndarray, collect_stats: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        return self.loop(nodes, False, collect_stats)
+    def dense(self, nodes: np.ndarray) -> np.ndarray:
+        return self.loop(nodes, False)
 
-    def sparse(
-        self, nodes: np.ndarray, collect_stats: bool
-    ) -> tuple[sp.csr_matrix, np.ndarray | None]:
+    def sparse(self, nodes: np.ndarray) -> sp.csr_matrix:
         raise NotImplementedError
 
-    def evaluate(
-        self,
-        nodes: Sequence[int] | np.ndarray,
-        *,
-        sparse: bool,
-        collect_stats: bool,
-    ) -> tuple[Any, np.ndarray | None]:
+    def work(self, nodes: np.ndarray, sparse: bool) -> np.ndarray:
+        """What evaluating ``nodes`` in the given form costs this share,
+        as a ``(3, len(nodes))`` int64 block of :class:`QueryStats` fields:
+        ``entries_processed``, the nnz of every owned hub partial whose
+        adjusted weight is nonzero plus that of the own vector;
+        ``vectors_used``, those hubs plus the own vector; and
+        ``skeleton_lookups``, the owned hubs a dense row scans or the
+        stored skeleton entries a sparse one reads.  HGPA sums them along
+        the query's chain.  Counted from the skeleton rows and the own
+        lookup alone: no row is evaluated."""
+        raise NotImplementedError
+
+    def evaluate(self, nodes: Sequence[int] | np.ndarray, *, sparse: bool) -> Any:
         """Validate, evaluate ``DEFAULT_BATCH`` queries at a time (which
         bounds the intermediates at that many ``n``-float rows per
         buffer), stack the rows.
@@ -464,83 +461,80 @@ class HubShare:
         n = self.num_nodes
         nodes = validate_batch(nodes, n)
         if 0 < nodes.size < self.ROW_LOOP_BELOW:
-            return self.loop(nodes, sparse, collect_stats)
+            return self.loop(nodes, sparse)
         body = self.sparse if sparse else self.dense
         step = DEFAULT_BATCH
         out: Any
-        counters: np.ndarray | None
         if nodes.size <= step:
-            out, counters = body(nodes, collect_stats)
+            out = body(nodes)
+        elif sparse:
+            parts = [body(nodes[lo : lo + step]) for lo in range(0, nodes.size, step)]
+            out = sp.vstack(parts, format="csr")
         else:
             # Dense chunks land in one preallocated result: the peak is
             # one result plus one chunk, not two results.
-            out = None if sparse else np.empty((nodes.size, n))
-            parts: list[sp.csr_matrix] = []
-            counted: list[np.ndarray] = []
+            out = np.empty((nodes.size, n))
             for lo in range(0, nodes.size, step):
-                rows, chunk_counters = body(nodes[lo : lo + step], collect_stats)
-                if sparse:
-                    parts.append(rows)
-                else:
-                    out[lo : lo + step] = rows
-                if chunk_counters is not None:
-                    counted.append(chunk_counters)
-            if sparse:
-                out = sp.vstack(parts, format="csr")
-            counters = np.concatenate(counted, axis=1) if counted else None
+                out[lo : lo + step] = body(nodes[lo : lo + step])
         if sparse:
             out = finalize_csr(out, (nodes.size, n))
-        return out, counters
+        return out
 
-    def _counters(self, size: int, collect_stats: bool) -> np.ndarray | None:
-        return np.zeros((3, size), dtype=np.int64) if collect_stats else None
-
-    def _own_vectors(
+    def _level_work(
         self,
-        nodes: np.ndarray,
-        hub_flags: np.ndarray,
-        counters: np.ndarray | None,
-    ) -> Iterator[SparseVec | None]:
-        """The batch's own vectors this share holds, counted, in order."""
-        for k, (hub, u) in enumerate(zip(hub_flags.tolist(), nodes.tolist())):
-            vec = self.own(hub, u)
-            if vec is not None and counters is not None:
-                counters[0, k] += vec.nnz
-                counters[1, k] += 1
-            yield vec
-
-    def _add_own_row(
-        self, acc: np.ndarray, u: int, hub: bool, counters: np.ndarray | None
+        work: np.ndarray,
+        cols: Any,
+        ops: StackedOps,
+        qnodes: np.ndarray,
+        adjust: np.ndarray,
+        sparse: bool,
     ) -> None:
-        """:meth:`_add_own_dense` for one query."""
+        """Add one stacked level's hub term of :meth:`work` for ``qnodes``,
+        the queries at ``work[:, cols]``.  A hub's weight is its skeleton
+        value less α where ``adjust`` flags a query at the level owning it
+        (the f_u(h) adjustment), taken as the bodies take it, so a weight
+        that cancels to zero is no vector used."""
+        owned, _, skel_csr, nnz_per_hub = ops
+        raw = skel_csr[qnodes]
+        rows = np.nonzero(adjust)[0]
+        hits, pos = find_sorted(owned, qnodes[rows])
+        weights = subtract_at(raw, rows[hits], pos[hits], self.alpha)
+        used = weights.data != 0.0
+        rowid = np.repeat(np.arange(qnodes.size), np.diff(weights.indptr))[used]
+        entries = nnz_per_hub[weights.indices[used]].astype(np.float64)
+        work[0, cols] += np.bincount(rowid, entries, qnodes.size).astype(np.int64)
+        work[1, cols] += np.bincount(rowid, minlength=qnodes.size)
+        work[2, cols] += np.diff(raw.indptr) if sparse else owned.size
+
+    def _own_work(
+        self, work: np.ndarray, nodes: np.ndarray, hub_flags: np.ndarray
+    ) -> np.ndarray:
+        """``work`` with the own-vector term: its nnz and one vector used,
+        for each query whose own vector this share holds."""
+        for k, vec in enumerate(map(self.own, hub_flags.tolist(), nodes.tolist())):
+            if vec is not None:
+                work[0, k] += vec.nnz
+                work[1, k] += 1
+        return work
+
+    def _add_own_row(self, acc: np.ndarray, u: int, hub: bool) -> None:
+        """The base term of one query: ``p_u``, with ``P_u`` un-adjusted
+        by ``+α·x_u``."""
         vec = self.own(hub, u)
         if vec is not None:
             vec.add_into(acc)
             if hub:
                 acc[u] += self.alpha
-            if counters is not None:
-                counters[0] += vec.nnz
-                counters[1] += 1
 
     def _add_own_dense(
-        self,
-        out: np.ndarray,
-        nodes: np.ndarray,
-        hub_flags: np.ndarray,
-        counters: np.ndarray | None,
+        self, out: np.ndarray, nodes: np.ndarray, hub_flags: np.ndarray
     ) -> None:
-        """The base term: ``p_u``, with ``P_u`` un-adjusted by ``+α·x_u``."""
-        for k, vec in enumerate(self._own_vectors(nodes, hub_flags, counters)):
-            if vec is not None:
-                vec.add_into(out[k])
-                if hub_flags[k]:
-                    out[k, nodes[k]] += self.alpha
+        """:meth:`_add_own_row` for every query of ``out``."""
+        for k, (hub, u) in enumerate(zip(hub_flags.tolist(), nodes.tolist())):
+            self._add_own_row(out[k], u, hub)
 
     def _own_sparse(
-        self,
-        nodes: np.ndarray,
-        hub_flags: np.ndarray,
-        counters: np.ndarray | None,
+        self, nodes: np.ndarray, hub_flags: np.ndarray
     ) -> tuple[sp.csr_matrix, sp.csr_matrix | None]:
         """Sparse base term: own-vector rows plus the hub ``+α`` points.
 
@@ -548,7 +542,7 @@ class HubShare:
         addition order matches the dense path exactly:
         ``(matmul + own) + α``, never ``matmul + (own + α)``.
         """
-        vecs = list(self._own_vectors(nodes, hub_flags, counters))
+        vecs = list(map(self.own, hub_flags.tolist(), nodes.tolist()))
         held = np.asarray([vec is not None for vec in vecs], dtype=bool)
         hub_rows = np.nonzero(held & hub_flags)[0]
         alpha_pts = None
@@ -582,11 +576,8 @@ class FlatShare(HubShare):
         flags[find_sorted(self.all_hubs, nodes)[0]] = True
         return flags
 
-    def row(
-        self, u: int, collect_stats: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        owned, part_csc, skel_csr, nnz_per_hub = self.ops
-        counters = np.zeros(4, dtype=np.int64) if collect_stats else None
+    def row(self, u: int) -> np.ndarray:
+        owned, part_csc, skel_csr, _ = self.ops
         one = np.asarray([u])
         if owned.size:
             weights = csr_row_dense(skel_csr, u)
@@ -594,61 +585,43 @@ class FlatShare(HubShare):
             if hits.size:
                 weights[pos[0]] -= self.alpha  # the f_u(h) adjustment
             acc = part_csc @ (weights * self.inv_alpha)
-            if counters is not None:
-                used = weights != 0.0
-                counters[0] = nnz_per_hub[used].sum()
-                counters[1] = np.count_nonzero(used)
-                counters[2] = owned.size
-                counters[3] = skel_csr.indptr[u + 1] - skel_csr.indptr[u]
         else:
             acc = np.zeros(self.num_nodes)
-        hub = bool(find_sorted(self.all_hubs, one)[0].size)
-        self._add_own_row(acc, u, hub, counters)
-        return acc, counters
+        self._add_own_row(acc, u, bool(find_sorted(self.all_hubs, one)[0].size))
+        return acc
 
-    def dense(
-        self, nodes: np.ndarray, collect_stats: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        owned, part_csc, skel_csr, nnz_per_hub = self.ops
-        counters = self._counters(nodes.size, collect_stats)
+    def dense(self, nodes: np.ndarray) -> np.ndarray:
+        owned, part_csc, skel_csr, _ = self.ops
         out = np.zeros((nodes.size, self.num_nodes))
         if owned.size and nodes.size:
             weights = skel_csr[nodes].toarray()
             hub_rows, pos = find_sorted(owned, nodes)
             weights[hub_rows, pos[hub_rows]] -= self.alpha
             out[:] = (part_csc @ (weights.T * self.inv_alpha)).T
-            if counters is not None:
-                used = weights != 0.0
-                counters[0] = used.astype(np.int64) @ nnz_per_hub
-                counters[1] = used.sum(axis=1)
-                counters[2] = owned.size
-        self._add_own_dense(out, nodes, self._hub_flags(nodes), counters)
-        return out, counters
+        self._add_own_dense(out, nodes, self._hub_flags(nodes))
+        return out
 
-    def sparse(
-        self, nodes: np.ndarray, collect_stats: bool
-    ) -> tuple[sp.csr_matrix, np.ndarray | None]:
-        owned, part_csc, skel_csr, nnz_per_hub = self.ops
-        counters = self._counters(nodes.size, collect_stats)
+    def sparse(self, nodes: np.ndarray) -> sp.csr_matrix:
+        owned, part_csc, skel_csr, _ = self.ops
         if owned.size and nodes.size:
             raw = skel_csr[nodes]
             hub_rows, pos = find_sorted(owned, nodes)
             weights = subtract_at(raw, hub_rows, pos[hub_rows], self.alpha)
             out = spgemm_scaled(part_csc, weights, self.inv_alpha).T.tocsr()
-            if counters is not None:
-                counters[1], counters[0] = weight_row_stats(weights, nnz_per_hub)
-                # Sparse-aware accounting: this path never touches the
-                # zero skeleton weights, so charge each query its actual
-                # nnz skeleton lookups — the dense path scans (and is
-                # charged) the full hub set.
-                counters[2] = np.diff(raw.indptr)
         else:
             out = sp.csr_matrix((nodes.size, self.num_nodes))
-        own, alpha_pts = self._own_sparse(nodes, self._hub_flags(nodes), counters)
+        own, alpha_pts = self._own_sparse(nodes, self._hub_flags(nodes))
         out = sparse_add(out, own)
         if alpha_pts is not None:
             out = sparse_add(out, alpha_pts)
-        return out, counters
+        return out
+
+    def work(self, nodes: np.ndarray, sparse: bool) -> np.ndarray:
+        work = np.zeros((3, nodes.size), dtype=np.int64)
+        if self.ops[0].size and nodes.size:
+            every = np.ones(nodes.size, dtype=bool)
+            self._level_work(work, slice(None), self.ops, nodes, every, sparse)
+        return self._own_work(work, nodes, self._hub_flags(nodes))
 
 
 @dataclass
@@ -727,21 +700,8 @@ class FlatPPVIndex(Servable):
         """PPV of ``u`` plus work counters, via the vectorised fast path."""
         if not 0 <= u < self.graph.num_nodes:
             raise QueryError(f"query node {u} out of range")
-        acc, counters = self._share().row(u, True)
-        assert counters is not None
-        return acc, QueryStats(*counters[:3].tolist())
-
-    def _rows(
-        self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
-    ) -> tuple[Any, list[QueryStats]]:
-        """Eq. 4 for a batch: one sparse matmul per ``DEFAULT_BATCH``
-        queries, dense or sparse×sparse (no ``batch × n`` dense
-        intermediate; on pruned indexes the peak follows the result's
-        support), see :meth:`HubShare.evaluate`."""
-        out, counters = self._share().evaluate(
-            nodes, sparse=sparse, collect_stats=collect_stats
-        )
-        return out, query_stats(counters)
+        share = self._share()
+        return share.row(u), query_stats(share.work(np.asarray([u]), False))[0]
 
     def updated(self, update: EdgeUpdate) -> tuple[Servable, UpdateReceipt]:
         from repro.core.updates import apply_edge_update

@@ -21,7 +21,7 @@ hub's own (unadjusted) partial vector when ``u`` was selected as a hub.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -37,7 +37,6 @@ from repro.core.flat_index import (
     StackedOps,
     csr_row_dense,
     find_sorted,
-    query_stats,
     run_solves,
     stack_ops,
 )
@@ -47,7 +46,6 @@ from repro.core.sparse_ops import (
     sparse_add,
     spgemm_scaled,
     subtract_at,
-    weight_row_stats,
 )
 from repro.core.sparsevec import SparseVec
 from repro.errors import IndexBuildError, QueryError
@@ -94,10 +92,7 @@ class HGPAShare(HubShare):
         self.hierarchy = hierarchy
         self.level_ops = level_ops
 
-    def row(
-        self, u: int, collect_stats: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        counters = np.zeros(4, dtype=np.int64) if collect_stats else None
+    def row(self, u: int) -> np.ndarray:
         acc = np.zeros(self.num_nodes)
         chain = self.hierarchy.chain(u)
         u_is_hub = self.hierarchy.is_hub(u)
@@ -105,7 +100,7 @@ class HGPAShare(HubShare):
             ops = self.level_ops(sg.node_id) if sg.hubs.size else None
             if ops is None:
                 continue
-            owned, part_csc, skel_csr, nnz_per_hub = ops
+            owned, part_csc, skel_csr, _ = ops
             raw = csr_row_dense(skel_csr, u)
             weights = raw
             own_level = u_is_hub and sg is chain[-1]
@@ -124,24 +119,15 @@ class HGPAShare(HubShare):
                     contrib[sg.hubs] = 0.0
                 contrib[owned] = raw
             acc += contrib
-            if counters is not None:
-                used = weights != 0.0
-                counters[0] += nnz_per_hub[used].sum()
-                counters[1] += np.count_nonzero(used)
-                counters[2] += owned.size
-                counters[3] += skel_csr.indptr[u + 1] - skel_csr.indptr[u]
-        self._add_own_row(acc, u, u_is_hub, counters)
-        return acc, counters
+        self._add_own_row(acc, u, u_is_hub)
+        return acc
 
-    def sparse(
-        self, nodes: np.ndarray, collect_stats: bool
-    ) -> tuple[sp.csr_matrix, np.ndarray | None]:
+    def sparse(self, nodes: np.ndarray) -> sp.csr_matrix:
         n = self.num_nodes
         order, members, hub_flags, depth_of = _chain_membership(
             self.hierarchy, nodes
         )
         ordered = nodes[order]
-        counters = self._counters(nodes.size, collect_stats)
         # Level-term CSC blocks bucketed by chain depth: same-depth
         # subgraphs cover disjoint query slices, so a whole depth merges
         # by concatenation (port-repair values included as one scattered
@@ -156,7 +142,7 @@ class HGPAShare(HubShare):
             ops = self.level_ops(sid)
             if ops is None:
                 continue
-            owned, part_csc, skel_csr, nnz_per_hub = ops
+            owned, part_csc, skel_csr, _ = ops
             hubs, depth = self.hierarchy.subgraphs[sid].hubs, depth_of[sid]
             for c_lo in range(lo, hi, self.LEVEL_CHUNK):
                 c_hi = min(c_lo + self.LEVEL_CHUNK, hi)
@@ -187,15 +173,6 @@ class HGPAShare(HubShare):
                         (owned[raw_rest.indices], port_cols, raw_rest.data)
                     )
                 by_depth.setdefault(depth, []).append((c_lo, level))
-                if counters is not None:
-                    cols = order[c_lo:c_hi]
-                    used, entries = weight_row_stats(weights, nnz_per_hub)
-                    counters[0, cols] += entries
-                    counters[1, cols] += used
-                    # Sparse-aware accounting: charge each query's actual
-                    # nnz skeleton lookups at this level — the dense path
-                    # scans (and is charged) the level's full hub set.
-                    counters[2, cols] += np.diff(raw.indptr)
         acc = fold_depth_blocks(by_depth, ports, nodes.size, n)
         if acc is None:
             out = sp.csr_matrix((nodes.size, n))
@@ -204,11 +181,23 @@ class HGPAShare(HubShare):
             inv_order[order] = np.arange(order.size)
             out = acc.T.tocsr()[inv_order]
             del acc  # freed before the base-term adds copy ``out``
-        own, alpha_pts = self._own_sparse(nodes, hub_flags, counters)
+        own, alpha_pts = self._own_sparse(nodes, hub_flags)
         out = sparse_add(out, own)
         if alpha_pts is not None:
             out = sparse_add(out, alpha_pts)
-        return out, counters
+        return out
+
+    def work(self, nodes: np.ndarray, sparse: bool) -> np.ndarray:
+        work = np.zeros((3, nodes.size), dtype=np.int64)
+        order, members, hub_flags, _ = _chain_membership(self.hierarchy, nodes)
+        ordered = nodes[order]
+        for sid, (lo, hi, own_list) in members.items():
+            ops = self.level_ops(sid)
+            if ops is not None:
+                own_level = np.asarray(own_list, dtype=bool)
+                qnodes = ordered[lo:hi]
+                self._level_work(work, order[lo:hi], ops, qnodes, own_level, sparse)
+        return self._own_work(work, nodes, hub_flags)
 
 
 @dataclass
@@ -246,7 +235,7 @@ class HGPAIndex(Servable):
         """
         if not 0 <= u < self.graph.num_nodes:
             raise QueryError(f"query node {u} out of range")
-        return self._share().row(u, False)[0]
+        return self._share().row(u)
 
     def _share(self) -> HGPAShare:
         """The cached evaluator over every level: the index is the
@@ -284,20 +273,6 @@ class HGPAIndex(Servable):
         """Drop the stacked-matrix caches (call after mutating the stores)."""
         self._level_ops_cache.clear()
         self._share_cache = None
-
-    def _rows(
-        self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
-    ) -> tuple[Any, list[QueryStats]]:
-        """Eq. 6 for a batch: :meth:`query`'s body per node, except for
-        sparse batches of ``HGPAShare.ROW_LOOP_BELOW`` (64) rows or more,
-        whose body groups queries by the subgraphs their chains traverse,
-        one sparse ``CSC @ weights`` product per level group with a
-        structural port repair, so on pruned indexes — ``HGPA_ad`` — the
-        peak follows the PPVs' support."""
-        out, counters = self._share().evaluate(
-            nodes, sparse=sparse, collect_stats=collect_stats
-        )
-        return out, query_stats(counters)
 
     def updated(self, update: EdgeUpdate) -> tuple[Servable, UpdateReceipt]:
         from repro.core.updates import apply_edge_update

@@ -39,7 +39,6 @@ __all__ = [
     "spgemm_scaled",
     "sparse_add",
     "drop_rows_in_columns",
-    "weight_row_stats",
     "row_sparsevec",
     "topk_rows_sparse",
     "sparse_in_batches",
@@ -212,24 +211,6 @@ def drop_rows_in_columns(
         (block.data[keep], block.indices[keep], kept[block.indptr]),
         shape=block.shape,
     )
-
-
-def weight_row_stats(
-    w_adj: sp.csr_matrix, nnz_per_hub: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(vectors_used, entries_processed)`` of an adjusted
-    sparse weight matrix — the sparse mirror of the dense bookkeeping
-    ``used = weights != 0; used.sum(1); used @ nnz_per_hub``."""
-    g = w_adj.shape[0]
-    nz = w_adj.data != 0.0
-    rowid = np.repeat(np.arange(g), np.diff(w_adj.indptr))[nz]
-    counts = np.bincount(rowid, minlength=g).astype(np.int64)
-    entries = np.bincount(
-        rowid,
-        weights=nnz_per_hub[w_adj.indices[nz]].astype(np.float64),
-        minlength=g,
-    ).astype(np.int64)
-    return counts, entries
 
 
 def row_sparsevec(mat: sp.csr_matrix, row: int) -> SparseVec:

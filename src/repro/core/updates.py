@@ -19,13 +19,17 @@ stack builds on:
 
 Affected sources
 ----------------
-``r_w`` can only change if some walk from ``w`` traverses the updated
-edge ``(u, v)`` — i.e. iff ``w`` can reach ``u``.  The reverse-reachable
-set of ``u`` is therefore the exact invalidation set: sources outside it
-keep *bitwise identical* answers (every stored vector they combine is
-untouched, see below), so caches drop exactly these rows and nothing
-else.  Out-edge changes at ``u`` never alter who reaches ``u``, so the
-set is the same on the old and new graph.
+The exact PPV ``r_w`` can only change if some walk from ``w`` traverses
+the updated edge ``(u, v)`` — i.e. iff ``w`` can reach ``u``.  The
+reverse-reachable set of ``u`` is therefore the set of sources whose
+exact PPV changes.  Out-edge changes at ``u`` never alter who reaches
+``u``, so the set is the same on the old and new graph.  It is *not* the
+set of served rows that change: a re-solved skeleton column converges
+per column, so the update can shift its iteration count, and then
+entries of rows that cannot reach ``u`` move within the solve tolerance
+(update 2 of ``edge_updates(web, 5, 62)`` moves 535 such GPA rows and
+245 HGPA rows; a from-scratch rebuild moves the same bits).  Caches that
+drop only these rows keep those stale (ROADMAP.md item 21).
 
 Flat-index incremental path
 ---------------------------
@@ -196,8 +200,9 @@ class UpdateReceipt:
     ``epoch`` is the version the update produced *at the layer that issued
     the receipt* — the core sets 0 and every epoch-owning layer stamps its
     own counter via :meth:`at_epoch`.  ``affected_sources`` is the sorted
-    set of source nodes whose PPVs may differ from the previous epoch
-    (exact invalidation set; see the module docstring).
+    set of source nodes whose exact PPVs differ from the previous epoch;
+    served rows outside it can still move within the solve tolerance, so
+    it is not yet a complete invalidation set (see the module docstring).
     """
 
     update: EdgeUpdate
@@ -262,8 +267,11 @@ def affected_sources(graph: DiGraph, u: int) -> np.ndarray:
     """Sorted source nodes whose PPV can change when an out-edge of ``u``
     is inserted or deleted — the reverse-reachable set of ``u``.
 
-    Sources outside this set keep bitwise-identical answers across the
-    update, so it is exactly what serving caches invalidate.
+    Sources outside this set keep their exact PPVs, but not always their
+    served rows bit for bit: a re-solved column whose iteration count the
+    update shifts moves them within the solve tolerance, and serving
+    caches that invalidate only this set keep those rows stale (see the
+    module docstring and ROADMAP.md item 21).
     """
     if not 0 <= u < graph.num_nodes:
         raise GraphError(f"node {u} not in graph (num_nodes={graph.num_nodes})")

@@ -284,22 +284,22 @@ class ClusterBase(Servable):
 
         Every machine's share is computed here, in the calling process,
         one after the other and each under its own timer — this is the
-        paper-metric verb; batches are the serving path.
+        paper-metric verb; batches are the serving path.  A machine's
+        entries are its share's ``work``, counted outside the timer.
         """
         if not 0 <= u < self.num_nodes:
             raise QueryError(f"query node {u} out of range")
         partials: dict[int, np.ndarray] = {}
         walls: dict[int, float] = {}
+        entries: dict[int, int] = {}
         for machine in self.machines:
-            machine.reset_query_counters()
             mid = machine.machine_id
             share = self._machine_share(mid, u)
             t0 = time.perf_counter()
-            partials[mid], counters = share.row(u, True)
-            walls[mid] = machine.query_seconds = time.perf_counter() - t0
-            assert counters is not None
-            machine.query_entries = int(counters[0])
-        return self._finish_query(u, partials, walls)
+            partials[mid] = share.row(u)
+            walls[mid] = time.perf_counter() - t0
+            entries[mid] = int(share.work(np.asarray([u]), False)[0, 0])
+        return self._finish_query(u, partials, walls, entries_by_machine=entries)
 
     def _rows(
         self, nodes: Sequence[int] | np.ndarray, *, sparse: bool, collect_stats: bool
@@ -310,9 +310,11 @@ class ClusterBase(Servable):
         (dispatched through the execution backend, so the shares run
         in-process or as real worker processes); serialization,
         aggregation and metrics then run per query — one vector per
-        machine per query.  ``collect_stats=False`` skips the per-query
-        entry bookkeeping and report construction (metering still runs —
-        it is the protocol) and returns ``[]``.  Sparse shares stay
+        machine per query.  With ``collect_stats`` each machine's entries
+        are its share's ``work`` on the batch, counted here in the calling
+        process after the shares answered, and every query gets a
+        :class:`QueryReport`; without, no report is built (metering still
+        runs — it is the protocol) and ``[]`` returns.  Sparse shares stay
         sparse end to end: rows ship over the same wire codec (the meter
         charges the actual nnz, the bytes the dense path's sparsified
         payloads weigh) and the coordinator merges them sparsely, so no
@@ -332,21 +334,23 @@ class ClusterBase(Servable):
                 nodes,
                 DEFAULT_BATCH,
             )
-        futures = {}
-        for machine in self.machines:
-            machine.reset_query_counters()
-            mid = machine.machine_id
-            futures[mid] = self._backend.submit(
-                self._exec_key(mid), "share_of", nodes, sparse, collect_stats
+        futures = {
+            machine.machine_id: self._backend.submit(
+                self._exec_key(machine.machine_id), "serve", nodes, sparse
             )
+            for machine in self.machines
+        }
         blocks: dict[int, Any] = {}
-        entries: dict[int, np.ndarray] = {}
         walls: dict[int, float] = {}
-        for machine in self.machines:
-            mid = machine.machine_id
-            blocks[mid], entries[mid], wall = futures[mid].result()
-            machine.query_seconds = wall
+        for mid, future in futures.items():
+            blocks[mid], wall = future.result()
             walls[mid] = wall / nodes.size
+        entries: dict[int, list[int]] | None = None
+        if collect_stats:
+            entries = {
+                mid: self._machine_share(mid).work(nodes, sparse)[0].tolist()
+                for mid in blocks
+            }
         rows: list[Any] = []
         reports: list[QueryReport] = []
         for k, u in enumerate(nodes.tolist()):
@@ -354,17 +358,11 @@ class ClusterBase(Servable):
                 mid: row_sparsevec(block, k) if sparse else block[k]
                 for mid, block in blocks.items()
             }
-            counted = (
-                {mid: int(e[k]) for mid, e in entries.items()}
-                if collect_stats
-                else None
-            )
+            counted = None
+            if entries is not None:
+                counted = {mid: e[k] for mid, e in entries.items()}
             result, report = self._finish_query(
-                u,
-                partials,
-                walls,
-                entries_by_machine=counted,
-                collect_stats=collect_stats,
+                u, partials, walls, entries_by_machine=counted
             )
             rows.append(result)
             if report is not None:
@@ -380,7 +378,6 @@ class ClusterBase(Servable):
         machine_walls: dict[int, float],
         *,
         entries_by_machine: dict[int, int] | None = None,
-        collect_stats: bool = True,
     ) -> tuple[Any, QueryReport | None]:
         """Serialize per-machine partial vectors, aggregate, build a report.
 
@@ -393,12 +390,10 @@ class ClusterBase(Servable):
         Every per-machine quantity is keyed by ``machine_id`` so compute
         work and shipped bytes can never be paired across machines; the
         report's lists are all ordered by ascending machine id.
-        ``entries_by_machine`` overrides the machines' live counters —
-        batched query paths compute the per-query entry counts
-        analytically instead of mutating counters per query.
-        ``collect_stats=False`` skips the report (returned ``None``);
-        serialization, aggregation and metering still run — they are the
-        wire protocol, not bookkeeping.
+        ``entries_by_machine`` is each machine's work on the query; without
+        it no report is built (``None``), while serialization, aggregation
+        and metering still run — they are the wire protocol, not
+        bookkeeping.
         """
         sparse = any(isinstance(part, SparseVec) for part in partials.values())
         payloads: dict[int, bytes] = {
@@ -416,13 +411,9 @@ class ClusterBase(Servable):
         else:
             result = self.coordinator.aggregate(payloads)
         agg_wall = time.perf_counter() - t0
-        if not collect_stats:
+        if entries_by_machine is None:
             return result, None
         comm_bytes = self.coordinator.meter.total_bytes - before
-        if entries_by_machine is None:
-            entries_by_machine = {
-                m.machine_id: m.query_entries for m in self.machines
-            }
         mids = sorted(payloads)
         # Paper metric: max over machines of (combine work + ship own vector).
         runtime = max(

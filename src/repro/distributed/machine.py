@@ -1,17 +1,16 @@
-"""A simulated worker machine: private vector store plus work counters.
+"""A simulated worker machine: a private vector store.
 
 Machines in the paper's platform share nothing — each one holds only the
 pre-computed vectors assigned to it and talks only to the coordinator.  The
 simulation preserves exactly that: a :class:`Machine` owns a key→vector
-store, counts the entries it processes and the seconds of (measured) work it
-performs, and produces one wire payload per query.
+store and the offline seconds that built it.  What it computes per query
+is its share of the runtime's hub sum (:class:`~repro.core.flat_index.HubShare`),
+whose ``work`` is what a query costs it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.sparsevec import SparseVec
 from repro.errors import ClusterError
@@ -30,8 +29,6 @@ class Machine:
     offline_seconds: float = 0.0
     """Summed ``build_cost`` of the vectors it was given: solver-thread CPU
     seconds, one solve's cost even while another solve ran beside it."""
-    query_entries: int = 0
-    query_seconds: float = 0.0
     wire_version: int = 1
 
     def put(self, key: StoreKey, vec: SparseVec, *, build_seconds: float = 0.0) -> None:
@@ -92,17 +89,3 @@ class Machine:
     @property
     def stored_vectors(self) -> int:
         return len(self.store)
-
-    def reset_query_counters(self) -> None:
-        self.query_entries = 0
-        self.query_seconds = 0.0
-
-    # ------------------------------------------------------------------
-    def accumulate(
-        self, acc: np.ndarray, key: StoreKey, scale: float = 1.0
-    ) -> int:
-        """axpy a stored vector into ``acc``; returns entries processed."""
-        vec = self.get(key)
-        vec.add_into(acc, scale)
-        self.query_entries += vec.nnz
-        return vec.nnz

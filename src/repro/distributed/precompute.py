@@ -7,6 +7,12 @@ measured per-vector build costs across machines — the deployment classes
 already attribute each stored vector's build time to its owner — and report
 the makespan.  This module adds the summary used by the offline-time
 figures.
+
+The costs split are ``build_cost`` values: solver-thread CPU seconds
+(``time.thread_time``), each vector's share of the chunk it was solved in.
+They are not wall time.  A build runs two solver threads, so its wall is
+shorter than the summed costs, and a machine's makespan here is the CPU
+time its vectors took, as if it solved them alone on one core.
 """
 
 from __future__ import annotations

@@ -56,8 +56,8 @@ class ShareHost:
     """One evaluator behind the execution seam, timed.
 
     The wall clock covers only the evaluation, so the caller's load
-    accounting (:meth:`Replica.note_served`, ``Machine.query_seconds``)
-    charges what the share actually computed, not the IPC.
+    accounting (:meth:`Replica.note_served`, a runtime's per-machine
+    walls) charges what the share actually computed, not the IPC.
     """
 
     __slots__ = ("share",)
@@ -65,21 +65,11 @@ class ShareHost:
     def __init__(self, share: HubShare) -> None:
         self.share = share
 
-    def share_of(
-        self, nodes: np.ndarray, sparse: bool, collect_stats: bool
-    ) -> tuple[Any, np.ndarray | None, float]:
-        """A machine's answer: ``(rows, entries per query, wall)``."""
-        t0 = time.perf_counter()
-        rows, counters = self.share.evaluate(
-            nodes, sparse=sparse, collect_stats=collect_stats
-        )
-        entries = None if counters is None else counters[0]
-        return rows, entries, time.perf_counter() - t0
-
     def serve(self, nodes: np.ndarray, sparse: bool) -> tuple[Any, float]:
-        """A replica's answer: ``(rows, wall)``."""
-        rows, _, wall = self.share_of(nodes, sparse, False)
-        return rows, wall
+        """A replica's or a machine's answer: ``(rows, wall)``."""
+        t0 = time.perf_counter()
+        rows = self.share.evaluate(nodes, sparse=sparse)
+        return rows, time.perf_counter() - t0
 
 
 class HierarchyHandle:

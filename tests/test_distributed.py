@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core import SparseVec
 from repro.core.flat_index import FlatShare, stack_ops
 from repro.core.hgpa import HGPAShare
+from repro.core.updates import EdgeUpdate, apply_edge_update
 from repro.distributed import (
     DEFAULT_COST_MODEL,
     CostModel,
@@ -26,6 +27,7 @@ from repro.distributed import (
 from repro.errors import ClusterError, QueryError
 
 from conftest import EXACT_ATOL
+from test_updates import _deletable_edge, _missing_edge
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +61,6 @@ class TestMachine:
     def test_missing_key(self):
         with pytest.raises(ClusterError):
             Machine(0).get(("hub", 9))
-
-    def test_accumulate_counts_entries(self):
-        m = Machine(0)
-        m.put(("leaf", 0), SparseVec(np.array([0, 1]), np.array([1.0, 2.0])))
-        acc = np.zeros(3)
-        n = m.accumulate(acc, ("leaf", 0), 2.0)
-        assert n == 2 and m.query_entries == 2
-        assert acc.tolist() == [2.0, 4.0, 0.0]
 
 
 class TestNetworkMeter:
@@ -159,14 +153,14 @@ class TestFinishQueryPairing:
         cb.machines = [Machine(2), Machine(0), Machine(1)]  # shuffled on purpose
         cb.coordinator = Coordinator(num_nodes=4)
         entries = {2: 2_000_000, 0: 0, 1: 10}
-        for m in cb.machines:
-            m.query_entries = entries[m.machine_id]
         partials = {
             0: np.array([1.0, 2.0, 3.0, 4.0]),  # 4 entries -> most bytes
             1: np.array([1.0, 0.0, 0.0, 0.0]),
             2: np.array([0.0, 0.0, 0.0, 0.0]),  # heavy compute, empty vector
         }
-        result, report = cb._finish_query(5, dict(partials), {})
+        result, report = cb._finish_query(
+            5, dict(partials), {}, entries_by_machine=entries
+        )
         np.testing.assert_allclose(result, sum(partials.values()))
         # Lists are ordered by ascending machine id.
         assert report.per_machine_entries == [0, 10, 2_000_000]
@@ -248,43 +242,47 @@ class TestOwnershipPrecompute:
 
 def _assert_shares_sum_to(shares, index, nodes):
     """The shares' rows sum to the index's rows (bitwise when there is one
-    share), their ``entries`` sum to the index's ``entries_processed``,
-    and each share's sparse form equals its own dense form — for a batch
-    and, through ``row``, for every node of it asked alone."""
+    share), their ``work`` entries sum to the index's ``entries_processed``,
+    each share's sparse form equals its own dense form and does the same
+    work but for the lookups, and a batch's work is its nodes' — for a
+    batch and, through ``row``, for every node of it asked alone."""
     for u in nodes.tolist():
-        rows = [share.row(u, True) for share in shares]
+        rows = [share.row(u) for share in shares]
         _, stats = index.query_detailed(u)
         np.testing.assert_allclose(
-            sum(vec for vec, _ in rows), index.query(u), rtol=0, atol=1e-12
+            sum(rows), index.query(u), rtol=0, atol=1e-12
         )
-        entries = sum(int(counters[0]) for _, counters in rows)
-        assert entries == stats.entries_processed
-        for share, (vec, counters) in zip(shares, rows):
+        work = [share.work(np.asarray([u]), False) for share in shares]
+        assert sum(int(w[0, 0]) for w in work) == stats.entries_processed
+        for share, vec in zip(shares, rows):
             for sparse in (False, True):
-                block, counted = share.evaluate(
-                    [u], sparse=sparse, collect_stats=True
-                )
+                block = share.evaluate([u], sparse=sparse)
                 if sparse:
                     block = block.toarray()
                 assert np.array_equal(block, vec[None])
-                form = [0, 1, 3 if sparse else 2]  # lookups differ by form
-                assert counted[:, 0].tolist() == counters[form].tolist()
     dense, stats = index.query_many(nodes)
-    parts = [share.evaluate(nodes, sparse=False, collect_stats=True) for share in shares]
-    total = sum(rows for rows, _ in parts)
+    parts = [share.evaluate(nodes, sparse=False) for share in shares]
+    total = sum(parts)
     if len(shares) == 1:
         assert np.array_equal(total, dense)
     np.testing.assert_allclose(total, dense, rtol=0, atol=1e-12)
-    entries = sum(counters[0] for _, counters in parts)
-    assert entries.tolist() == [s.entries_processed for s in stats]
-    for share, (rows, counters) in zip(shares, parts):
-        sparse_rows, sparse_counters = share.evaluate(
-            nodes, sparse=True, collect_stats=True
-        )
+    work = [share.work(nodes, False) for share in shares]
+    assert sum(w[0] for w in work).tolist() == [s.entries_processed for s in stats]
+    for share, rows, dense_work in zip(shares, parts, work):
+        sparse_rows = share.evaluate(nodes, sparse=True)
         assert np.array_equal(sparse_rows.toarray(), rows)
-        assert np.array_equal(sparse_counters[:2], counters[:2])
+        sparse_work = share.work(nodes, True)
+        assert np.array_equal(sparse_work[:2], dense_work[:2])
+        for form, block in ((False, dense_work), (True, sparse_work)):
+            alone = [share.work(nodes[k : k + 1], form) for k in range(nodes.size)]
+            assert np.array_equal(np.hstack(alone), block)
 
 
+_WORK_SETTINGS = dict(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
 _SPLIT_SETTINGS = dict(
     max_examples=25,
     deadline=None,
@@ -387,6 +385,75 @@ class TestHubSplits:
                     assert report.per_machine_entries == one.per_machine_entries
                     assert report.per_machine_bytes == one.per_machine_bytes
                     assert report.communication_bytes == one.communication_bytes
+
+
+def _flat_reference(index, u, sparse):
+    """``FlatPPVIndex.query_reference``'s counters for ``u``; in the
+    sparse form the lookups are the stored skeleton entries at ``u``."""
+    _, ref = index.query_reference(u)
+    lookups = ref.skeleton_lookups
+    if sparse:
+        cols = [index.skeleton_cols[h] for h in index.hubs.tolist()]
+        lookups = sum(int((col.idx == u).any()) for col in cols)
+    return [ref.entries_processed, ref.vectors_used, lookups]
+
+
+def _hgpa_reference(index, u, sparse):
+    """``HGPAIndex.query_detailed``'s counters for ``u``, the sparse
+    lookups counted along its chain."""
+    _, ref = index.query_detailed(u)
+    lookups = ref.skeleton_lookups
+    if sparse:
+        hubs = [h for sg in index.hierarchy.chain(u) for h in sg.hubs.tolist()]
+        cols = [index.skeleton_cols[h] for h in hubs]
+        lookups = sum(int((col.idx == u).any()) for col in cols)
+    return [ref.entries_processed, ref.vectors_used, lookups]
+
+
+class TestWorkOracles:
+    """``HubShare.work`` counts what the hub-by-hub references count, on
+    indexes moved by edge updates, and a runtime's per-machine entries sum
+    to the index's."""
+
+    def _check(self, index, runtime_cls, reference, machines, rng):
+        n = index.graph.num_nodes
+        hubs = np.asarray(sorted(index.hub_partials), dtype=np.int64)
+        nodes = rng.integers(0, n, 40)
+        nodes[:5] = rng.choice(hubs, 5)  # hub queries too
+        share = index._share()
+        for sparse in (False, True):
+            want = [reference(index, u, sparse) for u in nodes.tolist()]
+            assert share.work(nodes, sparse).T.tolist() == want
+        _, reports = runtime_cls(index, machines).query_many(nodes)
+        entries = [reference(index, u, False)[0] for u in nodes.tolist()]
+        assert [sum(r.per_machine_entries) for r in reports] == entries
+
+    def _run(self, index, runtime_cls, reference, machines, ops, seed):
+        rng = np.random.default_rng(seed)
+        self._check(index, runtime_cls, reference, machines, rng)
+        for op in ops:
+            pick = _missing_edge if op == "insert" else _deletable_edge
+            u, v = pick(index.graph, rng)
+            index, _ = apply_edge_update(index, EdgeUpdate(op, u, v))
+            self._check(index, runtime_cls, reference, machines, rng)
+
+    @settings(**_WORK_SETTINGS)
+    @given(
+        machines=st.integers(1, 4),
+        ops=st.lists(st.sampled_from(["insert", "delete"]), max_size=2),
+        seed=st.integers(0, 10_000),
+    )
+    def test_flat_work_is_the_reference_count(self, gpa_small, machines, ops, seed):
+        self._run(gpa_small, DistributedGPA, _flat_reference, machines, ops, seed)
+
+    @settings(**_WORK_SETTINGS)
+    @given(
+        machines=st.integers(1, 4),
+        ops=st.lists(st.sampled_from(["insert", "delete"]), max_size=2),
+        seed=st.integers(0, 10_000),
+    )
+    def test_hgpa_work_is_the_reference_count(self, hgpa_small, machines, ops, seed):
+        self._run(hgpa_small, DistributedHGPA, _hgpa_reference, machines, ops, seed)
 
 
 class TestDeployment:

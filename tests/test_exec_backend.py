@@ -506,10 +506,10 @@ class _Tap:
 
 
 def _reply_shapes(index, backend):
-    """One key per reply shape on ``backend``: a replica's dense and
-    sparse ``serve`` and a runtime machine's ``share_of`` tuple, as
-    ``(key, method, *args after the nodes)``.  The runtime is returned
-    too: its machine key lives as long as it does."""
+    """One key per kind of share on ``backend``: a replica's dense and
+    sparse ``serve`` and a runtime machine's, as ``(key, method, *args
+    after the nodes)``.  The runtime is returned too: its machine key
+    lives as long as it does."""
     if backend.is_local:
         host = ShareHost(index._share())
         builder = lambda: host  # noqa: E731
@@ -521,7 +521,7 @@ def _reply_shapes(index, backend):
     tasks = [
         ("dense", "serve", False),
         ("sparse", "serve", True),
-        (runtime._exec_key(0), "share_of", False, True),
+        (runtime._exec_key(0), "serve", False),
     ]
     return runtime, tasks
 

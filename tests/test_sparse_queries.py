@@ -237,15 +237,15 @@ class TestRowLoopBelow:
         """Sparse batches under 64 rows run the row loop; a dense batch of
         any size never enters a body — HGPA's dense body is the loop."""
 
-        def refuse(share, nodes, collect_stats):
+        def refuse(share, nodes):
             raise AssertionError(f"batch body ran {nodes.size} rows")
 
         looped = []
         row = HGPAShare.row
 
-        def spy(share, u, collect_stats):
+        def spy(share, u):
             looped.append(u)
-            return row(share, u, collect_stats)
+            return row(share, u)
 
         assert HGPAShare.dense is HubShare.dense
         monkeypatch.setattr(HGPAShare, "sparse", refuse)
@@ -266,9 +266,9 @@ class TestRowLoopBelow:
         for name in ("dense", "sparse"):
             body = getattr(FlatShare, name)
 
-            def spy(share, nodes, collect_stats, body=body, name=name):
+            def spy(share, nodes, body=body, name=name):
                 entered.append((name, nodes.size))
-                return body(share, nodes, collect_stats)
+                return body(share, nodes)
 
             monkeypatch.setattr(FlatShare, name, spy)
         gpa_small.query_many([3, 7])
