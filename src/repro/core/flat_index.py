@@ -693,15 +693,14 @@ class FlatPPVIndex(Servable):
 
     def query(self, u: int) -> np.ndarray:
         """Exact PPV of node ``u`` (dense)."""
-        vec, _ = self.query_detailed(u)
-        return vec
+        if not 0 <= u < self.graph.num_nodes:
+            raise QueryError(f"query node {u} out of range")
+        return self._share().row(u)
 
     def query_detailed(self, u: int) -> tuple[np.ndarray, QueryStats]:
         """PPV of ``u`` plus work counters, via the vectorised fast path."""
-        if not 0 <= u < self.graph.num_nodes:
-            raise QueryError(f"query node {u} out of range")
-        share = self._share()
-        return share.row(u), query_stats(share.work(np.asarray([u]), False))[0]
+        vec = self.query(u)
+        return vec, query_stats(self._share().work(np.asarray([u]), False))[0]
 
     def updated(self, update: EdgeUpdate) -> tuple[Servable, UpdateReceipt]:
         from repro.core.updates import apply_edge_update
