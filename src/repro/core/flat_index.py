@@ -433,7 +433,8 @@ class HubShare:
         return out
 
     def dense(self, nodes: np.ndarray) -> np.ndarray:
-        return self.loop(nodes, False)
+        out: np.ndarray = self.loop(nodes, False)
+        return out
 
     def sparse(self, nodes: np.ndarray) -> sp.csr_matrix:
         raise NotImplementedError
@@ -584,7 +585,7 @@ class FlatShare(HubShare):
             hits, pos = find_sorted(owned, one)
             if hits.size:
                 weights[pos[0]] -= self.alpha  # the f_u(h) adjustment
-            acc = part_csc @ (weights * self.inv_alpha)
+            acc: np.ndarray = part_csc @ (weights * self.inv_alpha)
         else:
             acc = np.zeros(self.num_nodes)
         self._add_own_row(acc, u, bool(find_sorted(self.all_hubs, one)[0].size))
